@@ -19,12 +19,10 @@ namespace {
 
 using namespace brisa;
 
-/// Raw pending-set throughput in both implementations (DESIGN.md §14): the
-/// 64-deep schedule/pop cycle every simulated instant runs through.
-void BM_EventQueueScheduleAndPop(benchmark::State& state,
-                                 sim::QueueImpl impl) {
+/// Raw pending-set throughput (DESIGN.md §14): the 64-deep schedule/pop
+/// cycle every simulated instant runs through.
+void BM_EventQueueScheduleAndPop(benchmark::State& state) {
   sim::EventQueue queue;
-  queue.configure(impl);
   sim::Rng rng(1);
   std::int64_t t = 0;
   for (auto _ : state) {
@@ -41,13 +39,10 @@ void BM_EventQueueScheduleAndPop(benchmark::State& state,
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK_CAPTURE(BM_EventQueueScheduleAndPop, heap, sim::QueueImpl::kHeap);
-BENCHMARK_CAPTURE(BM_EventQueueScheduleAndPop, calendar,
-                  sim::QueueImpl::kCalendar);
+BENCHMARK(BM_EventQueueScheduleAndPop);
 
-void BM_EventQueueCancellation(benchmark::State& state, sim::QueueImpl impl) {
+void BM_EventQueueCancellation(benchmark::State& state) {
   sim::EventQueue queue;
-  queue.configure(impl);
   for (auto _ : state) {
     std::vector<sim::EventId> ids;
     ids.reserve(64);
@@ -59,9 +54,7 @@ void BM_EventQueueCancellation(benchmark::State& state, sim::QueueImpl impl) {
   }
   state.SetItemsProcessed(state.iterations() * 64);
 }
-BENCHMARK_CAPTURE(BM_EventQueueCancellation, heap, sim::QueueImpl::kHeap);
-BENCHMARK_CAPTURE(BM_EventQueueCancellation, calendar,
-                  sim::QueueImpl::kCalendar);
+BENCHMARK(BM_EventQueueCancellation);
 
 void BM_RngNextU64(benchmark::State& state) {
   sim::Rng rng(7);
@@ -139,10 +132,9 @@ BENCHMARK(BM_TransportMessageRoundtrip);
 /// Timer-cancel-heavy churn at N pending events: the failure-detection
 /// pattern (timers armed per peer, cancelled on keep-alive, re-armed) that
 /// dominates membership-layer event traffic at scale.
-void BM_EventQueueTimerChurn(benchmark::State& state, sim::QueueImpl impl) {
+void BM_EventQueueTimerChurn(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   sim::EventQueue queue;
-  queue.configure(impl);
   sim::Rng rng(42);
   std::vector<sim::EventId> ids(n);
   std::int64_t now_us = 0;
@@ -172,25 +164,16 @@ void BM_EventQueueTimerChurn(benchmark::State& state, sim::QueueImpl impl) {
   state.SetItemsProcessed(state.iterations() * 64);
 }
 // The 1M-pending cell is the BRISA 1M-node sweep's working set: timers
-// spread over a 1 s horizon, so the calendar's far-future overflow chunks
-// (not just the 1024-bucket ring) are on the measured path.
-BENCHMARK_CAPTURE(BM_EventQueueTimerChurn, heap, sim::QueueImpl::kHeap)
-    ->Arg(10'000)
-    ->Arg(100'000)
-    ->Arg(1'000'000);
-BENCHMARK_CAPTURE(BM_EventQueueTimerChurn, calendar, sim::QueueImpl::kCalendar)
-    ->Arg(10'000)
-    ->Arg(100'000)
-    ->Arg(1'000'000);
+// spread over a 1 s horizon.
+BENCHMARK(BM_EventQueueTimerChurn)->Arg(10'000)->Arg(100'000)->Arg(1'000'000);
 
 /// End-to-end simulator event rate at N hosts: every host runs a periodic
 /// timer that fires a datagram at a random peer — periodic dispatch, message
 /// allocation, NIC/CPU modeling, and queue pressure in one number. This is
 /// the events-per-second figure that bounds sweep sizes.
-void BM_SimEventRate(benchmark::State& state, sim::QueueImpl queue) {
+void BM_SimEventRate(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   sim::Simulator simulator(1);
-  simulator.set_queue_impl(queue);
   net::Network network(simulator, std::make_unique<net::ClusterLatencyModel>(),
                        net::Network::cluster_config());
   class Sink : public net::Network::DatagramHandler {
@@ -246,12 +229,7 @@ void BM_SimEventRate(benchmark::State& state, sim::QueueImpl queue) {
   state.counters["event_slab_slots"] =
       static_cast<double>(simulator.stats().event_slab_slots);
 }
-BENCHMARK_CAPTURE(BM_SimEventRate, heap, sim::QueueImpl::kHeap)
-    ->Arg(1'000)
-    ->Arg(10'000)
-    ->Arg(100'000)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SimEventRate, calendar, sim::QueueImpl::kCalendar)
+BENCHMARK(BM_SimEventRate)
     ->Arg(1'000)
     ->Arg(10'000)
     ->Arg(100'000)
@@ -267,10 +245,8 @@ void BM_SimEventRateSharded(benchmark::State& state) {
   const std::size_t n = 10'000;
   sim::Simulator simulator(1);
   auto latency = std::make_unique<net::ClusterLatencyModel>();
-  // Mirror SystemBase::prepare: lookahead, then the harness-default calendar
-  // queue (bucket width = lookahead), then sharding.
+  // Mirror SystemBase::prepare: lookahead, then sharding.
   simulator.set_lookahead(latency->min_flight());
-  simulator.set_queue_impl(sim::QueueImpl::kCalendar);
   if (shards > 1) simulator.configure_sharding(shards);
   net::Network network(simulator, std::move(latency),
                        net::Network::cluster_config());

@@ -159,7 +159,14 @@ int main(int argc, char** argv) {
       if (cell_mode) scenario.sweep.clear();
       for (const auto& [key, value] : overrides) {
         if (cell_mode && key.rfind("sweep.", 0) == 0) continue;
-        scenario.set_path(key, value);
+        try {
+          scenario.set_path(key, value);
+        } catch (const std::invalid_argument& e) {
+          // Anchor the diagnostic at the offending override, the way file
+          // diagnostics carry their line.
+          throw std::invalid_argument("--set " + key + "=" + value + ": " +
+                                      e.what());
+        }
       }
       scenario.validate();
     } catch (const std::invalid_argument& e) {

@@ -191,6 +191,13 @@ std::int32_t BrisaStream::depth() const {
 
 std::uint64_t BrisaStream::max_contiguous_seq() const { return contiguous_upto_; }
 
+std::vector<std::uint64_t> BrisaStream::buffered_seqs() const {
+  std::vector<std::uint64_t> seqs;
+  seqs.reserve(payload_buffer_.size());
+  for (const auto& entry : payload_buffer_) seqs.push_back(entry.first);
+  return seqs;
+}
+
 membership::AppWatermark BrisaStream::watermark_entry() const {
   return {stream_,
           delivered_seqs_.empty() ? 0 : delivered_seqs_.max() + 1,
@@ -949,21 +956,26 @@ void BrisaStream::store_payload(std::uint64_t seq, std::size_t payload_bytes) {
             payload_buffer_bytes_ > limits.store_bytes);
   };
   while (over() && !payload_buffer_.empty()) {
-    // kDeliveredFirst drops the oldest entry only while it sits below the
+    // Victims are chosen in sequence space, like net::BoundedSeqStore: the
+    // buffer is in arrival order, and a late joiner back-fills old seqs
+    // *after* its first live ones, so the front is not the oldest seq.
+    // kDeliveredFirst drops the lowest seq only while it sits below the
     // delivery watermark (children had a full window to pull it); above the
-    // watermark it drops the newest instead (drop-tail), preserving the
+    // watermark it drops the highest instead (drop-tail), preserving the
     // oldest still-unconfirmed seqs a repairing child is most likely to ask
-    // for. kOldestFirst always drops the front.
-    const bool drop_front =
-        limits.eviction == net::EvictionPolicy::kOldestFirst ||
-        payload_buffer_.front().first < contiguous_upto_;
-    if (drop_front) {
-      payload_buffer_bytes_ -= payload_buffer_.front().second;
-      payload_buffer_.pop_front();
-    } else {
-      payload_buffer_bytes_ -= payload_buffer_.back().second;
-      payload_buffer_.pop_back();
+    // for. kOldestFirst always drops the lowest.
+    const auto by_seq = [](const auto& a, const auto& b) {
+      return a.first < b.first;
+    };
+    auto victim = std::min_element(payload_buffer_.begin(),
+                                   payload_buffer_.end(), by_seq);
+    if (limits.eviction == net::EvictionPolicy::kDeliveredFirst &&
+        victim->first >= contiguous_upto_) {
+      victim = std::max_element(payload_buffer_.begin(),
+                                payload_buffer_.end(), by_seq);
     }
+    payload_buffer_bytes_ -= victim->second;
+    payload_buffer_.erase(victim);
     stats_.buffer_evictions += 1;
   }
 }

@@ -166,6 +166,9 @@ class BrisaStream final {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] std::uint64_t max_contiguous_seq() const;
+  /// Sequences the retransmit buffer can serve right now, in buffer
+  /// (arrival) order.
+  [[nodiscard]] std::vector<std::uint64_t> buffered_seqs() const;
   [[nodiscard]] bool repair_in_progress() const {
     return repair_.has_value();
   }

@@ -279,10 +279,9 @@ std::string scenario_key_error(const workload::Scenario& scenario,
   // Labels are always fine.
   reachable.push_back("scenario.name");
   reachable.push_back("scenario.report");
-  // Executor knobs, honored by every harness; results are byte-identical for
-  // any value, so no figure can be distorted by them.
+  // Executor knob, honored by every harness; results are byte-identical for
+  // any value, so no figure can be distorted by it.
   reachable.push_back("run.shards");
-  reachable.push_back("run.queue");
 
   for (const auto& [key, value] : scenario.set_keys()) {
     // [sweep] keys are consumed upstream by the sweep executor, never by

@@ -1,21 +1,10 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/assert.h"
 
 namespace brisa::sim {
-
-const char* to_string(QueueImpl impl) {
-  switch (impl) {
-    case QueueImpl::kHeap:
-      return "heap";
-    case QueueImpl::kCalendar:
-      return "calendar";
-  }
-  return "?";
-}
 
 // --- Public API -------------------------------------------------------------
 
@@ -34,52 +23,12 @@ void EventQueue::Fired::run() {
   }
 }
 
-void EventQueue::configure(QueueImpl impl, Duration bucket_width) {
-  BRISA_ASSERT_MSG(empty() && tick_pending_ == 0,
-                   "configure() on a non-empty event queue");
-  BRISA_ASSERT_MSG(bucket_width > Duration::zero(),
-                   "calendar bucket width must be positive");
-  impl_ = impl;
-  cal_width_us_ = static_cast<std::uint64_t>(bucket_width.us());
-  cal_cursor_ = 0;
-  cal_active_.clear();
-  cal_overflow_.clear();
-  cal_bitmap_.fill(0);
-  cal_dead_ = 0;
-  if (impl == QueueImpl::kCalendar) {
-    cal_ring_.assign(kCalBuckets, {});
-  } else {
-    cal_ring_.clear();
-  }
-}
-
 void EventQueue::clear() {
   // Releasing a slot only touches the slab and, for kDeliver payloads, the
   // drop_token refcount release — neither re-enters the index — so dropping
-  // every pending event is a straight sweep. Dead calendar entries were
-  // already released at cancel time and are simply discarded here.
-  if (impl_ == QueueImpl::kHeap) {
-    for (const HeapEntry& entry : heap_) release_slot(entry.slot);
-    heap_.clear();
-  } else {
-    const auto drop = [this](const CalEntry& e) {
-      if (slots_[e.slot].gen == e.gen) release_slot(e.slot);
-    };
-    for (const CalEntry& e : cal_active_) drop(e);
-    cal_active_.clear();
-    for (auto& bucket : cal_ring_) {
-      for (const CalEntry& e : bucket) drop(e);
-      bucket.clear();
-    }
-    for (auto [chunk, entries] : cal_overflow_) {
-      for (const CalEntry& e : entries) drop(e);
-    }
-    cal_overflow_.clear();
-    cal_bitmap_.fill(0);
-    cal_cursor_ = 0;
-    cal_live_ = 0;
-    cal_dead_ = 0;
-  }
+  // every pending event is a straight sweep.
+  for (const HeapEntry& entry : heap_) release_slot(entry.slot);
+  heap_.clear();
   // Standalone reuse: a cleared queue must order TimePoint-overload events
   // like a fresh one, not continue a counter the previous experiment left
   // behind.
@@ -103,101 +52,12 @@ void EventQueue::shrink() {
     std::vector<Slot>().swap(slots_);
     free_head_ = kNullIndex;
     heap_ = {};
-    cal_active_ = {};
-    cal_overflow_.clear();
-    cal_bitmap_.fill(0);
-    cal_cursor_ = 0;
-    cal_dead_ = 0;
-    if (impl_ == QueueImpl::kCalendar) cal_ring_.assign(kCalBuckets, {});
     return;
   }
   // Best-effort on a live queue: index storage only. The slab itself cannot
   // reallocate here (EventPayload is move-only with a throwing move, and
   // outstanding slot indices must stay valid anyway).
   heap_.shrink_to_fit();
-  cal_active_.shrink_to_fit();
-  for (auto& bucket : cal_ring_) bucket.shrink_to_fit();
-}
-
-// --- Calendar slow paths -----------------------------------------------------
-
-bool EventQueue::cal_refill() {
-  for (;;) {
-    // Pour any overflow parked for the cursor's chunk before scanning: the
-    // cursor may have crossed a chunk boundary after entries for the new
-    // chunk were already parked, and draining a ring bucket ahead of them
-    // would break the pop order.
-    const std::uint64_t cur_chunk = cal_cursor_ >> kCalChunkShift;
-    if (!cal_overflow_.empty()) {
-      auto it = cal_overflow_.find(cur_chunk);
-      if (it != cal_overflow_.end()) {
-        std::vector<CalEntry> entries = std::move(it->second);
-        cal_overflow_.erase(cur_chunk);
-        for (const CalEntry& e : entries) {
-          if (slots_[e.slot].gen != e.gen) {
-            if (cal_dead_ > 0) --cal_dead_;
-            continue;
-          }
-          const auto slot =
-              static_cast<std::uint32_t>(cal_bucket(e.when) &
-                                         (kCalBuckets - 1));
-          cal_ring_[slot].push_back(e);
-          cal_bitmap_[slot >> 6] |= 1ull << (slot & 63u);
-        }
-      }
-    }
-
-    // Next occupied ring bucket at or after the cursor, within its chunk.
-    const auto from = static_cast<std::uint32_t>(cal_cursor_ &
-                                                 (kCalBuckets - 1));
-    std::uint32_t found = kNullIndex;
-    for (std::uint32_t w = from >> 6; w < kCalWords; ++w) {
-      std::uint64_t word = cal_bitmap_[w];
-      if (w == from >> 6) word &= ~0ull << (from & 63u);
-      if (word != 0) {
-        found = w * 64 + static_cast<std::uint32_t>(std::countr_zero(word));
-        break;
-      }
-    }
-    if (found != kNullIndex) {
-      std::vector<CalEntry>& bucket = cal_ring_[found];
-      cal_active_.swap(bucket);
-      bucket.clear();
-      cal_bitmap_[found >> 6] &= ~(1ull << (found & 63u));
-      std::make_heap(cal_active_.begin(), cal_active_.end(), cal_after);
-      cal_cursor_ = (cur_chunk << kCalChunkShift) + found + 1;
-      if (!cal_active_.empty()) return true;
-      continue;  // bucket held only swept-out storage; keep scanning
-    }
-
-    // Chunk exhausted: jump the cursor to the earliest overflow chunk.
-    if (cal_overflow_.empty()) return false;
-    const std::uint64_t next_chunk = cal_overflow_.begin()->first;
-    BRISA_ASSERT(next_chunk > cur_chunk);
-    cal_cursor_ = next_chunk << kCalChunkShift;
-  }
-}
-
-void EventQueue::cal_compact() {
-  const auto dead = [this](const CalEntry& e) {
-    return slots_[e.slot].gen != e.gen;
-  };
-  std::erase_if(cal_active_, dead);
-  std::make_heap(cal_active_.begin(), cal_active_.end(), cal_after);
-  for (std::uint32_t b = 0; b < kCalBuckets; ++b) {
-    if ((cal_bitmap_[b >> 6] & (1ull << (b & 63u))) == 0) continue;
-    std::erase_if(cal_ring_[b], dead);
-    if (cal_ring_[b].empty()) cal_bitmap_[b >> 6] &= ~(1ull << (b & 63u));
-  }
-  for (auto it = cal_overflow_.begin(); it != cal_overflow_.end();) {
-    std::erase_if(it->second, dead);
-    if (it->second.empty()) {
-      it = cal_overflow_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  cal_dead_ = 0;
 }
 
 }  // namespace brisa::sim

@@ -1,26 +1,15 @@
 // Pending-event set of the discrete-event simulator.
 //
-// Events live in-place in a slab of reusable slots; an ordering index keyed
-// on EventKey gives deterministic ordering. Two index implementations share
-// the slab (select with configure()):
-//
-//   * kHeap — a 4-ary min-heap of 24-byte entries. O(log n) schedule/pop,
-//     eager O(log n) cancellation. The default for standalone queues.
-//   * kCalendar — a bucketed calendar queue: time is quantized into
-//     fixed-width buckets (width derived from the conservative-window
-//     lookahead) arranged in a 1024-slot ring, with far-future events parked
-//     in per-chunk overflow lists that are poured wholesale when the cursor
-//     reaches them. The bucket under the cursor is drained through a small
-//     binary heap ("active" set), so schedule and pop cost O(log k) where k
-//     is one bucket's population — effectively O(1) at sweep scale, where
-//     the global heap's O(log n) sifts over megabytes of entries dominated
-//     the event loop. Cancellation is lazy (the slot is released eagerly so
-//     handles/payloads behave identically; the dead index entry is skimmed
-//     at drain or swept out once dead entries outnumber live ones).
-//
-// Both implementations are exact min-extractors over the same total key
-// order, so the pop sequence — and therefore every simulation result — is
-// byte-identical between them. See DESIGN.md §14.
+// Events live in-place in a slab of reusable slots; a 4-ary min-heap of
+// 24-byte entries keyed on EventKey orders them deterministically. Schedule,
+// pop and cancellation are O(log n) and eager: a cancelled event leaves the
+// heap at once, so the index never holds dead entries and its storage tracks
+// live events. Periodic timers never enter it one-by-one — the Simulator's
+// cohort wheel parks them and keeps one tick per occupied window here — so
+// the heap stays small and cache-resident even for 100k-host fleets. The
+// wheel follows the same rule for memory: a retired cohort keeps at most a
+// small fixed member buffer, so its storage tracks armed occurrences rather
+// than past bursts. See DESIGN.md §14.
 //
 // An EventId is a generation-tagged handle {slot, gen}: cancellation
 // validates the handle with one O(1) slot comparison (no hashing) and
@@ -35,8 +24,6 @@
 // itself shard-count-invariant. See simulator.h for the key construction.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <compare>
 #include <cstdint>
 #include <vector>
@@ -45,7 +32,6 @@
 #include "sim/inline_callback.h"
 #include "sim/time.h"
 #include "util/assert.h"
-#include "util/flat_map.h"
 
 namespace brisa::sim {
 
@@ -77,22 +63,9 @@ struct EventKey {
   std::uint64_t order = 0;
 };
 
-/// Pending-set index implementation (see file header).
-enum class QueueImpl : std::uint8_t { kHeap, kCalendar };
-
-[[nodiscard]] const char* to_string(QueueImpl impl);
-
 class EventQueue {
  public:
   using Callback = InlineCallback;
-
-  /// Selects the index implementation. Must be called while the queue is
-  /// empty (typically right after construction). `bucket_width` quantizes
-  /// calendar buckets; the Simulator passes its conservative-window
-  /// lookahead, standalone users can take the default.
-  void configure(QueueImpl impl,
-                 Duration bucket_width = Duration::microseconds(100));
-  [[nodiscard]] QueueImpl impl() const { return impl_; }
 
   /// Schedules `fn` under `key`; returns a cancellable id.
   EventId schedule(const EventKey& key, Callback fn);
@@ -229,23 +202,6 @@ class EventQueue {
   };
   static_assert(sizeof(HeapEntry) == 24, "heap entry layout");
 
-  /// Calendar entries additionally record the slot generation at schedule
-  /// time: cancellation releases the slot but leaves the entry behind, and
-  /// the generation mismatch is what marks it dead at drain.
-  struct CalEntry {
-    TimePoint when;
-    std::uint64_t order = 0;
-    std::uint32_t lane = 0;
-    std::uint32_t slot = 0;
-    std::uint32_t gen = 0;
-  };
-
-  // Ring geometry: 1024 buckets, poured one 1024-bucket "chunk" of overflow
-  // at a time, so every entry moves at most once from overflow to ring.
-  static constexpr std::uint32_t kCalBuckets = 1024;
-  static constexpr std::uint32_t kCalChunkShift = 10;
-  static constexpr std::uint32_t kCalWords = kCalBuckets / 64;
-
   /// (when, lane, order) lexicographic order: the heap invariant.
   [[nodiscard]] static bool before(const HeapEntry& a, const HeapEntry& b) {
     if (a.when != b.when) return a.when < b.when;
@@ -253,18 +209,10 @@ class EventQueue {
     return a.order < b.order;
   }
 
-  /// Inverted comparison for the std::*_heap min-heap over the active set.
-  [[nodiscard]] static bool cal_after(const CalEntry& a, const CalEntry& b) {
-    if (a.when != b.when) return a.when > b.when;
-    if (a.lane != b.lane) return a.lane > b.lane;
-    return a.order > b.order;
-  }
-
   /// Live user-visible events: pending ticks are index residents but not
   /// simulation events, so they are netted out of every size/peak reading.
   [[nodiscard]] std::size_t size_() const {
-    return (impl_ == QueueImpl::kHeap ? heap_.size() : cal_live_) -
-           tick_pending_;
+    return heap_.size() - tick_pending_;
   }
 
   EventId acquire_slot(const EventKey& key, bool tick = false);
@@ -273,16 +221,6 @@ class EventQueue {
   void heap_remove(std::uint32_t pos);
   void sift_up(std::uint32_t pos, HeapEntry entry);
   void sift_down(std::uint32_t pos, HeapEntry entry);
-
-  [[nodiscard]] std::uint64_t cal_bucket(TimePoint when) const {
-    return static_cast<std::uint64_t>(when.us()) / cal_width_us_;
-  }
-  void cal_insert(const CalEntry& entry);
-  /// Earliest live entry (skims dead active-set heads); nullptr when empty.
-  [[nodiscard]] const CalEntry* cal_peek();
-  /// Refills the active set from the ring/overflow; false when drained.
-  bool cal_refill();
-  void cal_compact();
 
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNullIndex;
@@ -298,28 +236,13 @@ class EventQueue {
   std::size_t peak_pending_ = 0;
   std::size_t tick_pending_ = 0;  ///< kTick events currently in the index
 
-  QueueImpl impl_ = QueueImpl::kHeap;
-
-  std::vector<HeapEntry> heap_;  ///< kHeap: 4-ary min-heap keyed on EventKey
-
-  // kCalendar state. The cursor is an absolute bucket number: buckets below
-  // it are drained (their surviving entries sit in the active heap), the
-  // ring covers the cursor's 1024-bucket chunk, and later chunks wait in
-  // overflow until the cursor's chunk is exhausted.
-  std::uint64_t cal_width_us_ = 100;
-  std::uint64_t cal_cursor_ = 0;
-  std::vector<CalEntry> cal_active_;  ///< min-heap (cal_after) of cursor bucket
-  std::vector<std::vector<CalEntry>> cal_ring_;
-  std::array<std::uint64_t, kCalWords> cal_bitmap_{};  ///< ring occupancy
-  util::FlatMap<std::uint64_t, std::vector<CalEntry>, 4> cal_overflow_;
-  std::size_t cal_live_ = 0;  ///< live (uncancelled) entries across all tiers
-  std::size_t cal_dead_ = 0;  ///< cancelled entries awaiting skim/sweep
+  std::vector<HeapEntry> heap_;  ///< 4-ary min-heap keyed on EventKey
 };
 
 // --- Hot-path definitions ----------------------------------------------------
 //
 // schedule/pop/cancel run once per simulated event; keeping them — sift
-// loops and bucket placement included — in the header lets the Simulator's
+// loops included — in the header lets the Simulator's
 // and Network's per-event code fold the slab bookkeeping, constant key
 // fields, and the index update into the call site instead of paying a
 // cross-TU call per event.
@@ -366,37 +289,6 @@ inline void EventQueue::heap_remove(std::uint32_t pos) {
   sift_up(slots_[moved.slot].heap_pos, moved);
 }
 
-inline void EventQueue::cal_insert(const CalEntry& entry) {
-  const std::uint64_t b = cal_bucket(entry.when);
-  if (b < cal_cursor_) {
-    // At or behind the drain point (an event scheduled into the bucket the
-    // cursor is currently draining): joins the active heap directly.
-    cal_active_.push_back(entry);
-    std::push_heap(cal_active_.begin(), cal_active_.end(), cal_after);
-  } else if ((b >> kCalChunkShift) == (cal_cursor_ >> kCalChunkShift)) {
-    const auto slot = static_cast<std::uint32_t>(b & (kCalBuckets - 1));
-    cal_ring_[slot].push_back(entry);
-    cal_bitmap_[slot >> 6] |= 1ull << (slot & 63u);
-  } else {
-    cal_overflow_[b >> kCalChunkShift].push_back(entry);
-  }
-}
-
-inline const EventQueue::CalEntry* EventQueue::cal_peek() {
-  for (;;) {
-    while (!cal_active_.empty()) {
-      const CalEntry& e = cal_active_.front();
-      if (slots_[e.slot].gen == e.gen) return &cal_active_.front();
-      // Cancelled while queued: the slot was recycled at cancel time, only
-      // this index entry remained. Skim it.
-      std::pop_heap(cal_active_.begin(), cal_active_.end(), cal_after);
-      cal_active_.pop_back();
-      if (cal_dead_ > 0) --cal_dead_;
-    }
-    if (!cal_refill()) return nullptr;
-  }
-}
-
 inline EventId EventQueue::acquire_slot(const EventKey& key, bool tick) {
   std::uint32_t index;
   if (free_head_ != kNullIndex) {
@@ -416,12 +308,7 @@ inline EventId EventQueue::acquire_slot(const EventKey& key, bool tick) {
   slot.gate_ctx = nullptr;
   slot.gate_arg = 0;
   slot.next_free = kNullIndex;
-  if (impl_ == QueueImpl::kHeap) {
-    heap_insert(HeapEntry{key.when, key.order, key.lane, index});
-  } else {
-    cal_insert(CalEntry{key.when, key.order, key.lane, index, slot.gen});
-    ++cal_live_;
-  }
+  heap_insert(HeapEntry{key.when, key.order, key.lane, index});
   if (tick) {
     ++tick_pending_;  // invisible to the user-facing counters
   } else {
@@ -504,55 +391,25 @@ inline bool EventQueue::live(EventId id) const {
 
 inline bool EventQueue::cancel(EventId id) {
   if (!live(id)) return false;
-  if (impl_ == QueueImpl::kHeap) {
-    heap_remove(slots_[id.slot].heap_pos);
-    release_slot(id.slot);
-  } else {
-    // Lazy: release the slot (handles go stale, the payload's references
-    // are dropped now, exactly like the eager path) and leave the index
-    // entry to be skimmed at drain. Sweep once the dead outnumber the live,
-    // so churn-heavy workloads stay O(live) memory.
-    release_slot(id.slot);
-    --cal_live_;
-    ++cal_dead_;
-    if (cal_dead_ >= 64 && cal_dead_ > cal_live_) cal_compact();
-  }
+  heap_remove(slots_[id.slot].heap_pos);
+  release_slot(id.slot);
   ++cancelled_total_;
   return true;
 }
 
 inline TimePoint EventQueue::next_time() const {
-  if (impl_ == QueueImpl::kHeap) {
-    return heap_.empty() ? TimePoint::max() : heap_[0].when;
-  }
-  // Peeking skims dead entries, a benign mutation of index internals.
-  const CalEntry* e = const_cast<EventQueue*>(this)->cal_peek();
-  return e == nullptr ? TimePoint::max() : e->when;
+  return heap_.empty() ? TimePoint::max() : heap_[0].when;
 }
 
 inline EventKey EventQueue::next_key() const {
-  if (impl_ == QueueImpl::kHeap) {
-    BRISA_ASSERT_MSG(!heap_.empty(), "next_key() on empty event queue");
-    return EventKey{heap_[0].when, heap_[0].lane, heap_[0].order};
-  }
-  const CalEntry* e = const_cast<EventQueue*>(this)->cal_peek();
-  BRISA_ASSERT_MSG(e != nullptr, "next_key() on empty event queue");
-  return EventKey{e->when, e->lane, e->order};
+  BRISA_ASSERT_MSG(!heap_.empty(), "next_key() on empty event queue");
+  return EventKey{heap_[0].when, heap_[0].lane, heap_[0].order};
 }
 
 inline EventQueue::Fired EventQueue::pop() {
-  std::uint32_t index;
-  std::uint32_t lane;
-  if (impl_ == QueueImpl::kHeap) {
-    BRISA_ASSERT_MSG(!heap_.empty(), "pop() on empty event queue");
-    index = heap_[0].slot;
-    lane = heap_[0].lane;
-  } else {
-    const CalEntry* e = cal_peek();
-    BRISA_ASSERT_MSG(e != nullptr, "pop() on empty event queue");
-    index = e->slot;
-    lane = e->lane;
-  }
+  BRISA_ASSERT_MSG(!heap_.empty(), "pop() on empty event queue");
+  const std::uint32_t index = heap_[0].slot;
+  const std::uint32_t lane = heap_[0].lane;
   Slot& slot = slots_[index];
   Fired fired;
   fired.time = slot.when;
@@ -563,13 +420,7 @@ inline EventQueue::Fired EventQueue::pop() {
   fired.gate = slot.gate;
   fired.gate_ctx = slot.gate_ctx;
   fired.gate_arg = slot.gate_arg;
-  if (impl_ == QueueImpl::kHeap) {
-    heap_remove(0);
-  } else {
-    std::pop_heap(cal_active_.begin(), cal_active_.end(), cal_after);
-    cal_active_.pop_back();
-    --cal_live_;
-  }
+  heap_remove(0);
   if (fired.payload.kind() == EventPayload::Kind::kTick) --tick_pending_;
   release_slot(index);
   return fired;

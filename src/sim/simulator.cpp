@@ -37,25 +37,13 @@ void Simulator::set_lookahead(Duration lookahead) {
   BRISA_ASSERT_MSG(queues_.size() == 1,
                    "set_lookahead must precede configure_sharding");
   lookahead_ = lookahead;
-}
-
-void Simulator::set_queue_impl(QueueImpl impl) {
-  BRISA_ASSERT_MSG(queues_.size() == 1 &&
-                       global_->queue.scheduled_total() == 0 &&
-                       global_->active_periodics == 0,
-                   "set_queue_impl must precede sharding and scheduling");
-  queue_impl_ = impl;
-  // Eight conservative windows per bucket. Width is a pure perf knob (the
-  // drain-sort orders within a bucket either way): too narrow and the
-  // ring's reach shrinks to ~100ms at the default lookahead, pushing every
-  // periodic-tick horizon insert through the overflow map; 8x keeps the
-  // ring covering typical timer periods while buckets stay small enough to
-  // drain cache-hot.
-  const Duration base = lookahead_ > Duration::zero()
-                            ? lookahead_
+  // Eight conservative windows per wheel window: wide enough that a host's
+  // timers of one phase share a cohort, narrow enough that a cohort drains
+  // cache-hot. Width only groups, so it cannot change results.
+  const Duration base = lookahead > Duration::zero()
+                            ? lookahead
                             : Duration::microseconds(100);
-  cal_width_ = Duration::microseconds(base.us() * 8);
-  global_->queue.configure(impl, cal_width_);
+  wheel_width_ = Duration::microseconds(base.us() * 8);
 }
 
 void Simulator::configure_sharding(std::uint32_t shards,
@@ -71,9 +59,7 @@ void Simulator::configure_sharding(std::uint32_t shards,
                    "sharding requires set_lookahead(> 0)");
   shards_ = shards;
   for (std::uint32_t s = 0; s < shards; ++s) {
-    auto q = std::make_unique<QueueRt>();
-    q->queue.configure(queue_impl_, cal_width_);
-    queues_.push_back(std::move(q));
+    queues_.push_back(std::make_unique<QueueRt>());
   }
   global_ = queues_[0].get();
   for (auto& q : queues_) q->outbox.resize(shards + 1);
@@ -390,7 +376,14 @@ void Simulator::wheel_schedule_tick(QueueRt& q, std::uint32_t ci) {
 void Simulator::wheel_retire(QueueRt& q, std::uint32_t ci) {
   WheelCohort& c = q.wheel[ci];
   q.wheel_index.erase(c.win);
-  c.members.clear();  // capacity is kept for the freelist's next tenant
+  // Keep a small buffer for the freelist's next tenant, but hand anything a
+  // burst grew back to the allocator: otherwise every cohort slot a burst
+  // of same-phase timers ever passed through pins its peak forever.
+  if (c.members.capacity() > kWheelRetainedMembers) {
+    std::vector<WheelMember>().swap(c.members);
+  } else {
+    c.members.clear();
+  }
   c.cursor = 0;
   // tick_gen is intentionally NOT reset: it stays monotone across slot
   // reuse so a dead tick can never match a later tenant's live one.
@@ -408,7 +401,7 @@ void Simulator::wheel_arm(QueueRt& q, std::uint32_t slot, std::uint32_t gen,
   q.wheel_armed_peak = std::max(q.wheel_armed_peak, q.wheel_armed);
 
   const WheelMember m{key.when, key.order, lane, slot, gen};
-  const std::int64_t win = key.when.us() / cal_width_.us();
+  const std::int64_t win = key.when.us() / wheel_width_.us();
   const auto it = q.wheel_index.find(win);
   if (it != q.wheel_index.end()) {
     // The window already has a cohort: join it at the member's canonical
@@ -802,6 +795,9 @@ Simulator::Stats Simulator::stats() const {
     s.event_slab_slots += q.queue.slab_capacity();
     s.peak_pending_events += q.queue.peak_pending() + q.wheel_armed_peak;
     s.active_periodics += q.active_periodics;
+    for (const WheelCohort& c : q.wheel) {
+      s.wheel_member_slots += c.members.capacity();
+    }
   }
   s.callback_heap_fallbacks =
       InlineCallback::heap_fallbacks() - heap_fallbacks_at_ctor_;

@@ -21,18 +21,20 @@
 // fast path). See DESIGN.md §13.
 //
 // Periodic timers are slab-allocated per queue and batched into a cohort
-// wheel: each armed occurrence is one 24-byte member of a (period, due)
+// wheel: each armed occurrence is one 32-byte member of a (period, due)
 // cohort — every host firing the same interval in the same phase shares one
 // cohort, so a million keep-alive timers cost thousands of cohorts instead
 // of a million pending events. Each cohort is represented in the event
 // queue by exactly ONE tick event, scheduled at the cohort's front-member
 // canonical key; popping the tick fires one member and reschedules (same
-// instant, next member) or cycles the cohort one period forward — both O(1)
-// under the calendar queue. Ordering therefore comes from the queue itself,
-// so results stay byte-identical to the queue-resident scheme (DESIGN.md
-// §14). The handle returned by every() is a generation-tagged value — stale
-// handles are harmless, and cancellation is O(1) validation; the armed
-// occurrence decays lazily in its cohort.
+// instant, next member) or retires the cohort. Ordering therefore comes from
+// the queue itself, so results stay byte-identical to the queue-resident
+// scheme (DESIGN.md §14). A retired cohort keeps at most a small fixed
+// member buffer for its next tenant, so wheel storage tracks the armed
+// occurrences, not the largest burst ever seen. The handle returned by
+// every() is a generation-tagged value — stale handles are harmless, and
+// cancellation is O(1) validation; the armed occurrence decays lazily in
+// its cohort.
 #pragma once
 
 #include <atomic>
@@ -86,7 +88,9 @@ class Simulator {
 
   /// Minimum cross-host interaction latency: the conservative window length.
   /// Must be set (same value!) for every shard count a run is compared
-  /// across, because cross-shard notice delays quantize to it.
+  /// across, because cross-shard notice delays quantize to it. Also sizes
+  /// the periodic wheel's windows (eight lookaheads each); that width only
+  /// groups timers, so it never changes results.
   void set_lookahead(Duration lookahead);
   [[nodiscard]] Duration lookahead() const { return lookahead_; }
 
@@ -96,15 +100,6 @@ class Simulator {
   /// results never depend on it — only wall-clock does.
   void configure_sharding(std::uint32_t shards, std::uint32_t workers = 0);
   [[nodiscard]] std::uint32_t shards() const { return shards_; }
-
-  /// Selects the pending-set implementation for every queue (including ones
-  /// a later configure_sharding creates). Call after set_lookahead — the
-  /// calendar bucket width derives from it (one conservative window per
-  /// bucket; 100us when no lookahead is set) — and before any scheduling.
-  /// Both implementations are exact min-extractors over the canonical
-  /// EventKey, so results are byte-identical either way.
-  void set_queue_impl(QueueImpl impl);
-  [[nodiscard]] QueueImpl queue_impl() const { return queue_impl_; }
 
   /// Releases empty event-queue slabs, wheel storage, and retired periodic
   /// slabs back to the allocator (between sweep cells; see
@@ -205,6 +200,9 @@ class Simulator {
     std::size_t event_slab_slots = 0;     ///< gauge: peak concurrent footprint
     std::size_t peak_pending_events = 0;
     std::size_t active_periodics = 0;     ///< gauge
+    /// Gauge: member slots the periodic wheel holds allocated, live and
+    /// free cohorts alike. Tracks armed occurrences, not past bursts.
+    std::size_t wheel_member_slots = 0;
 
     /// Per-shard execution counters (empty when shards == 1).
     struct Shard {
@@ -246,6 +244,9 @@ class Simulator {
   /// (counters, RNG streams) that neighbours write stay a block apart.
   static constexpr std::uint32_t kShardBlockHosts = 64;
   static constexpr std::uint32_t kCreatorShift = 40;  ///< order layout
+  /// Member capacity a retired wheel cohort may keep for its next tenant;
+  /// anything larger goes back to the allocator at retirement.
+  static constexpr std::size_t kWheelRetainedMembers = 32;
 
   struct Periodic {
     Duration period;
@@ -265,7 +266,7 @@ class Simulator {
 
   // --- Periodic-tick wheel ---------------------------------------------------
   // One cohort per occupied time window: timer occurrences due within the
-  // same `cal_width_`-wide slice of simulated time share one cohort,
+  // same `wheel_width_`-wide slice of simulated time share one cohort,
   // regardless of interval or exact phase. Each member carries its own
   // exact canonical key (when, lane, order); the batch is kept sorted in
   // that order, so draining a cohort front-to-back IS queue order. The
@@ -291,7 +292,7 @@ class Simulator {
   };
 
   struct WheelCohort {
-    std::int64_t win = 0;  ///< index key: floor(front due / cal_width_)
+    std::int64_t win = 0;  ///< index key: floor(front due / wheel_width_)
     std::vector<WheelMember> members;  ///< sorted by key; live from cursor
     std::size_t cursor = 0;
     /// Generation of the cohort's live tick. Rescheduling bumps it, so a
@@ -422,8 +423,9 @@ class Simulator {
   std::uint32_t shards_ = 1;
   std::uint32_t workers_ = 1;
   Duration lookahead_ = Duration::zero();
-  QueueImpl queue_impl_ = QueueImpl::kHeap;
-  Duration cal_width_ = Duration::microseconds(100);
+  /// Periodic-wheel window width: eight conservative windows (eight times
+  /// the 100us fallback when no lookahead is set).
+  Duration wheel_width_ = Duration::microseconds(800);
 
   /// Creator lane of the event being dispatched (serial / shards=1 path;
   /// parallel windows use the thread-local ExecCtx instead).

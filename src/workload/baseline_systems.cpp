@@ -10,7 +10,7 @@ namespace brisa::workload {
 
 SimpleTreeSystem::SimpleTreeSystem(Config config)
     : SystemBase(config.seed, config.testbed, config.topology, config.limits,
-                 config.shards, config.queue),
+                 config.shards),
       config_(config) {}
 
 void SimpleTreeSystem::bootstrap() {
@@ -88,7 +88,7 @@ bool SimpleTreeSystem::complete_delivery() const {
 
 SimpleGossipSystem::SimpleGossipSystem(Config config)
     : SystemBase(config.seed, config.testbed, config.topology,
-                 config.gossip.limits, config.shards, config.queue),
+                 config.gossip.limits, config.shards),
       config_(config) {
   if (config_.fanout == 0) {
     config_.fanout = gossip_fanout_for(config_.num_nodes);
@@ -233,7 +233,7 @@ bool SimpleGossipSystem::complete_delivery() const {
 
 TagSystem::TagSystem(Config config)
     : SystemBase(config.seed, config.testbed, config.topology,
-                 config.tag.limits, config.shards, config.queue),
+                 config.tag.limits, config.shards),
       config_(config) {
   config_.tag.num_streams = config_.num_streams;
 }

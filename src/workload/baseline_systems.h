@@ -11,7 +11,6 @@
 #include "baselines/simple_gossip.h"
 #include "baselines/simple_tree.h"
 #include "baselines/tag.h"
-#include "sim/event_queue.h"
 #include "workload/churn.h"
 #include "workload/testbed.h"
 
@@ -34,9 +33,6 @@ class SimpleTreeSystem final : public SystemBase {
     net::Limits limits;
     /// Event-lane shards (sim/simulator.h); 1 = classic serial loop.
     std::uint32_t shards = 1;
-    /// Pending-set implementation (sim/event_queue.h); results are
-    /// byte-identical for either value.
-    sim::QueueImpl queue = sim::QueueImpl::kCalendar;
   };
 
   explicit SimpleTreeSystem(Config config);
@@ -83,9 +79,6 @@ class SimpleGossipSystem final : public SystemBase {
     std::size_t bootstrap_view = 8;
     /// Event-lane shards (sim/simulator.h); 1 = classic serial loop.
     std::uint32_t shards = 1;
-    /// Pending-set implementation (sim/event_queue.h); results are
-    /// byte-identical for either value.
-    sim::QueueImpl queue = sim::QueueImpl::kCalendar;
   };
 
   explicit SimpleGossipSystem(Config config);
@@ -133,9 +126,6 @@ class TagSystem final : public SystemBase {
     sim::Duration stabilization = sim::Duration::seconds(20);
     /// Event-lane shards (sim/simulator.h); 1 = classic serial loop.
     std::uint32_t shards = 1;
-    /// Pending-set implementation (sim/event_queue.h); results are
-    /// byte-identical for either value.
-    sim::QueueImpl queue = sim::QueueImpl::kCalendar;
   };
 
   explicit TagSystem(Config config);

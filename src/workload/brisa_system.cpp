@@ -9,7 +9,7 @@ namespace brisa::workload {
 
 BrisaSystem::BrisaSystem(Config config)
     : SystemBase(config.seed, config.testbed, config.topology,
-                 config.brisa.limits, config.shards, config.queue),
+                 config.brisa.limits, config.shards),
       config_(config) {
   BRISA_ASSERT(config_.num_streams >= 1);
 }

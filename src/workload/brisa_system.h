@@ -43,9 +43,6 @@ class BrisaSystem final : public SystemBase {
     /// Event-lane shards (sim/simulator.h); 1 = classic serial loop. Results
     /// are byte-identical for every value.
     std::uint32_t shards = 1;
-    /// Pending-set implementation (sim/event_queue.h); results are
-    /// byte-identical for either value.
-    sim::QueueImpl queue = sim::QueueImpl::kCalendar;
   };
 
   explicit BrisaSystem(Config config);

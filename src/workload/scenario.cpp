@@ -202,7 +202,10 @@ void apply(Scenario& s, const std::string& section, const std::string& key,
       return void(s.shards =
                       static_cast<std::uint32_t>(to_size(context, key, value)));
     }
-    if (key == "queue") return void(s.queue_impl = value);
+    if (key == "queue") {
+      fail(context, "run key 'queue' was removed: the 4-ary heap is now the "
+                    "only pending-event set (DESIGN.md §14); remove the key");
+    }
   } else if (section == "limits") {
     if (key == "store-entries") {
       return void(s.store_entries = to_size(context, key, value));
@@ -503,9 +506,6 @@ void Scenario::validate() const {
   if (shards && (*shards == 0 || *shards > 63)) {
     fail("", "run shards must be in 1..63, got " + std::to_string(*shards));
   }
-  if (queue_impl && *queue_impl != "heap" && *queue_impl != "calendar") {
-    fail("", "run queue must be heap|calendar, got '" + *queue_impl + "'");
-  }
   if (streams && *streams == 0) fail("", "streams count must be >= 1");
   if (eviction && *eviction != "oldest-first" &&
       *eviction != "delivered-first") {
@@ -616,7 +616,7 @@ std::string Scenario::to_text() const {
     if (flash_rate) emit(out, "flash-rate-per-s", fmt_double(*flash_rate));
   }
   const bool any_run = join_spread_s || stabilization_s || grace_s ||
-                       warmup_messages || shards || queue_impl;
+                       warmup_messages || shards;
   if (any_run) {
     out += "\n[run]\n";
     if (join_spread_s) emit(out, "join-spread-s", fmt_double(*join_spread_s));
@@ -628,7 +628,6 @@ std::string Scenario::to_text() const {
       emit(out, "warmup-messages", fmt_size(*warmup_messages));
     }
     if (shards) emit(out, "shards", fmt_size(*shards));
-    if (queue_impl) emit(out, "queue", *queue_impl);
   }
   const bool any_limits = store_entries || store_bytes || eviction ||
                           bloom_digests || bloom_fp || rate_control ||
@@ -731,7 +730,6 @@ std::map<std::string, std::string> Scenario::set_keys() const {
   put_double("run.grace-s", grace_s);
   put_size("run.warmup-messages", warmup_messages);
   if (shards) out["run.shards"] = std::to_string(*shards);
-  put_str("run.queue", queue_impl);
   put_size("limits.store-entries", store_entries);
   put_size("limits.store-bytes", store_bytes);
   put_str("limits.eviction", eviction);
@@ -845,8 +843,6 @@ void fill_common(const Scenario& s, Config& config) {
   config.topology = scenario_topology(s);
   config.num_streams = s.streams_or(1);
   config.shards = s.shards_or(1);
-  config.queue = s.queue_or("calendar") == "heap" ? sim::QueueImpl::kHeap
-                                                  : sim::QueueImpl::kCalendar;
   if (s.join_spread_s) {
     config.join_spread = sim::Duration::milliseconds(
         static_cast<std::int64_t>(*s.join_spread_s * 1e3));

@@ -109,10 +109,6 @@ class Scenario {
   /// Event-lane shards for the simulator (1 = classic serial loop); results
   /// are byte-identical for every value, so this is purely an executor knob.
   std::optional<std::uint32_t> shards;
-  /// Pending-set implementation: heap|calendar (sim/event_queue.h). Both are
-  /// exact EventKey min-extractors, so — like shards — this is purely an
-  /// executor knob; harnesses default to calendar (DESIGN.md §14).
-  std::optional<std::string> queue_impl;
 
   // --- [limits] -----------------------------------------------------------
   // Bandwidth-discipline layer (net::Limits); absent section = layer off.
@@ -189,9 +185,6 @@ class Scenario {
   }
   [[nodiscard]] std::uint32_t shards_or(std::uint32_t d) const {
     return shards.value_or(d);
-  }
-  [[nodiscard]] std::string queue_or(const std::string& d) const {
-    return queue_impl.value_or(d);
   }
 
   // --- [params] typed accessors (Flags semantics) -------------------------

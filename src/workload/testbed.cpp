@@ -52,22 +52,18 @@ net::Network::Config with_limits(net::Network::Config config,
 
 std::unique_ptr<net::LatencyModel> SystemBase::prepare(
     sim::Simulator& simulator, std::unique_ptr<net::LatencyModel> latency,
-    std::uint32_t shards, sim::QueueImpl queue) {
+    std::uint32_t shards) {
   // Lookahead is set unconditionally (including shards == 1) so cross-host
   // flight floors are identical for every shard count — the basis of the
-  // byte-identical-results guarantee. The queue impl follows it (the
-  // calendar bucket width derives from the lookahead) and precedes sharding
-  // (every shard queue inherits it).
+  // byte-identical-results guarantee.
   simulator.set_lookahead(latency->min_flight());
-  simulator.set_queue_impl(queue);
   if (shards > 1) simulator.configure_sharding(shards);
   return latency;
 }
 
 SystemBase::SystemBase(std::uint64_t seed, TestbedKind testbed,
                        const std::optional<TopologyOverride>& topology,
-                       const net::Limits& limits, std::uint32_t shards,
-                       sim::QueueImpl queue)
+                       const net::Limits& limits, std::uint32_t shards)
     : testbed_(testbed),
       simulator_(seed),
       network_(simulator_,
@@ -75,7 +71,7 @@ SystemBase::SystemBase(std::uint64_t seed, TestbedKind testbed,
                        topology && topology->latency
                            ? topology->latency()
                            : testbed_latency(testbed),
-                       shards, queue),
+                       shards),
                with_limits(topology && topology->network
                                ? *topology->network
                                : testbed_network_config(testbed),

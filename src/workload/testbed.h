@@ -13,7 +13,6 @@
 #include "net/latency.h"
 #include "net/network.h"
 #include "net/transport.h"
-#include "sim/event_queue.h"
 #include "workload/churn.h"
 #include "workload/topology_gen.h"
 
@@ -52,14 +51,10 @@ class SystemBase {
   /// `shards` partitions the host population across that many event lanes
   /// (see sim/simulator.h); 1 keeps the classic serial loop. The simulator's
   /// conservative lookahead is always set to the latency model's min_flight(),
-  /// so per-seed results are identical for every shard count. `queue` picks
-  /// the pending-set implementation (both are exact EventKey min-extractors,
-  /// so it cannot change results either — see DESIGN.md §14); harnesses
-  /// default to the calendar queue.
+  /// so per-seed results are identical for every shard count.
   SystemBase(std::uint64_t seed, TestbedKind testbed,
              const std::optional<TopologyOverride>& topology = std::nullopt,
-             const net::Limits& limits = {}, std::uint32_t shards = 1,
-             sim::QueueImpl queue = sim::QueueImpl::kCalendar);
+             const net::Limits& limits = {}, std::uint32_t shards = 1);
   virtual ~SystemBase() = default;
 
   SystemBase(const SystemBase&) = delete;
@@ -89,7 +84,7 @@ class SystemBase {
   /// inspects simulator.shards() (message refcount mode, lane registration).
   static std::unique_ptr<net::LatencyModel> prepare(
       sim::Simulator& simulator, std::unique_ptr<net::LatencyModel> latency,
-      std::uint32_t shards, sim::QueueImpl queue);
+      std::uint32_t shards);
 
  protected:
   TestbedKind testbed_;

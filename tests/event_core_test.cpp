@@ -228,6 +228,39 @@ TEST(EventCore, ClearRetiresPeriodics) {
   EXPECT_EQ(simulator.stats().active_periodics, 0u);
 }
 
+// A burst of same-phase periodic timers grows the cohorts it passes
+// through to thousands of members. Once the burst is cancelled, the wheel
+// must hand that storage back: retained member slots follow the armed
+// occurrences, not the largest cohort the run has ever seen.
+TEST(EventCore, WheelMemberStorageTracksArmedOccurrences) {
+  Simulator simulator(1);
+  const Duration period = Duration::milliseconds(100);
+  std::vector<PeriodicId> ids;
+  std::uint64_t fired = 0;
+  for (int i = 0; i < 5'000; ++i) {
+    ids.push_back(simulator.every(period, [&fired]() { ++fired; }));
+  }
+  const auto run_periods = [&](int n) {
+    simulator.run_until(simulator.now() + Duration::milliseconds(100 * n));
+  };
+  run_periods(50);
+  EXPECT_EQ(fired, 50u * 5'000u);
+  Simulator::Stats stats = simulator.stats();
+  EXPECT_EQ(stats.pending_events, 5'000u);
+  EXPECT_LE(stats.wheel_member_slots, 4u * stats.pending_events);
+
+  for (std::size_t i = 10; i < ids.size(); ++i) {
+    simulator.cancel_periodic(ids[i]);
+  }
+  fired = 0;
+  run_periods(50);
+  EXPECT_EQ(fired, 50u * 10u);
+  stats = simulator.stats();
+  EXPECT_EQ(stats.pending_events, 10u);
+  EXPECT_GT(stats.wheel_member_slots, 0u);
+  EXPECT_LE(stats.wheel_member_slots, 8u * stats.pending_events);
+}
+
 TEST(EventCore, SimulatorStatsCounters) {
   Simulator simulator(1);
   const EventId keep = simulator.after(Duration::seconds(2), []() {});

@@ -3,7 +3,9 @@
 // digests, adaptive rate control, and the zero-cost-when-off contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "net/limits.h"
 #include "workload/baseline_systems.h"
@@ -184,6 +186,57 @@ TEST(Limits, BrisaBoundedStoreEvictsAndCompletes) {
     evictions += system.brisa(id).stats().buffer_evictions;
   }
   EXPECT_GT(evictions, 0u);
+}
+
+// A late joiner delivers its first live sequences before the older ones it
+// then back-fills from its parent, so its retransmit buffer is not in
+// sequence order. The [limits] bound must still evict the lowest sequences
+// (net/limits.h): evicting the earliest *arrival* threw away the joiner's
+// first live seqs — the ones children it adopts mid-stream ask it for — and
+// kept stale back-fill, starving its subtree.
+TEST(Limits, BrisaLateJoinerEvictsLowestSequenceNotEarliestArrival) {
+  constexpr std::size_t kCap = 16;
+  workload::BrisaSystem::Config config;
+  config.seed = 23;
+  config.num_nodes = 32;
+  config.join_spread = sim::Duration::seconds(10);
+  config.stabilization = sim::Duration::seconds(20);
+  config.brisa.limits.store_entries = kCap;
+  workload::BrisaSystem system(config);
+  system.bootstrap();
+  system.run_stream(40, 5.0, 512);
+  const net::NodeId joiner = system.spawn_node();
+  system.run_for(sim::Duration::seconds(10));
+  system.run_stream(10, 5.0, 512);
+
+  const core::Brisa& stream = system.brisa(joiner);
+  // The earliest-delivered seq is the joiner's first live one; everything
+  // below it arrived later, by retransmission.
+  std::uint64_t first_live = 0;
+  sim::TimePoint first_at = sim::TimePoint::max();
+  std::vector<std::uint64_t> delivered;
+  for (const auto& [seq, at] : stream.stats().delivery_time) {
+    delivered.push_back(seq);
+    if (at < first_at) {
+      first_at = at;
+      first_live = seq;
+    }
+  }
+  ASSERT_GT(first_live, 0u) << "joiner saw the stream from seq 0";
+  ASSERT_GT(stream.stats().retransmissions_received, 0u)
+      << "no back-fill: the test is vacuous";
+  ASSERT_GT(delivered.size(), kCap) << "bound never engaged";
+  EXPECT_GT(stream.stats().buffer_evictions, 0u);
+
+  // What remains is exactly the kCap highest delivered sequences, so the
+  // joiner can still serve its first live seq.
+  std::sort(delivered.begin(), delivered.end());
+  const std::vector<std::uint64_t> newest(delivered.end() - kCap,
+                                          delivered.end());
+  std::vector<std::uint64_t> held = stream.buffered_seqs();
+  std::sort(held.begin(), held.end());
+  EXPECT_EQ(held, newest);
+  EXPECT_TRUE(std::binary_search(held.begin(), held.end(), first_live));
 }
 
 // --- Bloom digests ----------------------------------------------------------

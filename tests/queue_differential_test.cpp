@@ -1,14 +1,14 @@
-// Differential test of the two pending-set implementations (4-ary heap vs.
-// bucketed calendar queue) against a sorted-reference model.
+// Differential test of the pending-event set (the 4-ary heap) against a
+// sorted-reference model.
 //
-// The contract under test: both implementations are *exact* min-extractors
-// over the canonical EventKey order — identical pop sequences, identical
-// cancel semantics, identical counters — for any schedule/cancel/pop churn,
-// including equal-time key ties and far-future events that exercise the
-// calendar's overflow chunks. This is what lets `[run] queue = calendar`
-// promise byte-identical experiment outputs (DESIGN.md §14).
+// The contract under test: the heap is an *exact* min-extractor over the
+// canonical EventKey order — the pop sequence, cancel semantics and
+// counters match a std::multiset driven in lockstep for any
+// schedule/cancel/pop churn, including equal-time key ties and far-future
+// keys. Every simulation result's determinism rests on it (DESIGN.md §14).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <set>
@@ -38,90 +38,76 @@ EventKey to_event_key(const RefKey& k) {
   return EventKey{TimePoint::from_us(k.when_us), k.lane, k.order};
 }
 
-/// One queue per implementation plus the reference, driven in lockstep.
-struct Trio {
-  EventQueue heap;
-  EventQueue calendar;
+/// The queue plus the reference, driven in lockstep.
+struct Pair {
+  EventQueue queue;
   std::multiset<RefKey> reference;
-  std::vector<EventId> heap_ids;
-  std::vector<EventId> cal_ids;
-  std::vector<RefKey> keys;  ///< parallel to the id vectors
+  std::vector<EventId> ids;
+  std::vector<RefKey> keys;  ///< parallel to ids
   std::vector<bool> live;
-
-  explicit Trio(Duration bucket_width) {
-    heap.configure(QueueImpl::kHeap);
-    calendar.configure(QueueImpl::kCalendar, bucket_width);
-  }
+  std::uint64_t cancelled = 0;
+  std::size_t peak = 0;
 
   void schedule(const RefKey& k) {
-    const EventKey key = to_event_key(k);
-    heap_ids.push_back(heap.schedule(key, [] {}));
-    cal_ids.push_back(calendar.schedule(key, [] {}));
+    ids.push_back(queue.schedule(to_event_key(k), [] {}));
     reference.insert(k);
     keys.push_back(k);
     live.push_back(true);
+    peak = std::max(peak, reference.size());
   }
 
-  /// Cancels the tracked event at `index`; all three must agree on whether
-  /// a live event was removed.
+  /// Cancels the tracked event at `index`; queue and reference must agree
+  /// on whether a live event was removed.
   void cancel(std::size_t index) {
-    const bool h = heap.cancel(heap_ids[index]);
-    const bool c = calendar.cancel(cal_ids[index]);
-    ASSERT_EQ(h, c);
-    ASSERT_EQ(h, live[index]);
+    ASSERT_EQ(queue.cancel(ids[index]), live[index]);
     if (live[index]) {
       auto it = reference.find(keys[index]);
       ASSERT_TRUE(it != reference.end());
       reference.erase(it);
       live[index] = false;
+      ++cancelled;
     }
+    ASSERT_FALSE(queue.live(ids[index]));
   }
 
-  /// Pops the minimum from both queues and checks it against the reference.
+  /// Pops the minimum and checks it against the reference.
   void pop_and_check() {
     ASSERT_FALSE(reference.empty());
     const RefKey expect = *reference.begin();
     reference.erase(reference.begin());
 
-    ASSERT_FALSE(heap.empty());
-    ASSERT_FALSE(calendar.empty());
-    const EventKey hk = heap.next_key();
-    const EventKey ck = calendar.next_key();
-    ASSERT_EQ(hk.when.us(), expect.when_us);
-    ASSERT_EQ(hk.lane, expect.lane);
-    ASSERT_EQ(hk.order, expect.order);
-    ASSERT_EQ(ck.when.us(), expect.when_us);
-    ASSERT_EQ(ck.lane, expect.lane);
-    ASSERT_EQ(ck.order, expect.order);
-    ASSERT_EQ(heap.next_time().us(), expect.when_us);
-    ASSERT_EQ(calendar.next_time().us(), expect.when_us);
+    ASSERT_FALSE(queue.empty());
+    const EventKey key = queue.next_key();
+    ASSERT_EQ(key.when.us(), expect.when_us);
+    ASSERT_EQ(key.lane, expect.lane);
+    ASSERT_EQ(key.order, expect.order);
+    ASSERT_EQ(queue.next_time().us(), expect.when_us);
 
-    EventQueue::Fired hf = heap.pop();
-    EventQueue::Fired cf = calendar.pop();
-    ASSERT_EQ(hf.time.us(), cf.time.us());
-    ASSERT_EQ(hf.lane, cf.lane);
-    // Mark the popped entry dead in the tracker (ids are now stale).
+    EventQueue::Fired fired = queue.pop();
+    ASSERT_EQ(fired.time.us(), expect.when_us);
+    ASSERT_EQ(fired.lane, expect.lane);
+    // Mark the popped entry dead in the tracker; its id is now stale.
     for (std::size_t i = 0; i < keys.size(); ++i) {
       if (live[i] && keys[i] == expect) {
         live[i] = false;
+        ASSERT_FALSE(queue.live(ids[i]));
         break;
       }
     }
   }
 
   void check_counters() const {
-    EXPECT_EQ(heap.size(), calendar.size());
-    EXPECT_EQ(heap.size(), reference.size());
-    EXPECT_EQ(heap.scheduled_total(), calendar.scheduled_total());
-    EXPECT_EQ(heap.cancelled_total(), calendar.cancelled_total());
-    EXPECT_EQ(heap.peak_pending(), calendar.peak_pending());
-    EXPECT_EQ(heap.empty(), calendar.empty());
+    EXPECT_EQ(queue.size(), reference.size());
+    EXPECT_EQ(queue.empty(), reference.empty());
+    EXPECT_EQ(queue.scheduled_total(), keys.size());
+    EXPECT_EQ(queue.cancelled_total(), cancelled);
+    EXPECT_EQ(queue.peak_pending(), peak);
   }
 };
 
 TEST(QueueDifferential, EqualTimeTiesFollowCanonicalKeyOrder) {
-  Trio t(Duration::microseconds(100));
-  // All in one bucket at the same instant: only (lane, order) break the tie.
+  Pair t;
+  // All at the same instant: only (lane, order) break the tie.
   const std::int64_t when = 1'000;
   t.schedule({when, 3, 7});
   t.schedule({when, 0, 9});
@@ -132,16 +118,16 @@ TEST(QueueDifferential, EqualTimeTiesFollowCanonicalKeyOrder) {
   t.check_counters();
 }
 
-TEST(QueueDifferential, FarFutureEventsCrossOverflowChunks) {
-  // 1 us buckets: events seconds apart land thousands of chunks away, so
-  // pops traverse ring scans, chunk jumps, and overflow pours.
-  Trio t(Duration::microseconds(1));
+TEST(QueueDifferential, FarFutureKeysInterleaveWithNearTerm) {
+  // Keys seconds apart, then near-term keys scheduled behind the drained
+  // front: the heap must order both populations exactly.
+  Pair t;
   std::uint64_t order = 0;
   for (int i = 0; i < 200; ++i) {
     t.schedule({static_cast<std::int64_t>(i) * 37'003, 1, order++});
   }
-  // Interleave: drain half, then add near-term events behind the cursor's
-  // chunk frontier.
+  // Interleave: drain half, then add near-term events ahead of the
+  // remaining far-future ones.
   for (int i = 0; i < 100; ++i) t.pop_and_check();
   const std::int64_t now = 100 * 37'003;
   for (int i = 0; i < 50; ++i) {
@@ -153,8 +139,8 @@ TEST(QueueDifferential, FarFutureEventsCrossOverflowChunks) {
 
 TEST(QueueDifferential, RandomizedChurnMatchesReference) {
   std::mt19937_64 rng(0xb415a);
-  for (const std::int64_t width_us : {1, 7, 100, 1000}) {
-    Trio t(Duration::microseconds(width_us));
+  for (int round = 0; round < 4; ++round) {
+    Pair t;
     std::int64_t now = 0;
     std::uint64_t order = 0;
     for (int step = 0; step < 20'000; ++step) {
@@ -177,32 +163,26 @@ TEST(QueueDifferential, RandomizedChurnMatchesReference) {
     }
     while (!t.reference.empty()) t.pop_and_check();
     t.check_counters();
-    // Lazy cancellation must not leak: with everything drained, the slab is
-    // all freelist and a sweep has removed buried dead entries.
-    EXPECT_TRUE(t.calendar.empty());
   }
 }
 
-TEST(QueueDifferential, GatedEventsFireIdentically) {
+TEST(QueueDifferential, GatedEventsHonorTheirGate) {
   static bool gate_open;
   gate_open = false;
   const GatePredicate gate = [](const void*, std::uint32_t) {
     return gate_open;
   };
-  for (const QueueImpl impl : {QueueImpl::kHeap, QueueImpl::kCalendar}) {
-    EventQueue q;
-    q.configure(impl, Duration::microseconds(10));
-    int ran = 0;
-    q.schedule_gated(EventKey{TimePoint::from_us(5), 0, 0}, gate, nullptr, 0,
-                     [&ran] { ++ran; });
-    q.schedule_gated(EventKey{TimePoint::from_us(6), 0, 1}, gate, nullptr, 0,
-                     [&ran] { ++ran; });
-    gate_open = false;
-    q.pop().run();  // gate closed: skipped
-    gate_open = true;
-    q.pop().run();  // gate open: runs
-    EXPECT_EQ(ran, 1) << to_string(impl);
-  }
+  EventQueue q;
+  int ran = 0;
+  q.schedule_gated(EventKey{TimePoint::from_us(5), 0, 0}, gate, nullptr, 0,
+                   [&ran] { ++ran; });
+  q.schedule_gated(EventKey{TimePoint::from_us(6), 0, 1}, gate, nullptr, 0,
+                   [&ran] { ++ran; });
+  gate_open = false;
+  q.pop().run();  // gate closed: skipped
+  gate_open = true;
+  q.pop().run();  // gate open: runs
+  EXPECT_EQ(ran, 1);
 }
 
 TEST(QueueDifferential, ClearResetsStandaloneFifoOrder) {
@@ -211,48 +191,44 @@ TEST(QueueDifferential, ClearResetsStandaloneFifoOrder) {
   // experiment's events exactly like a new queue would — the counter leak
   // this pins was observable as cross-run ordering drift in standalone
   // harnesses that reuse one queue.
-  for (const QueueImpl impl : {QueueImpl::kHeap, QueueImpl::kCalendar}) {
-    EventQueue q;
-    q.configure(impl, Duration::microseconds(10));
-    std::vector<int> log;
-    const auto run_once = [&q, &log] {
-      for (int i = 0; i < 4; ++i) {
-        q.schedule(TimePoint::from_us(100), [&log, i] { log.push_back(i); });
-      }
-      q.schedule(TimePoint::from_us(50), [&log] { log.push_back(99); });
-      while (!q.empty()) q.pop().run();
-    };
-    run_once();
-    const std::vector<int> first = log;
-    q.clear();
-    log.clear();
-    run_once();
-    EXPECT_EQ(log, first) << to_string(impl);
-    EXPECT_EQ(log.front(), 99);
-  }
+  EventQueue q;
+  std::vector<int> log;
+  const auto run_once = [&q, &log] {
+    for (int i = 0; i < 4; ++i) {
+      q.schedule(TimePoint::from_us(100), [&log, i] { log.push_back(i); });
+    }
+    q.schedule(TimePoint::from_us(50), [&log] { log.push_back(99); });
+    while (!q.empty()) q.pop().run();
+  };
+  run_once();
+  const std::vector<int> first = log;
+  q.clear();
+  log.clear();
+  run_once();
+  EXPECT_EQ(log, first);
+  EXPECT_EQ(log.front(), 99);
 }
 
 TEST(QueueDifferential, ShrinkReleasesEmptyQueueStorage) {
-  for (const QueueImpl impl : {QueueImpl::kHeap, QueueImpl::kCalendar}) {
-    EventQueue q;
-    q.configure(impl, Duration::microseconds(25));
-    std::vector<EventId> ids;
-    for (int i = 0; i < 10'000; ++i) {
-      ids.push_back(q.schedule(TimePoint::from_us(i * 11), [] {}));
-    }
-    for (int i = 0; i < 5'000; ++i) q.cancel(ids[static_cast<std::size_t>(i) * 2]);
-    while (!q.empty()) q.pop();
-    EXPECT_GT(q.slab_capacity(), 0u);
-    q.shrink();
-    EXPECT_EQ(q.slab_capacity(), 0u) << to_string(impl);
-    // Stale handles against the shrunk slab stay harmless.
-    EXPECT_FALSE(q.cancel(ids[1]));
-    // The queue is still fully usable afterwards.
-    int ran = 0;
-    q.schedule(TimePoint::from_us(5), [&ran] { ++ran; });
-    q.pop().run();
-    EXPECT_EQ(ran, 1);
+  EventQueue q;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 10'000; ++i) {
+    ids.push_back(q.schedule(TimePoint::from_us(i * 11), [] {}));
   }
+  for (int i = 0; i < 5'000; ++i) {
+    q.cancel(ids[static_cast<std::size_t>(i) * 2]);
+  }
+  while (!q.empty()) q.pop();
+  EXPECT_GT(q.slab_capacity(), 0u);
+  q.shrink();
+  EXPECT_EQ(q.slab_capacity(), 0u);
+  // Stale handles against the shrunk slab stay harmless.
+  EXPECT_FALSE(q.cancel(ids[1]));
+  // The queue is still fully usable afterwards.
+  int ran = 0;
+  q.schedule(TimePoint::from_us(5), [&ran] { ++ran; });
+  q.pop().run();
+  EXPECT_EQ(ran, 1);
 }
 
 // ABA regression: a handle issued before a full shrink() must never cancel
@@ -260,31 +236,26 @@ TEST(QueueDifferential, ShrinkReleasesEmptyQueueStorage) {
 // generation floor, the regrown slot restarts at gen 1 — exactly the stale
 // handle's generation — and the stale cancel would kill the fresh event.
 TEST(QueueDifferential, ShrinkThenRearmKeepsStaleHandlesInert) {
-  for (const QueueImpl impl : {QueueImpl::kHeap, QueueImpl::kCalendar}) {
-    EventQueue q;
-    q.configure(impl, Duration::microseconds(25));
-    const EventId stale = q.schedule(TimePoint::from_us(10), [] {});
-    q.pop().run();  // releases the slot, bumping its generation past stale's
-    q.shrink();     // full path: slab dropped
-    EXPECT_EQ(q.slab_capacity(), 0u);
+  EventQueue q;
+  const EventId stale = q.schedule(TimePoint::from_us(10), [] {});
+  q.pop().run();  // releases the slot, bumping its generation past stale's
+  q.shrink();     // full path: slab dropped
+  EXPECT_EQ(q.slab_capacity(), 0u);
 
-    int ran = 0;
-    const EventId fresh =
-        q.schedule(TimePoint::from_us(20), [&ran] { ++ran; });
-    ASSERT_EQ(fresh.slot, stale.slot) << to_string(impl)
-                                      << ": slot not regrown, test is vacuous";
-    EXPECT_GT(fresh.gen, stale.gen) << to_string(impl);
-    EXPECT_FALSE(q.cancel(stale)) << to_string(impl);
-    ASSERT_FALSE(q.empty()) << to_string(impl)
-                            << ": stale cancel killed the fresh event";
-    q.pop().run();
-    EXPECT_EQ(ran, 1) << to_string(impl);
+  int ran = 0;
+  const EventId fresh =
+      q.schedule(TimePoint::from_us(20), [&ran] { ++ran; });
+  ASSERT_EQ(fresh.slot, stale.slot) << "slot not regrown, test is vacuous";
+  EXPECT_GT(fresh.gen, stale.gen);
+  EXPECT_FALSE(q.cancel(stale));
+  ASSERT_FALSE(q.empty()) << "stale cancel killed the fresh event";
+  q.pop().run();
+  EXPECT_EQ(ran, 1);
 
-    // And the fresh handle itself still validates normally.
-    const EventId again = q.schedule(TimePoint::from_us(30), [] {});
-    EXPECT_TRUE(q.cancel(again));
-    EXPECT_FALSE(q.cancel(fresh));  // already fired
-  }
+  // And the fresh handle itself still validates normally.
+  const EventId again = q.schedule(TimePoint::from_us(30), [] {});
+  EXPECT_TRUE(q.cancel(again));
+  EXPECT_FALSE(q.cancel(fresh));  // already fired
 }
 
 }  // namespace

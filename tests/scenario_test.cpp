@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -156,6 +157,44 @@ TEST(Scenario, SemanticValidation) {
                           "inter-rtt-max-ms = 10\n")
                 .find("exceeds"),
             std::string::npos);
+}
+
+TEST(Scenario, RemovedQueueKeyIsRejectedNotIgnored) {
+  // [run] queue used to pick heap|calendar. The heap is now the only
+  // pending-event set, so a scenario naming the key must be told, at its
+  // line, rather than run as if the choice had been honored.
+  for (const std::string value : {"heap", "calendar", "bogus"}) {
+    const std::string diagnostic = diagnostic_of(
+        "[scenario]\nname = old\n[run]\nshards = 2\nqueue = " + value +
+        "\n");
+    EXPECT_NE(diagnostic.find("scenario line 5"), std::string::npos)
+        << diagnostic;
+    EXPECT_NE(diagnostic.find("only pending-event set"), std::string::npos)
+        << diagnostic;
+  }
+  Scenario s;
+  EXPECT_THROW(s.set_path("run.queue", "heap"), std::invalid_argument);
+  EXPECT_EQ(s.set_keys().count("run.queue"), 0u);
+  EXPECT_EQ(s.to_text().find("queue"), std::string::npos);
+}
+
+TEST(Scenario, RemovedQueueKeyIsRejectedOnTheCommandLine) {
+  const std::string command =
+      std::string(BRISA_BINARY_DIR "/brisa_run --check ") +
+      BRISA_SOURCE_DIR "/scenarios/fig02_flood_duplicates.scn "
+      "--set run.queue=calendar 2>&1";
+  std::string out;
+  FILE* pipe = ::popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  char buffer[512];
+  std::size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0) {
+    out.append(buffer, n);
+  }
+  const int status = ::pclose(pipe);
+  EXPECT_NE(status, 0) << out;
+  EXPECT_NE(out.find("--set run.queue=calendar"), std::string::npos) << out;
+  EXPECT_NE(out.find("only pending-event set"), std::string::npos) << out;
 }
 
 TEST(Scenario, ChurnDslErrorsAnchorAtTheSection) {

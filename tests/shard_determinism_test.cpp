@@ -6,14 +6,11 @@
 //      (base key, host id) — no draw on one host's stream can perturb
 //      another's, so partitioning hosts across shards cannot change what
 //      any host samples.
-//   2. In-process system runs across the {heap, calendar} × shards {1,2,4}
-//      matrix compared on deterministic simulator counters and per-node
-//      delivery times — the pending-set implementation (DESIGN.md §14) is
-//      an exact EventKey min-extractor either way, so it joins the shard
-//      count as a results-invariant executor knob.
+//   2. In-process system runs across shards {1,2,4} compared on
+//      deterministic simulator counters and per-node delivery times.
 //   3. Golden end-to-end runs through the built brisa_run binary for the
-//      scenarios the ISSUE pins: fig02, fig06, and the faulted
-//      multi-stream sweep, each across the same queue × shards matrix.
+//      pinned scenarios: fig02, fig06, and the faulted multi-stream sweep,
+//      each across the same shard counts.
 //      Stdout must match byte for byte (wall-clock fields are normalized
 //      away — they are the one legitimately nondeterministic output).
 #include <gtest/gtest.h>
@@ -86,12 +83,11 @@ struct RunFingerprint {
   }
 };
 
-RunFingerprint run_system(std::uint32_t shards, sim::QueueImpl queue) {
+RunFingerprint run_system(std::uint32_t shards) {
   workload::BrisaSystem::Config config;
   config.seed = 7;
   config.num_nodes = 64;
   config.shards = shards;
-  config.queue = queue;
   config.join_spread = sim::Duration::seconds(10);
   config.stabilization = sim::Duration::seconds(10);
   workload::BrisaSystem system(config);
@@ -110,23 +106,18 @@ RunFingerprint run_system(std::uint32_t shards, sim::QueueImpl queue) {
   return fp;
 }
 
-TEST(ShardDeterminism, SystemRunIsIdenticalAcrossQueueAndShardMatrix) {
-  // Reference cell: heap, single shard — the seed configuration.
-  const RunFingerprint reference = run_system(1, sim::QueueImpl::kHeap);
+TEST(ShardDeterminism, SystemRunIsIdenticalAcrossShardCounts) {
+  // Reference cell: a single shard — the classic serial loop.
+  const RunFingerprint reference = run_system(1);
   EXPECT_GT(reference.sent, 0u);
   // Source included: it self-delivers.
   EXPECT_EQ(reference.deliveries.size(), 64u);
-  for (const sim::QueueImpl queue :
-       {sim::QueueImpl::kHeap, sim::QueueImpl::kCalendar}) {
-    for (const std::uint32_t shards : {1u, 2u, 4u}) {
-      const RunFingerprint cell = run_system(shards, queue);
-      const std::string label =
-          std::string(queue == sim::QueueImpl::kHeap ? "heap" : "calendar") +
-          " x shards=" + std::to_string(shards);
-      EXPECT_TRUE(reference.stats == cell.stats) << label;
-      EXPECT_EQ(reference.sent, cell.sent) << label;
-      EXPECT_EQ(reference.deliveries, cell.deliveries) << label;
-    }
+  for (const std::uint32_t shards : {2u, 4u}) {
+    const RunFingerprint cell = run_system(shards);
+    const std::string label = "shards=" + std::to_string(shards);
+    EXPECT_TRUE(reference.stats == cell.stats) << label;
+    EXPECT_EQ(reference.sent, cell.sent) << label;
+    EXPECT_EQ(reference.deliveries, cell.deliveries) << label;
   }
 }
 
@@ -182,29 +173,22 @@ std::string normalize_wall_clock(const std::string& text) {
 
 void expect_byte_identical_across_shards(const std::string& scenario,
                                          const std::string& overrides) {
-  // Full executor matrix: both pending-set implementations at every shard
-  // count, all compared against the heap × shards=1 seed configuration.
+  // Every shard count, compared against the shards=1 serial loop.
   std::string reference;
-  std::string reference_label;
-  for (const char* queue : {"heap", "calendar"}) {
-    for (const int shards : {1, 2, 4}) {
-      const std::string label =
-          std::string(queue) + " x shards=" + std::to_string(shards);
-      const std::string command =
-          std::string(kRunner) + " " + kScenarioDir + "/" + scenario + " " +
-          overrides + " --set run.shards=" + std::to_string(shards) +
-          " --set run.queue=" + queue + " 2>/dev/null";
-      const CommandResult result = run_command(command);
-      ASSERT_EQ(result.status, 0) << command << "\n" << result.out;
-      ASSERT_FALSE(result.out.empty()) << command;
-      const std::string normalized = normalize_wall_clock(result.out);
-      if (reference.empty()) {
-        reference = normalized;
-        reference_label = label;
-      } else {
-        EXPECT_EQ(reference, normalized)
-            << scenario << ": " << reference_label << " vs " << label;
-      }
+  for (const int shards : {1, 2, 4}) {
+    const std::string command =
+        std::string(kRunner) + " " + kScenarioDir + "/" + scenario + " " +
+        overrides + " --set run.shards=" + std::to_string(shards) +
+        " 2>/dev/null";
+    const CommandResult result = run_command(command);
+    ASSERT_EQ(result.status, 0) << command << "\n" << result.out;
+    ASSERT_FALSE(result.out.empty()) << command;
+    const std::string normalized = normalize_wall_clock(result.out);
+    if (reference.empty()) {
+      reference = normalized;
+    } else {
+      EXPECT_EQ(reference, normalized)
+          << scenario << ": shards=1 vs shards=" << shards;
     }
   }
 }
