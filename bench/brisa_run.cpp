@@ -14,9 +14,8 @@
 // [sweep] section expands into a grid of cells; the executor forks one
 // worker subprocess per cell (`--jobs` at a time) and merges their output
 // in grid order, so stdout is byte-identical for any job count. `--cell`
-// is the internal worker mode (strip [sweep], run one configuration). The
-// same report functions back the legacy bench_* binaries, so a checked-in
-// scenario and its bench command are byte-identical. Grammar:
+// is the internal worker mode (strip [sweep], run one configuration). This
+// is the only entry point to the paper's figures and tables. Grammar:
 // docs/scenarios.md.
 #include <cstdio>
 #include <cstdlib>
@@ -148,8 +147,9 @@ int main(int argc, char** argv) {
   for (std::size_t file_index = 0; file_index < files.size(); ++file_index) {
     const std::string& file = files[file_index];
     Scenario scenario;
+    Scenario::KeyLines lines;
     try {
-      scenario = Scenario::load(file);
+      scenario = Scenario::load(file, &lines);
       // Worker mode: the [sweep] section belongs to the scheduler; strip
       // it before overrides so a faulted=false cell's `churn.dsl=` cannot
       // trip the sweep's faulted-needs-churn check. `sweep.*` overrides
@@ -159,6 +159,8 @@ int main(int argc, char** argv) {
       if (cell_mode) scenario.sweep.clear();
       for (const auto& [key, value] : overrides) {
         if (cell_mode && key.rfind("sweep.", 0) == 0) continue;
+        // The file's line no longer says where the value came from.
+        lines.erase(key);
         try {
           scenario.set_path(key, value);
         } catch (const std::invalid_argument& e) {
@@ -185,7 +187,7 @@ int main(int argc, char** argv) {
     // them so a --set typo (or stale file) cannot masquerade as a run
     // with the requested parameters.
     const std::string key_error =
-        brisa::reports::scenario_key_error(scenario, *report);
+        brisa::reports::scenario_key_error(scenario, *report, &lines);
     if (!key_error.empty()) {
       std::fprintf(stderr, "error: %s: %s\n", file.c_str(),
                    key_error.c_str());
@@ -271,7 +273,14 @@ int main(int argc, char** argv) {
       std::printf("OK %s (report %s)\n", file.c_str(), report_name.c_str());
       continue;
     }
-    const int run_code = report->run(scenario);
+    int run_code = 0;
+    try {
+      run_code = report->run(scenario);
+    } catch (const std::invalid_argument& e) {
+      // A malformed report parameter (e.g. a non-integer list entry).
+      std::fprintf(stderr, "error: %s: %s\n", file.c_str(), e.what());
+      return 2;
+    }
     if (run_code != 0) exit_code = run_code;
   }
   return exit_code;

@@ -16,7 +16,7 @@
 #include <cstdio>
 
 #include "analysis/stream_report.h"
-#include "bench/common.h"
+#include "reports/metrics.h"
 #include "util/flags.h"
 #include "workload/brisa_system.h"
 #include "workload/pubsub.h"
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
         "                 [--subscription-fraction=0.5]\n");
     return 0;
   }
-  std::vector<std::string> known = bench::multi_stream_flag_names();
+  std::vector<std::string> known = reports::multi_stream_flag_names();
   known.insert(known.end(), {"nodes", "items"});
   if (!flags.validate(known,
                       "multi_topic_feed [--nodes=96] [--streams=4] "
@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
   }
   const auto nodes = static_cast<std::size_t>(flags.get_int("nodes", 96));
   const auto items = static_cast<std::size_t>(flags.get_int("items", 40));
-  bench::MultiStreamOptions options = bench::parse_multi_stream_options(flags);
+  reports::MultiStreamOptions options =
+      reports::parse_multi_stream_options(flags);
   if (!flags.has("streams")) options.streams = 4;
   if (!flags.has("subscription-fraction")) options.subscription_fraction = 0.5;
 
@@ -79,7 +80,7 @@ int main(int argc, char** argv) {
   driver.run(sim::Duration::seconds(15));
 
   const std::vector<analysis::StreamRow> rows =
-      bench::collect_stream_rows(system, driver);
+      reports::collect_stream_rows(system, driver);
   std::printf("%s", analysis::format_stream_table(rows).c_str());
 
   // The forwarder role: nodes relaying a topic they do not subscribe to.

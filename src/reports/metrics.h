@@ -1,7 +1,6 @@
 // Shared metric-extraction helpers for the report implementations and the
-// bench/example harnesses: delivery rows, CDFs, bandwidth and percentile
-// rows in the units the paper reports. (Formerly bench/common.h; moved into
-// the library so the scenario-driven reports can reuse them.)
+// examples: delivery rows, CDFs, bandwidth and percentile rows in the units
+// the paper reports.
 #pragma once
 
 #include <cstdio>
@@ -19,7 +18,7 @@ namespace brisa::reports {
 
 // --- Multi-stream options ----------------------------------------------------
 
-/// The multi-stream CLI surface every bench/example parses identically:
+/// The multi-stream CLI surface the examples parse identically:
 /// `--streams=K` concurrent topics and `--subscription-fraction=F` partial
 /// audiences (see workload::PubSubDriver).
 struct MultiStreamOptions {
@@ -87,7 +86,7 @@ std::vector<analysis::StreamRow> collect_stream_rows_generic(
   return rows;
 }
 
-/// The BrisaSystem specialization every existing bench uses.
+/// The BrisaSystem specialization the reports and examples use.
 inline std::vector<analysis::StreamRow> collect_stream_rows(
     workload::BrisaSystem& system, const workload::PubSubDriver& driver) {
   return collect_stream_rows_generic(

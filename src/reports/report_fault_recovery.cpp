@@ -1,26 +1,25 @@
-// Fault-recovery report: dissemination latency and reliability under
-// message loss and partitions — BRISA vs the epidemic-flood (SimpleGossip)
-// and static-tree (SimpleTree) baselines.
+// Fault-recovery report: dissemination latency and reliability of one
+// protocol under one fault regime — BRISA vs the epidemic-flood
+// (SimpleGossip) and static-tree (SimpleTree) baselines.
 //
-// Scenarios:
-//   * loss sweep: uniform per-link drop probability over the whole stream
-//     (0/5/10/20%). BRISA and the tree ride TCP-like connections, so loss
-//     shows up as retransmission delay; the gossip flood's datagrams really
-//     drop and must be repaired by anti-entropy.
-//   * partition sweep: two node groups cut from each other mid-stream for
-//     10 s / 30 s while the rest of the overlay stays connected; measures
+// Regimes ([params] regime):
+//   * loss_<percent>: uniform per-link drop probability over the whole
+//     stream. BRISA and the tree ride TCP-like connections, so loss shows
+//     up as retransmission delay; the gossip flood's datagrams really drop
+//     and must be repaired by anti-entropy.
+//   * partition_<seconds>s: two node groups cut from each other 5 s into
+//     the stream while the rest of the overlay stays connected; measures
 //     whether delivery reroutes around the cut and catches up after heal.
 //
-// Prints a table plus one JSON record per (protocol, scenario) row; a
-// recorded run lives in BENCH_fault_recovery.json at the repo root.
+// Prints one summary line and one JSON record. scenarios/fault_recovery.scn
+// sweeps regime x protocol; its merged rows are the recorded run in
+// BENCH_fault_recovery.json at the repo root.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "analysis/stats.h"
-#include "analysis/table.h"
 #include "reports/metrics.h"
 #include "reports/reports_impl.h"
 
@@ -38,6 +37,44 @@ struct ScenarioResult {
   std::uint64_t datagrams_dropped = 0;
   std::uint64_t blackholed = 0;
 };
+
+/// A parsed `[params] regime`.
+struct Regime {
+  bool loss = true;
+  std::int64_t amount = 0;  ///< loss percent, or partition seconds
+};
+
+/// `digits` as a plain decimal — no sign, no leading zero, at most six
+/// digits — or -1, so the regime label echoes exactly what was parsed.
+std::int64_t plain_decimal(const std::string& digits) {
+  if (digits.empty() || digits.size() > 6 ||
+      digits.find_first_not_of("0123456789") != std::string::npos ||
+      (digits.size() > 1 && digits[0] == '0')) {
+    return -1;
+  }
+  return std::stoll(digits);
+}
+
+/// "" on success; otherwise the diagnostic.
+std::string parse_regime(const std::string& text, Regime* regime) {
+  if (text.rfind("loss_", 0) == 0) {
+    const std::int64_t percent = plain_decimal(text.substr(5));
+    if (percent >= 0 && percent <= 100) {
+      *regime = {true, percent};
+      return "";
+    }
+  } else if (text.rfind("partition_", 0) == 0 && text.back() == 's') {
+    const std::int64_t seconds =
+        plain_decimal(text.substr(10, text.size() - 11));
+    if (seconds >= 1) {
+      *regime = {false, seconds};
+      return "";
+    }
+  }
+  return "regime must be loss_<percent 0..100> or partition_<seconds>s "
+         "(seconds >= 1), got '" +
+         text + "'";
+}
 
 /// Streams `messages` through a bootstrapped system under `plan` and
 /// extracts reliability + latency percentiles. `times_of(id)` returns the
@@ -98,7 +135,7 @@ net::FaultPlan loss_plan(double probability) {
 
 net::FaultPlan partition_plan(std::size_t nodes, std::int64_t duration_s) {
   net::FaultPlan plan;
-  // Clamp so tiny --nodes runs still cut two disjoint non-empty groups
+  // Clamp so tiny node counts still cut two disjoint non-empty groups
   // instead of underflowing range() into NodeGroup::all().
   const auto eighth = static_cast<std::uint32_t>(std::max<std::size_t>(
       1, nodes / 8));
@@ -165,8 +202,65 @@ ScenarioResult run_tree(std::uint64_t seed, std::size_t nodes,
       messages);
 }
 
-void print_json(const ScenarioResult& r, std::size_t nodes,
-                std::size_t messages, std::uint64_t seed) {
+}  // namespace
+
+std::string fault_recovery_check(const std::string& key,
+                                 const std::string& value) {
+  if (key == "scenario.protocol" && value != "brisa" && value != "gossip" &&
+      value != "tree") {
+    return "fault_recovery runs protocol brisa|gossip|tree, got '" + value +
+           "'";
+  }
+  Regime regime;
+  return key == "params.regime" ? parse_regime(value, &regime) : "";
+}
+
+workload::Scenario fault_recovery_defaults() {
+  workload::Scenario s;
+  s.set("scenario", "name", "fault_recovery")
+      .set("scenario", "report", "fault_recovery")
+      .set("scenario", "nodes", "96")
+      .set("scenario", "seed", "1")
+      .set("streams", "messages", "60")
+      .set("sweep", "param.regime",
+           "loss_0, loss_5, loss_10, loss_20, partition_10s, partition_30s")
+      .set("sweep", "protocol", "brisa, gossip, tree");
+  return s;
+}
+
+int fault_recovery_run(const workload::Scenario& scenario) {
+  const std::size_t nodes = scenario.nodes_or(96);
+  const std::size_t messages = scenario.messages_or(60);
+  const std::uint64_t seed = scenario.seed_or(1);
+  const std::uint32_t shards = scenario.shards_or(1);
+  const std::string protocol = scenario.protocol_or("brisa");
+  const std::string label = scenario.param_string("regime", "loss_0");
+  Regime regime;
+  std::string error = fault_recovery_check("scenario.protocol", protocol);
+  if (error.empty()) error = parse_regime(label, &regime);
+  if (!error.empty()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
+  }
+  const net::FaultPlan plan =
+      regime.loss ? loss_plan(static_cast<double>(regime.amount) / 100.0)
+                  : partition_plan(nodes, regime.amount);
+
+  const ScenarioResult r =
+      protocol == "brisa"
+          ? run_brisa(seed, nodes, messages, label, plan, shards)
+      : protocol == "gossip"
+          ? run_gossip(seed, nodes, messages, label, plan, shards)
+          : run_tree(seed, nodes, messages, label, plan, shards);
+
+  std::printf(
+      "fault recovery %s under %s, %zu nodes: reliability %.2f%%, "
+      "p50 %.1f ms, p99 %.1f ms, %llu retransmits, %llu dropped, "
+      "%llu blackholed\n",
+      r.protocol.c_str(), label.c_str(), nodes, r.reliability * 100.0,
+      r.p50_ms, r.p99_ms, static_cast<unsigned long long>(r.retransmissions),
+      static_cast<unsigned long long>(r.datagrams_dropped),
+      static_cast<unsigned long long>(r.blackholed));
   std::printf(
       "{\"bench\":\"fault_recovery\",\"protocol\":\"%s\",\"scenario\":\"%s\","
       "\"nodes\":%zu,\"messages\":%zu,\"seed\":%llu,"
@@ -178,108 +272,6 @@ void print_json(const ScenarioResult& r, std::size_t nodes,
       r.p99_ms, static_cast<unsigned long long>(r.retransmissions),
       static_cast<unsigned long long>(r.datagrams_dropped),
       static_cast<unsigned long long>(r.blackholed));
-}
-
-}  // namespace
-
-workload::Scenario fault_recovery_defaults() {
-  workload::Scenario s;
-  s.set("scenario", "name", "fault_recovery")
-      .set("scenario", "report", "fault_recovery")
-      .set("scenario", "nodes", "96")
-      .set("scenario", "seed", "1")
-      .set("streams", "messages", "60");
-  return s;
-}
-
-int fault_recovery_run(const workload::Scenario& scenario) {
-  const std::size_t nodes = scenario.nodes_or(96);
-  const std::size_t messages = scenario.messages_or(60);
-  const std::uint64_t seed = scenario.seed_or(1);
-  const std::uint32_t shards = scenario.shards_or(1);
-  // --protocols / --regimes narrow the grid (the sweep executor's per-cell
-  // form); the defaults reproduce the full classic report byte for byte.
-  const std::string protocols =
-      scenario.param_string("protocols", "brisa,gossip,tree");
-  const std::string regimes = scenario.param_string(
-      "regimes",
-      "loss_0,loss_5,loss_10,loss_20,partition_10s,partition_30s");
-  const auto wants = [&protocols](const char* name) {
-    return protocols.find(name) != std::string::npos;
-  };
-
-  std::printf(
-      "=== fault recovery: reliability & latency vs loss / partitions, "
-      "%zu nodes ===\n",
-      nodes);
-
-  std::vector<ScenarioResult> results;
-  const auto run_all = [&](const std::string& scenario_name,
-                           const net::FaultPlan& plan) {
-    if (wants("brisa")) {
-      std::fprintf(stderr, "running %s/brisa...\n", scenario_name.c_str());
-      results.push_back(
-          run_brisa(seed, nodes, messages, scenario_name, plan, shards));
-    }
-    if (wants("gossip")) {
-      std::fprintf(stderr, "running %s/gossip-flood...\n",
-                   scenario_name.c_str());
-      results.push_back(
-          run_gossip(seed, nodes, messages, scenario_name, plan, shards));
-    }
-    if (wants("tree")) {
-      std::fprintf(stderr, "running %s/simple-tree...\n",
-                   scenario_name.c_str());
-      results.push_back(
-          run_tree(seed, nodes, messages, scenario_name, plan, shards));
-    }
-  };
-  // Each regime token is `loss_<percent>` or `partition_<seconds>s`.
-  std::string token;
-  for (const char c : regimes + ",") {
-    if (c != ',') {
-      if (c != ' ' && c != '\t') token.push_back(c);
-      continue;
-    }
-    if (token.empty()) continue;
-    if (token.rfind("loss_", 0) == 0) {
-      const int percent = std::atoi(token.c_str() + 5);
-      run_all("loss_" + std::to_string(percent),
-              loss_plan(static_cast<double>(percent) / 100.0));
-    } else if (token.rfind("partition_", 0) == 0 && token.back() == 's') {
-      const auto duration_s =
-          static_cast<std::int64_t>(std::atoll(token.c_str() + 10));
-      run_all("partition_" + std::to_string(duration_s) + "s",
-              partition_plan(nodes, duration_s));
-    } else {
-      std::fprintf(stderr,
-                   "error: unknown regime '%s' (expected loss_<percent> or "
-                   "partition_<seconds>s)\n",
-                   token.c_str());
-      return 2;
-    }
-    token.clear();
-  }
-
-  analysis::Table table({"scenario", "protocol", "reliability", "p50(ms)",
-                         "p99(ms)", "retransmits", "dropped", "blackholed"});
-  for (const ScenarioResult& r : results) {
-    table.add_row({r.scenario, r.protocol,
-                   analysis::Table::num(r.reliability * 100.0, 2) + "%",
-                   analysis::Table::num(r.p50_ms, 1),
-                   analysis::Table::num(r.p99_ms, 1),
-                   std::to_string(r.retransmissions),
-                   std::to_string(r.datagrams_dropped),
-                   std::to_string(r.blackholed)});
-  }
-  std::printf("%s\n", table.render().c_str());
-
-  for (const ScenarioResult& r : results) {
-    print_json(r, nodes, messages, seed);
-  }
-  std::printf(
-      "paper check: BRISA stays at (or near) 100%% delivery under loss and "
-      "heals partitions; the flood pays duplicates, the static tree stalls\n");
   return 0;
 }
 

@@ -4,9 +4,9 @@
 // A Report couples a name ("fig02_flood_duplicates") to a run function that
 // consumes a workload::Scenario, the default scenario for that figure (the
 // same description that is checked in under scenarios/<name>.scn), and the
-// CLI surface of its thin bench wrapper. `brisa_run <file.scn>` and the
-// bench_* binaries both funnel into Report::run, so a scenario file and the
-// legacy command line produce byte-identical output. See DESIGN.md §10.
+// dotted scenario keys the run function reads. `brisa_run <file.scn>` is the
+// one way to run a report; a [sweep] section turns the file into a grid of
+// single-run cells. See DESIGN.md §10.
 #pragma once
 
 #include <string>
@@ -20,15 +20,16 @@ struct Report {
   std::string name;
   /// One-line summary for `brisa_run --list` and the README matrix.
   std::string title;
-  /// Usage text of the bench wrapper (printed on --help and flag errors).
-  std::string usage;
-  /// Flags the bench wrapper accepts; anything else is an error.
-  std::vector<std::string> flags;
-  /// Flags routed into [params] even when their name matches a typed
-  /// scenario key (e.g. multi_stream's --streams sweep list).
-  std::vector<std::string> param_flags;
+  /// Dotted scenario keys the run function reads ("scenario.nodes",
+  /// "params.views", ...). Every other key is rejected unless it restates
+  /// the default scenario's value.
+  std::vector<std::string> keys;
   workload::Scenario (*defaults)();
   int (*run)(const workload::Scenario&);
+  /// Strict value check for one of `keys` ("" = fine; nullptr = none),
+  /// applied to the scenario's value and to every [sweep] value for it.
+  std::string (*check)(const std::string& key,
+                       const std::string& value) = nullptr;
 };
 
 /// All registered reports, figure order.
@@ -37,27 +38,17 @@ struct Report {
 /// nullptr when no report has that name.
 [[nodiscard]] const Report* find(const std::string& name);
 
-/// Applies one CLI flag to a scenario: typed names route into their
-/// sections (--nodes, --seed, --messages, --rate, --payload, --streams,
-/// --subscription-fraction, --protocol), everything else lands in [params].
-/// Throws std::invalid_argument on malformed values.
-void apply_flag(workload::Scenario& scenario, const Report& report,
-                const std::string& name, const std::string& value);
-
 /// Rejects scenario keys a figure report does not consume. Returns a
-/// diagnostic (empty = fine) naming the first typed key or param that is
-/// neither reachable through the report's CLI surface nor part of its
-/// default scenario with an unchanged value — a figure would silently
-/// ignore such a key, which is exactly the fall-back-to-defaults failure
-/// this layer exists to prevent. The generic "run" report accepts
+/// diagnostic (empty = fine) naming the first key — set directly or as a
+/// [sweep] axis — that is not in the report's `keys` (and, set directly,
+/// does not restate the default scenario's value), or whose value fails the
+/// report's `check`: a figure would silently ignore such a key, which is
+/// exactly the fall-back-to-defaults failure this layer exists to prevent.
+/// With `lines` (from Scenario::load) the diagnostic starts with the
+/// offending key's "scenario line N". The generic "run" report accepts
 /// everything.
 [[nodiscard]] std::string scenario_key_error(
-    const workload::Scenario& scenario, const Report& report);
-
-/// The entire main() of a thin bench wrapper: parse argv, print usage on
-/// --help, reject unknown/duplicate/positional arguments with usage text
-/// (exit 2), overlay the flags onto the report's default scenario, run.
-int figure_main(const std::string& report_name, int argc,
-                const char* const* argv);
+    const workload::Scenario& scenario, const Report& report,
+    const workload::Scenario::KeyLines* lines = nullptr);
 
 }  // namespace brisa::reports

@@ -2,6 +2,8 @@
 // under src/reports/ and assembled into the registry by reports.cpp.
 #pragma once
 
+#include <string>
+
 #include "workload/scenario.h"
 
 namespace brisa::reports::impl {
@@ -30,5 +32,12 @@ BRISA_DECLARE_REPORT(buffer_tradeoff);
 BRISA_DECLARE_REPORT(generic);
 
 #undef BRISA_DECLARE_REPORT
+
+// Value checks of the reports whose keys take more than a type's worth of
+// validation (Report::check).
+std::string fault_recovery_check(const std::string& key,
+                                 const std::string& value);
+std::string scale_sweep_check(const std::string& key,
+                              const std::string& value);
 
 }  // namespace brisa::reports::impl

@@ -88,7 +88,14 @@ void apply(Scenario& s, const std::string& section, const std::string& key,
   if (section == "scenario") {
     if (key == "name") return void(s.name = value);
     if (key == "report") return void(s.report = value);
-    if (key == "protocol") return void(s.protocol = value);
+    if (key == "protocol") {
+      if (value != "brisa" && value != "tree" && value != "gossip" &&
+          value != "tag") {
+        fail(context, "protocol must be brisa|tree|gossip|tag, got '" +
+                          value + "'");
+      }
+      return void(s.protocol = value);
+    }
     if (key == "nodes") return void(s.nodes = to_size(context, key, value));
     if (key == "seed") {
       return void(s.seed =
@@ -363,13 +370,14 @@ std::vector<std::int64_t> Scenario::param_int_list(
 
 // --- Parsing ----------------------------------------------------------------
 
-Scenario Scenario::parse(const std::string& text) {
+Scenario Scenario::parse(const std::string& text, KeyLines* lines) {
   Scenario s;
   std::istringstream in(text);
   std::string line;
   std::string section;
   int line_number = 0;
   int churn_section_line = 0;
+  int sweep_section_line = 0;
   while (std::getline(in, line)) {
     ++line_number;
     const std::string context = "scenario line " + std::to_string(line_number);
@@ -398,6 +406,7 @@ Scenario Scenario::parse(const std::string& text) {
           section == "output" || section == "params";
       if (!known) fail(context, "unknown section [" + section + "]");
       if (section == "churn") churn_section_line = line_number;
+      if (section == "sweep") sweep_section_line = line_number;
       continue;
     }
     if (section.empty()) {
@@ -411,17 +420,23 @@ Scenario Scenario::parse(const std::string& text) {
     const std::string value = trim(stripped.substr(eq + 1));
     if (key.empty()) fail(context, "empty key");
     apply(s, section, key, value, context);
+    if (lines != nullptr) (*lines)[section + "." + key] = line_number;
+  }
+  if (lines != nullptr && churn_section_line > 0) {
+    (*lines)["churn"] = churn_section_line;
   }
   try {
     s.validate();
   } catch (const std::invalid_argument& e) {
-    // Re-anchor churn diagnostics at the section header so the reader knows
-    // where to look; other semantic errors have no single line.
-    if (churn_section_line > 0 &&
-        std::string(e.what()).rfind("churn", 0) == 0) {
-      throw std::invalid_argument("scenario line " +
-                                  std::to_string(churn_section_line) + ": " +
-                                  e.what());
+    // Re-anchor churn and sweep diagnostics at their section header so the
+    // reader knows where to look; other semantic errors have no single line.
+    const std::string what = e.what();
+    const int header = what.rfind("churn", 0) == 0   ? churn_section_line
+                       : what.rfind("sweep", 0) == 0 ? sweep_section_line
+                                                     : 0;
+    if (header > 0) {
+      throw std::invalid_argument("scenario line " + std::to_string(header) +
+                                  ": " + what);
     }
     throw;
   }
@@ -438,7 +453,7 @@ std::optional<Scenario> Scenario::try_parse(const std::string& text,
   }
 }
 
-Scenario Scenario::load(const std::string& path) {
+Scenario Scenario::load(const std::string& path, KeyLines* lines) {
   std::ifstream in(path);
   if (!in) {
     throw std::invalid_argument(path + ": cannot open scenario file");
@@ -446,18 +461,13 @@ Scenario Scenario::load(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   try {
-    return parse(text.str());
+    return parse(text.str(), lines);
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(path + ": " + e.what());
   }
 }
 
 void Scenario::validate() const {
-  if (protocol && *protocol != "brisa" && *protocol != "tree" &&
-      *protocol != "gossip" && *protocol != "tag") {
-    fail("", "protocol must be brisa|tree|gossip|tag, got '" + *protocol +
-                 "'");
-  }
   if (topology_model &&
       !known_topology_model(normalize_topology_model(*topology_model))) {
     fail("", "topology model must be cluster|planetlab|clustered-wan|"

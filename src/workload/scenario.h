@@ -201,9 +201,17 @@ class Scenario {
   }
 
   // --- Parsing / serialization --------------------------------------------
+  /// Dotted key (the set_keys() spelling: "scenario.nodes",
+  /// "params.regime", "sweep.protocol", "churn") -> the 1-based line that
+  /// set it, so checks that run after parsing — a report's key surface —
+  /// can still point at the offending line.
+  using KeyLines = std::map<std::string, int>;
+
   /// Parses the `.scn` text. Throws std::invalid_argument with a
   /// line-numbered diagnostic ("scenario line N: ...") on malformed input.
-  [[nodiscard]] static Scenario parse(const std::string& text);
+  /// Records where each key was written in `*lines` when non-null.
+  [[nodiscard]] static Scenario parse(const std::string& text,
+                                      KeyLines* lines = nullptr);
 
   /// Non-throwing variant: std::nullopt on malformed input, with the
   /// diagnostic written to `*diagnostic` when non-null.
@@ -211,7 +219,8 @@ class Scenario {
       const std::string& text, std::string* diagnostic = nullptr);
 
   /// Reads and parses a file; the file name is prefixed to diagnostics.
-  [[nodiscard]] static Scenario load(const std::string& path);
+  [[nodiscard]] static Scenario load(const std::string& path,
+                                     KeyLines* lines = nullptr);
 
   /// Canonical text form: exactly the set keys, sections in schema order,
   /// churn DSL verbatim. parse(to_text()) reproduces *this.

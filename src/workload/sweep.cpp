@@ -28,8 +28,9 @@ enum class AxisKind { kProtocol, kNodes, kSeeds, kFaulted, kTopology, kParam };
 struct Axis {
   AxisKind kind;
   std::string json_key;  ///< header/label key ("protocol", "seed", ...)
-  std::string path;      ///< dotted override path ("" = special handling)
+  std::string path;      ///< dotted scenario key each cell assigns
   std::vector<std::string> values;
+  std::string key;  ///< the [sweep] key that declared the axis
 };
 
 std::string trim(const std::string& s) {
@@ -132,7 +133,7 @@ std::string parse_axes(const Scenario& s, std::vector<Axis>* axes) {
     }
     Axis axis;
     if (key == "protocol") {
-      axis = {AxisKind::kProtocol, "protocol", "scenario.protocol", {}};
+      axis = {AxisKind::kProtocol, "protocol", "scenario.protocol", {}, key};
       if (const std::string e = split_values(key, raw, false, &axis.values);
           !e.empty()) {
         return e;
@@ -144,19 +145,19 @@ std::string parse_axes(const Scenario& s, std::vector<Axis>* axes) {
         }
       }
     } else if (key == "nodes") {
-      axis = {AxisKind::kNodes, "nodes", "scenario.nodes", {}};
+      axis = {AxisKind::kNodes, "nodes", "scenario.nodes", {}, key};
       if (const std::string e = split_values(key, raw, true, &axis.values);
           !e.empty()) {
         return e;
       }
     } else if (key == "seeds") {
-      axis = {AxisKind::kSeeds, "seed", "scenario.seed", {}};
+      axis = {AxisKind::kSeeds, "seed", "scenario.seed", {}, key};
       if (const std::string e = split_values(key, raw, true, &axis.values);
           !e.empty()) {
         return e;
       }
     } else if (key == "faulted") {
-      axis = {AxisKind::kFaulted, "faulted", "", {}};
+      axis = {AxisKind::kFaulted, "faulted", "churn.dsl", {}, key};
       if (const std::string e = split_values(key, raw, false, &axis.values);
           !e.empty()) {
         return e;
@@ -169,7 +170,7 @@ std::string parse_axes(const Scenario& s, std::vector<Axis>* axes) {
         if (value == "true") has_faulted_true = true;
       }
     } else if (key == "topology") {
-      axis = {AxisKind::kTopology, "topology", "topology.model", {}};
+      axis = {AxisKind::kTopology, "topology", "topology.model", {}, key};
       if (const std::string e = split_values(key, raw, false, &axis.values);
           !e.empty()) {
         return e;
@@ -181,7 +182,7 @@ std::string parse_axes(const Scenario& s, std::vector<Axis>* axes) {
       }
     } else if (key.rfind("param.", 0) == 0) {
       const std::string name = key.substr(6);
-      axis = {AxisKind::kParam, name, "params." + name, {}};
+      axis = {AxisKind::kParam, name, "params." + name, {}, key};
       if (const std::string e = split_values(key, raw, false, &axis.values);
           !e.empty()) {
         return e;
@@ -222,6 +223,19 @@ std::string json_quote(const std::string& raw) {
 std::string sweep_error(const Scenario& s) {
   std::vector<Axis> axes;
   return parse_axes(s, &axes);
+}
+
+std::vector<SweepAxis> sweep_axes(const Scenario& s) {
+  std::vector<Axis> axes;
+  const std::string diagnostic = parse_axes(s, &axes);
+  if (!diagnostic.empty()) {
+    throw std::invalid_argument("sweep: " + diagnostic);
+  }
+  std::vector<SweepAxis> out;
+  for (Axis& axis : axes) {
+    out.push_back({axis.key, axis.path, std::move(axis.values)});
+  }
+  return out;
 }
 
 double sweep_cell_timeout_s(const Scenario& s) {

@@ -45,6 +45,20 @@ struct SweepCell {
   std::vector<std::pair<std::string, std::string>> overrides;
 };
 
+/// One [sweep] axis as declared: the section key (`protocol`,
+/// `param.regime`, ...), the dotted scenario key every cell assigns
+/// (`scenario.protocol`, `params.regime`; `churn.dsl` for `faulted`), and
+/// the expanded values in written order.
+struct SweepAxis {
+  std::string key;
+  std::string path;
+  std::vector<std::string> values;
+};
+
+/// The axes in declaration order. Throws std::invalid_argument with the
+/// sweep_error() diagnostic on malformed sections.
+[[nodiscard]] std::vector<SweepAxis> sweep_axes(const Scenario& s);
+
 /// Semantic check of the [sweep] section ("" = well-formed); called by
 /// Scenario::validate(). Catches unknown protocols, malformed value lists,
 /// empty axes, a `faulted` axis without a [churn] trace, and a section

@@ -39,7 +39,7 @@ TEST(BrisaDag, MostNodesAcquireTargetParents) {
   // The paper observes nodes at low depths may not find a second parent
   // (§III-B); in a 48-node network the shallow fraction is substantial, so
   // require a solid majority here — the paper-scale acquisition rate is
-  // checked by bench_fig06/07 at 512 nodes.
+  // checked by the fig06/fig07 reports at 512 nodes.
   EXPECT_GT(with_two, (system.member_ids().size() * 3) / 5);
 }
 

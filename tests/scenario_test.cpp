@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "net/latency.h"
 #include "reports/reports.h"
@@ -142,6 +144,11 @@ TEST(Scenario, DiagnosticsCarryLineNumbers) {
   EXPECT_NE(diagnostic_of("[streams]\nsubscription-fraction = 1.5\n")
                 .find("fraction in [0, 1]"),
             std::string::npos);
+  // A misspelt protocol is named at its line, not after the whole file.
+  const std::string protocol =
+      diagnostic_of("[scenario]\nnodes = 64\nprotocol = brsia\n");
+  EXPECT_NE(protocol.find("scenario line 3"), std::string::npos) << protocol;
+  EXPECT_NE(protocol.find("protocol must be"), std::string::npos) << protocol;
 }
 
 TEST(Scenario, SemanticValidation) {
@@ -178,20 +185,26 @@ TEST(Scenario, RemovedQueueKeyIsRejectedNotIgnored) {
   EXPECT_EQ(s.to_text().find("queue"), std::string::npos);
 }
 
-TEST(Scenario, RemovedQueueKeyIsRejectedOnTheCommandLine) {
+/// Runs `brisa_run <args>` and returns {exit status, stdout + stderr}.
+std::pair<int, std::string> run_brisa(const std::string& args) {
   const std::string command =
-      std::string(BRISA_BINARY_DIR "/brisa_run --check ") +
-      BRISA_SOURCE_DIR "/scenarios/fig02_flood_duplicates.scn "
-      "--set run.queue=calendar 2>&1";
+      std::string(BRISA_BINARY_DIR "/brisa_run ") + args + " 2>&1";
   std::string out;
   FILE* pipe = ::popen(command.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
+  if (pipe == nullptr) return {-1, out};
   char buffer[512];
   std::size_t n = 0;
   while ((n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0) {
     out.append(buffer, n);
   }
-  const int status = ::pclose(pipe);
+  return {::pclose(pipe), out};
+}
+
+TEST(Scenario, RemovedQueueKeyIsRejectedOnTheCommandLine) {
+  const auto [status, out] =
+      run_brisa("--check " BRISA_SOURCE_DIR
+                "/scenarios/fig02_flood_duplicates.scn "
+                "--set run.queue=calendar");
   EXPECT_NE(status, 0) << out;
   EXPECT_NE(out.find("--set run.queue=calendar"), std::string::npos) << out;
   EXPECT_NE(out.find("only pending-event set"), std::string::npos) << out;
@@ -312,8 +325,8 @@ TEST(FatTreeLatency, TierOrdering) {
 // --- The fig02 golden -------------------------------------------------------
 
 /// Every figure scenario checked into scenarios/ must describe exactly the
-/// registry's default scenario for its report — otherwise the file and the
-/// bench binary drift apart.
+/// registry's default scenario for its report — otherwise the file stops
+/// documenting what the report runs.
 TEST(ScenarioGolden, CheckedInFilesMatchReportDefaults) {
   for (const reports::Report& report : reports::all()) {
     if (report.name == "run") continue;
@@ -348,6 +361,76 @@ TEST(ScenarioGolden, FigureReportsRejectUnconsumedKeys) {
 
   // The generic runner accepts everything.
   EXPECT_EQ(reports::scenario_key_error(typo, *reports::find("run")), "");
+
+  // Inputs that used to run silently as something else (exit 0): each one
+  // now stops brisa_run with a diagnostic, at its line when it comes from
+  // a file.
+  struct BadInput {
+    std::string report;
+    std::string body;  ///< .scn text after the [scenario] header lines
+    std::string line;  ///< expected "scenario line N"
+    std::string what;  ///< expected diagnostic fragment
+  };
+  const std::vector<BadInput> files = {
+      {"fault_recovery", "protocol = brsia\n", "scenario line 3",
+       "protocol must be"},
+      {"fault_recovery", "protocol = tag\n", "scenario line 3",
+       "brisa|gossip|tree"},
+      {"fault_recovery", "[params]\nregime = loss_abc\n", "scenario line 4",
+       "got 'loss_abc'"},
+      {"fault_recovery", "[params]\nregime = loss_150\n", "scenario line 4",
+       "got 'loss_150'"},
+      {"fault_recovery", "[params]\nregime = partition_xs\n",
+       "scenario line 4", "got 'partition_xs'"},
+      {"fault_recovery", "[sweep]\nprotocol = brisa\nparam.regime = loss_0, "
+       "loss_05\n", "scenario line 5", "got 'loss_05'"},
+      {"fault_recovery", "[sweep]\nparam.regimes = loss_0\n",
+       "scenario line 4", "does not consume"},
+      {"scale_sweep", "[params]\nvariant = faultd\n", "scenario line 4",
+       "variant must be clean|faulted"},
+      {"scale_sweep", "[sweep]\nparam.variant = clean, faultd\n",
+       "scenario line 4", "variant must be clean|faulted"},
+      {"scale_sweep", "[params]\nquick = true\n", "scenario line 4",
+       "not consumed"},
+      {"scale_sweep", "[params]\nsizes = 1000,10000\n", "scenario line 4",
+       "not consumed"},
+  };
+  for (const BadInput& input : files) {
+    const std::string path = ::testing::TempDir() + "scenario_test_bad_" +
+                             std::to_string(&input - files.data()) + ".scn";
+    {
+      std::FILE* file = std::fopen(path.c_str(), "w");
+      ASSERT_NE(file, nullptr);
+      std::fprintf(file, "[scenario]\nreport = %s\n%s",
+                   input.report.c_str(), input.body.c_str());
+      std::fclose(file);
+    }
+    const auto [status, out] = run_brisa("--check " + path);
+    EXPECT_NE(status, 0) << input.body << out;
+    EXPECT_NE(out.find(input.line), std::string::npos) << input.body << out;
+    EXPECT_NE(out.find(input.what), std::string::npos) << input.body << out;
+    std::remove(path.c_str());
+  }
+  // The removed list params of the two sweep reports, as they used to be
+  // given on the command line.
+  const std::string fault_recovery =
+      BRISA_SOURCE_DIR "/scenarios/fault_recovery.scn";
+  const std::string scale_sweep = BRISA_SOURCE_DIR "/scenarios/scale_sweep.scn";
+  for (const std::string& args :
+       {"--set params.protocols=brsia " + fault_recovery,
+        "--set params.regimes=loss_abc " + fault_recovery,
+        "--set params.regime=loss_abc " + fault_recovery,
+        "--set sweep.param.regime=loss_0,partition_xs " + fault_recovery,
+        "--set params.variants=faultd " + scale_sweep,
+        "--set params.protocols=gosip " + scale_sweep,
+        "--set params.quick=true " + scale_sweep,
+        "--set params.sizes=1000 " + scale_sweep,
+        "--set params.fault-variant=false " + scale_sweep,
+        "--set params.baseline-cap=100000 " + scale_sweep}) {
+    const auto [status, out] = run_brisa("--check " + args);
+    EXPECT_NE(status, 0) << args << "\n" << out;
+    EXPECT_NE(out.find("error:"), std::string::npos) << args << "\n" << out;
+  }
 }
 
 /// The checked-in fig02 scenario reproduces the fig02 report output byte for

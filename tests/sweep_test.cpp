@@ -4,7 +4,8 @@
 // brisa_run binary — the merged stdout must be byte-identical for --jobs 1
 // and --jobs 4 (including a deterministically failing cell), a timed-out
 // cell is killed and retried exactly once, and SIGTERM to the scheduler
-// leaves no orphaned workers.
+// leaves no orphaned workers. The fault_recovery and scale_sweep grids
+// reproduce the rows of the serial reports they replaced.
 #include "workload/sweep.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/run_metadata.h"
@@ -112,6 +114,11 @@ TEST(SweepGrammar, ValidateRejectsMalformedAxes) {
   EXPECT_NE(diagnostic("protocol = brisa, smtp\n")
                 .find("unknown protocol 'smtp'"),
             std::string::npos);
+  // Axis diagnostics point at the [sweep] header (line 3 here).
+  const std::string misspelt = diagnostic("protocol = brsia\n");
+  EXPECT_NE(misspelt.find("scenario line 3: sweep: axis 'protocol'"),
+            std::string::npos)
+      << misspelt;
   EXPECT_NE(diagnostic("seeds = 1, 2, 1\n").find("repeats value '1'"),
             std::string::npos);
   EXPECT_NE(diagnostic("seeds = ,\n").find("has no values"),
@@ -189,18 +196,15 @@ TEST(SweepExpansion, CellTimeoutKnob) {
 }
 
 TEST(SweepExpansion, CheckedInGridsExpandClean) {
-  for (const char* name :
-       {"scale_grid.scn", "fault_recovery_grid.scn", "sweep_smoke.scn"}) {
+  for (const auto& [name, cells] :
+       {std::pair<const char*, std::size_t>{"scale_sweep.scn", 24},
+        {"fault_recovery.scn", 18},
+        {"sweep_smoke.scn", 4}}) {
     const Scenario s = Scenario::load(std::string(BRISA_SOURCE_DIR) +
                                       "/scenarios/" + name);
     ASSERT_TRUE(s.has_sweep()) << name;
-    EXPECT_NO_THROW((void)workload::expand_sweep(s)) << name;
+    EXPECT_EQ(workload::expand_sweep(s).size(), cells) << name;
   }
-  EXPECT_EQ(workload::expand_sweep(
-                Scenario::load(std::string(BRISA_SOURCE_DIR) +
-                               "/scenarios/scale_grid.scn"))
-                .size(),
-            24u);
 }
 
 // --- Run metadata -----------------------------------------------------------
@@ -291,6 +295,52 @@ TEST(SweepExecutor, MergedOutputIsByteIdenticalAcrossJobCounts) {
             std::string::npos)
       << serial.out;
   std::remove(scn.c_str());
+}
+
+/// The data rows of a merged sweep (cell headers dropped), with the
+/// wall-clock fields of a scale_sweep row cut so rows compare exactly.
+std::string data_rows(const std::string& merged) {
+  std::istringstream in(merged);
+  std::string rows;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("{\"cell\":", 0) == 0) continue;
+    const std::size_t wall = line.find(",\"wall_seconds\":");
+    if (wall != std::string::npos) line = line.substr(0, wall) + "}";
+    rows += line + "\n";
+  }
+  return rows;
+}
+
+// The two sweep reports are single cells under a [sweep]; their merged rows
+// must be the rows the serial reports printed when they looped over
+// regimes/protocols/sizes themselves (checked in under tests/data).
+TEST(SweepEquivalence, FaultRecoveryGridMatchesSerialRows) {
+  const CommandResult result = run_command(
+      std::string(kRunner) + " --jobs 2 --set scenario.nodes=32 " +
+      "--set streams.messages=10 " BRISA_SOURCE_DIR
+      "/scenarios/fault_recovery.scn 2>/dev/null");
+  ASSERT_TRUE(WIFEXITED(result.status));
+  EXPECT_EQ(WEXITSTATUS(result.status), 0);
+  EXPECT_NE(result.out.find("{\"cell\":17,\"regime\":\"partition_30s\","
+                            "\"protocol\":\"tree\",\"exit\":0}"),
+            std::string::npos)
+      << result.out;
+  EXPECT_EQ(data_rows(result.out),
+            read_file(BRISA_SOURCE_DIR
+                      "/tests/data/fault_recovery_32x10.jsonl"));
+}
+
+TEST(SweepEquivalence, ScaleSweepCellsMatchSerialRows) {
+  const CommandResult result = run_command(
+      std::string(kRunner) + " --jobs 2 --set sweep.nodes=1000 " +
+      "--set sweep.protocol=brisa " BRISA_SOURCE_DIR
+      "/scenarios/scale_sweep.scn 2>/dev/null");
+  ASSERT_TRUE(WIFEXITED(result.status));
+  EXPECT_EQ(WEXITSTATUS(result.status), 0);
+  EXPECT_EQ(data_rows(result.out),
+            read_file(BRISA_SOURCE_DIR
+                      "/tests/data/scale_sweep_1k_brisa.jsonl"));
 }
 
 TEST(SweepExecutor, SweepOverridesShapeTheGridWithoutReachingWorkers) {
