@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   std::printf("=== news feed: %zu readers, %zu publishers, %zu items each ===\n",
               nodes, publishers, items);
 
-  workload::SystemBase base(2026, workload::TestbedKind::kCluster);
+  workload::Testbed base(2026, workload::TestbedKind::kCluster);
   std::map<net::NodeId, FeedNode> stack;
   std::vector<net::NodeId> ids;
 

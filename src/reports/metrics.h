@@ -1,9 +1,14 @@
-// Shared metric-extraction helpers for the report implementations and the
-// examples: delivery rows, CDFs, bandwidth and percentile rows in the units
-// the paper reports.
+// Shared helpers for the report implementations and the examples: the one
+// delivery measurement every protocol goes through (over the SystemBase
+// surface), CDFs, bandwidth and percentile rows in the units the paper
+// reports.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -12,7 +17,9 @@
 #include "util/flags.h"
 #include "workload/baseline_systems.h"
 #include "workload/brisa_system.h"
+#include "workload/churn.h"
 #include "workload/pubsub.h"
+#include "workload/scenario.h"
 
 namespace brisa::reports {
 
@@ -42,59 +49,107 @@ inline std::vector<std::string> multi_stream_flag_names() {
   return {"streams", "subscription-fraction"};
 }
 
-/// Per-stream delivery rows from a finished system + PubSubDriver run, for
-/// any harness: `stats_of(id, stream)` returns a per-stream Stats with
-/// `delivery_time` and `duplicates`, `source_of(stream)` the stream's
-/// source node, and `ids` the population to count.
-template <typename StatsOf, typename SourceOf>
-std::vector<analysis::StreamRow> collect_stream_rows_generic(
-    const workload::PubSubDriver& driver, const std::vector<net::NodeId>& ids,
-    StatsOf stats_of, SourceOf source_of) {
+// --- Delivery measurement (every protocol) ---------------------------------
+
+/// Appends node `id`'s source-to-delivery delays on `stream`, in
+/// milliseconds: one per message both the node and the source delivered.
+inline void append_delays_ms(const workload::SystemBase& system,
+                             net::NodeId id, net::StreamId stream,
+                             std::vector<double>& delays_ms) {
+  const auto& source_times =
+      system.delivery_times(system.source_id(stream), stream);
+  for (const auto& [seq, at] : system.delivery_times(id, stream)) {
+    const auto it = source_times.find(seq);
+    if (it == source_times.end()) continue;
+    delays_ms.push_back((at - it->second).to_milliseconds());
+  }
+}
+
+/// One stream's delivery row over a finished system, counted over its
+/// receivers() minus the source (and minus non-subscribers when `driver`
+/// is given): reliability = delivered / (counted nodes x `sent`),
+/// source-to-node p50/p99 and duplicates.
+inline analysis::StreamRow measure_stream(
+    const workload::SystemBase& system, net::StreamId stream,
+    std::uint64_t sent, const workload::PubSubDriver* driver = nullptr) {
+  analysis::StreamRow row;
+  row.stream = stream;
+  row.sent = sent;
+  const net::NodeId source = system.source_id(stream);
+  std::vector<double> delays_ms;
+  for (const net::NodeId id : system.receivers()) {
+    if (id == source) continue;
+    if (driver != nullptr && !driver->subscribed(stream, id)) continue;
+    ++row.subscribers;
+    row.delivered += system.delivery_times(id, stream).size();
+    row.duplicates += system.duplicates(id, stream);
+    append_delays_ms(system, id, stream, delays_ms);
+  }
+  const std::uint64_t expected =
+      static_cast<std::uint64_t>(row.subscribers) * row.sent;
+  row.reliability = expected == 0 ? 0.0
+                                  : static_cast<double>(row.delivered) /
+                                        static_cast<double>(expected);
+  // percentile() of an empty set is NaN; zero keeps the JSON well-formed
+  // when nothing was delivered.
+  row.p50_ms = delays_ms.empty() ? 0.0 : analysis::percentile(delays_ms, 50);
+  row.p99_ms = delays_ms.empty() ? 0.0 : analysis::percentile(delays_ms, 99);
+  return row;
+}
+
+/// measure_stream() for every stream of a finished PubSubDriver run.
+inline std::vector<analysis::StreamRow> collect_stream_rows(
+    const workload::SystemBase& system, const workload::PubSubDriver& driver) {
   std::vector<analysis::StreamRow> rows;
   for (const workload::PubSubStreamSpec& spec : driver.config().streams) {
-    analysis::StreamRow row;
-    row.stream = spec.stream;
-    row.sent = driver.sent(spec.stream);
-    const net::NodeId source = source_of(spec.stream);
-    const auto& source_times = stats_of(source, spec.stream).delivery_time;
-    std::vector<double> delays_ms;
-    for (const net::NodeId id : ids) {
-      if (id == source) continue;
-      if (!driver.subscribed(spec.stream, id)) continue;
-      ++row.subscribers;
-      const auto& stats = stats_of(id, spec.stream);
-      row.delivered += stats.delivery_time.size();
-      row.duplicates += stats.duplicates;
-      for (const auto& [seq, at] : stats.delivery_time) {
-        const auto it = source_times.find(seq);
-        if (it == source_times.end()) continue;
-        delays_ms.push_back((at - it->second).to_milliseconds());
-      }
-    }
-    const std::uint64_t expected =
-        static_cast<std::uint64_t>(row.subscribers) * row.sent;
-    row.reliability = expected == 0
-                          ? 0.0
-                          : static_cast<double>(row.delivered) /
-                                static_cast<double>(expected);
-    // percentile() of an empty set is NaN; zero keeps the JSON well-formed
-    // when a stream ends up with no subscribers.
-    row.p50_ms = delays_ms.empty() ? 0.0 : analysis::percentile(delays_ms, 50);
-    row.p99_ms = delays_ms.empty() ? 0.0 : analysis::percentile(delays_ms, 99);
-    rows.push_back(row);
+    rows.push_back(
+        measure_stream(system, spec.stream, driver.sent(spec.stream), &driver));
   }
   return rows;
 }
 
-/// The BrisaSystem specialization the reports and examples use.
-inline std::vector<analysis::StreamRow> collect_stream_rows(
-    workload::BrisaSystem& system, const workload::PubSubDriver& driver) {
-  return collect_stream_rows_generic(
-      driver, system.member_ids(),
-      [&system](net::NodeId id, net::StreamId stream) -> const auto& {
-        return system.brisa(id, stream).stats();
-      },
-      [&system](net::StreamId stream) { return system.source_id(stream); });
+/// The single-stream cell the scale and buffer sweeps share: builds
+/// `cell`'s protocol with a 20 s join window and the protocol's pinned
+/// stabilization, bootstraps it (then releases bootstrap's pending-event
+/// slack when `shrink`), and streams `messages` with the protocol's pinned
+/// grace — under a mild fault plan when `faulted`: 5% uniform loss over
+/// the first 15 s of the stream plus a crash burst of 1% of the nodes
+/// (min 3) recovering after 10 s. `cell.nodes` must be set.
+inline std::unique_ptr<workload::SystemBase> run_mild_fault_cell(
+    workload::Scenario cell, bool faulted, bool shrink, std::size_t messages,
+    double rate_per_s, std::size_t payload_bytes) {
+  struct Timing {
+    const char* protocol;
+    double stabilization_s;
+    std::int64_t grace_s;
+  };
+  static constexpr Timing kTimings[] = {
+      {"brisa", 25, 20}, {"gossip", 10, 20}, {"tree", 10, 20}, {"tag", 20, 30}};
+  const std::string protocol = cell.protocol_or("brisa");
+  const auto timing = std::find_if(
+      std::begin(kTimings), std::end(kTimings),
+      [&protocol](const Timing& t) { return protocol == t.protocol; });
+  if (timing == std::end(kTimings)) {
+    throw std::invalid_argument("unknown protocol '" + protocol + "'");
+  }
+  cell.join_spread_s = 20.0;
+  cell.stabilization_s = timing->stabilization_s;
+  std::unique_ptr<workload::SystemBase> system = workload::make_system(cell);
+  system->bootstrap();
+  // Bootstrap churns far more pending events than steady state (joins,
+  // per-host arming).
+  if (shrink) system->simulator().shrink();
+  const std::size_t crash = std::max<std::size_t>(3, *cell.nodes / 100);
+  workload::ChurnDriver driver(
+      system->simulator(),
+      workload::ChurnScript::parse("from 0 s to 15 s drop 5%\nat 5 s crash " +
+                                   std::to_string(crash) +
+                                   " for 10 s\nat 60 s stop\n"),
+      system->churn_hooks());
+  if (faulted) driver.arm();
+  system->run_stream(messages, rate_per_s, payload_bytes,
+                     sim::Duration::seconds(timing->grace_s));
+  return system;
 }
 
 /// Structure depth of every non-source member (Fig 6).
@@ -115,24 +170,6 @@ inline std::vector<double> collect_degrees(workload::BrisaSystem& system) {
     degrees.push_back(static_cast<double>(system.brisa(id).children().size()));
   }
   return degrees;
-}
-
-/// Per-(node, message) routing delay: source injection -> node delivery, in
-/// milliseconds (Fig 9, Table II building block).
-inline std::vector<double> collect_routing_delays_ms(
-    workload::BrisaSystem& system) {
-  std::vector<double> delays;
-  const auto& source_times =
-      system.brisa(system.source_id()).stats().delivery_time;
-  for (const net::NodeId id : system.member_ids()) {
-    if (id == system.source_id()) continue;
-    for (const auto& [seq, at] : system.brisa(id).stats().delivery_time) {
-      const auto it = source_times.find(seq);
-      if (it == source_times.end()) continue;
-      delays.push_back((at - it->second).to_milliseconds());
-    }
-  }
-  return delays;
 }
 
 /// First-to-last delivery window per node, seconds (Table II).

@@ -17,25 +17,59 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "analysis/stats.h"
 #include "reports/metrics.h"
 #include "reports/reports_impl.h"
-#include "workload/baseline_systems.h"
-#include "workload/brisa_system.h"
-#include "workload/churn.h"
+#include "workload/scenario.h"
 
 namespace brisa::reports::impl {
 
 namespace {
 
+/// Row order: every cell runs the selected protocols in this order.
+const std::vector<std::string> kProtocols = {"brisa", "gossip", "tree", "tag"};
+const std::vector<std::string> kPolicies = {"oldest-first", "delivered-first"};
+
+/// `value` as a comma-separated list of names from `known`; on a malformed
+/// list, writes the diagnostic (naming `what`) to `*error`.
+std::vector<std::string> parse_names(const std::string& value,
+                                     const std::vector<std::string>& known,
+                                     const char* what, std::string* error) {
+  std::vector<std::string> names;
+  std::size_t begin = 0;
+  while (begin <= value.size()) {
+    const std::size_t comma = std::min(value.find(',', begin), value.size());
+    std::string token = value.substr(begin, comma - begin);
+    begin = comma + 1;
+    token.erase(0, token.find_first_not_of(" \t"));
+    token.erase(token.find_last_not_of(" \t") + 1);
+    if (std::find(known.begin(), known.end(), token) == known.end()) {
+      std::string choices;
+      for (const std::string& name : known) {
+        choices += (choices.empty() ? "" : "|") + name;
+      }
+      *error = std::string(what) + " must be a comma list of " + choices +
+               ", got '" + token + "'";
+      return {};
+    }
+    names.push_back(token);
+  }
+  return names;
+}
+
+/// One (entries, store-bytes, policy) bound; 0/0 is the unbounded control.
+struct Cell {
+  std::size_t entries;
+  std::size_t bytes;
+  const char* policy;  ///< kPolicies name, or "-" for the control
+};
+
 struct CellResult {
   std::string protocol;
-  std::size_t entries = 0;    ///< store entry bound (0 = unbounded)
-  std::size_t bytes = 0;      ///< store byte bound (0 = unbounded)
-  std::string policy;         ///< "oldest-first" | "delivered-first" | "-"
+  Cell cell;
   double reliability = 0.0;
   bool complete = false;
   double p50_ms = 0.0;
@@ -45,253 +79,18 @@ struct CellResult {
   double wall_seconds = 0.0;
 };
 
-/// Reliability + p50 over per-node delivery instants (same shape as the
-/// scale sweep, minus the tail percentile — the cliff is a median story).
-template <typename TimesOf>
-void fill_delivery_metrics(const std::vector<net::NodeId>& ids,
-                           net::NodeId source, std::uint64_t sent,
-                           const TimesOf& times_of, CellResult* result) {
-  std::uint64_t delivered = 0;
-  std::size_t receivers = 0;
-  std::vector<double> delays_ms;
-  const auto& source_times = times_of(source);
-  for (const net::NodeId id : ids) {
-    if (id == source) continue;
-    ++receivers;
-    const auto& times = times_of(id);
-    delivered += times.size();
-    for (const auto& [seq, at] : times) {
-      const auto it = source_times.find(seq);
-      if (it == source_times.end()) continue;
-      delays_ms.push_back((at - it->second).to_milliseconds());
-    }
-  }
-  const std::uint64_t expected =
-      static_cast<std::uint64_t>(receivers) * sent;
-  result->reliability = expected == 0 ? 0.0
-                                      : static_cast<double>(delivered) /
-                                            static_cast<double>(expected);
-  result->p50_ms =
-      delays_ms.empty() ? 0.0 : analysis::percentile(delays_ms, 50);
-}
-
-struct CellParams {
-  std::uint64_t seed = 1;
-  std::size_t nodes = 512;
-  std::size_t messages = 40;
-  double rate = 5.0;
-  std::size_t payload = 256;
-  bool faulted = true;
-  std::uint32_t shards = 1;
-  net::Limits limits;
-};
-
-/// The pressure source: without faults nothing ever asks for an old payload
-/// and a bounded store is free. Same mild plan as the scale sweep — 5%
-/// uniform loss over the first 15 s plus a 1% crash burst recovering after
-/// 10 s — so the repair traffic it forces is what hits the store bound.
-std::string fault_script(std::size_t nodes) {
-  const std::size_t crash = std::max<std::size_t>(3, nodes / 100);
-  return "from 0 s to 15 s drop 5%\nat 5 s crash " + std::to_string(crash) +
-         " for 10 s\nat 60 s stop\n";
-}
-
-CellResult run_brisa(const CellParams& p) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  workload::BrisaSystem::Config config;
-  config.seed = p.seed;
-  config.num_nodes = p.nodes;
-  config.shards = p.shards;
-  config.join_spread = sim::Duration::seconds(20);
-  config.stabilization = sim::Duration::seconds(25);
-  config.brisa.limits = p.limits;
-  workload::BrisaSystem system(config);
-  system.bootstrap();
-  workload::ChurnDriver driver(
-      system.simulator(), workload::ChurnScript::parse(fault_script(p.nodes)),
-      system.churn_hooks());
-  if (p.faulted) driver.arm();
-  system.run_stream(p.messages, p.rate, p.payload, sim::Duration::seconds(20));
-
-  CellResult result;
-  result.protocol = "brisa";
-  fill_delivery_metrics(
-      system.member_ids(), system.source_id(), system.messages_sent(),
-      [&system](net::NodeId id) -> const auto& {
-        return system.brisa(id).stats().delivery_time;
-      },
-      &result);
-  result.complete = system.complete_delivery();
-  for (const net::NodeId id : system.member_ids()) {
-    result.evictions += system.brisa(id).stats().buffer_evictions;
-    result.duplicates += system.brisa(id).stats().duplicates;
-  }
-  result.messages_sent = system.network().messages_sent();
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  return result;
-}
-
-CellResult run_gossip(const CellParams& p) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  workload::SimpleGossipSystem::Config config;
-  config.seed = p.seed;
-  config.num_nodes = p.nodes;
-  config.shards = p.shards;
-  config.fanout = workload::gossip_fanout_for(p.nodes);
-  config.join_spread = sim::Duration::seconds(20);
-  config.stabilization = sim::Duration::seconds(10);
-  config.gossip.limits = p.limits;
-  workload::SimpleGossipSystem system(config);
-  system.bootstrap();
-  workload::ChurnDriver driver(
-      system.simulator(), workload::ChurnScript::parse(fault_script(p.nodes)),
-      system.churn_hooks());
-  if (p.faulted) driver.arm();
-  system.run_stream(p.messages, p.rate, p.payload, sim::Duration::seconds(20));
-
-  CellResult result;
-  result.protocol = "gossip";
-  fill_delivery_metrics(
-      system.member_ids(), system.source_id(), system.messages_sent(),
-      [&system](net::NodeId id) -> const auto& {
-        return system.node(id).stats().delivery_time;
-      },
-      &result);
-  result.complete = system.complete_delivery();
-  for (const net::NodeId id : system.member_ids()) {
-    result.evictions += system.node(id).evictions();
-    result.duplicates += system.node(id).stats().duplicates;
-  }
-  result.messages_sent = system.network().messages_sent();
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  return result;
-}
-
-CellResult run_tree(const CellParams& p) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  workload::SimpleTreeSystem::Config config;
-  config.seed = p.seed;
-  config.num_nodes = p.nodes;
-  config.shards = p.shards;
-  config.join_spread = sim::Duration::seconds(20);
-  config.stabilization = sim::Duration::seconds(10);
-  config.limits = p.limits;
-  workload::SimpleTreeSystem system(config);
-  system.bootstrap();
-  // SimpleTree has no spawn/kill API; the plan only needs drop/crash hooks.
-  workload::ChurnHooks hooks;
-  hooks.spawn = [] {};
-  hooks.kill = [](net::NodeId) {};
-  hooks.population = [&system] {
-    std::vector<net::NodeId> alive;
-    for (const net::NodeId id : system.all_ids()) {
-      if (system.network().alive(id)) alive.push_back(id);
-    }
-    return alive;
-  };
-  system.fill_fault_hooks(hooks);
-  workload::ChurnDriver driver(
-      system.simulator(), workload::ChurnScript::parse(fault_script(p.nodes)),
-      hooks);
-  if (p.faulted) driver.arm();
-  system.run_stream(p.messages, p.rate, p.payload, sim::Duration::seconds(20));
-
-  CellResult result;
-  result.protocol = "tree";
-  fill_delivery_metrics(
-      system.all_ids(), system.source_id(), system.messages_sent(),
-      [&system](net::NodeId id) -> const auto& {
-        return system.node(id).stats().delivery_time;
-      },
-      &result);
-  result.complete = system.complete_delivery();
-  for (const net::NodeId id : system.all_ids()) {
-    result.duplicates += system.node(id).stats().duplicates;
-  }
-  result.messages_sent = system.network().messages_sent();
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  return result;
-}
-
-CellResult run_tag(const CellParams& p) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  workload::TagSystem::Config config;
-  config.seed = p.seed;
-  config.num_nodes = p.nodes;
-  config.shards = p.shards;
-  config.join_spread = sim::Duration::seconds(20);
-  config.stabilization = sim::Duration::seconds(20);
-  config.tag.limits = p.limits;
-  workload::TagSystem system(config);
-  system.bootstrap();
-  workload::ChurnDriver driver(
-      system.simulator(), workload::ChurnScript::parse(fault_script(p.nodes)),
-      system.churn_hooks());
-  if (p.faulted) driver.arm();
-  system.run_stream(p.messages, p.rate, p.payload, sim::Duration::seconds(30));
-
-  CellResult result;
-  result.protocol = "tag";
-  fill_delivery_metrics(
-      system.member_ids(), system.source_id(), system.messages_sent(),
-      [&system](net::NodeId id) -> const auto& {
-        return system.node(id).stats().delivery_time;
-      },
-      &result);
-  result.complete = system.complete_delivery();
-  for (const net::NodeId id : system.member_ids()) {
-    result.evictions += system.node(id).evictions();
-    result.duplicates += system.node(id).stats().duplicates;
-  }
-  result.messages_sent = system.network().messages_sent();
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  return result;
-}
-
-void print_row(const CellResult& r) {
-  std::printf(
-      "%-7s entries %5zu bytes %8zu %-15s: reliability %7.3f%% "
-      "(complete: %s), p50 %7.1f ms, %8llu evictions, %8llu dups, "
-      "%5.1fs wall\n",
-      r.protocol.c_str(), r.entries, r.bytes,
-      r.entries == 0 && r.bytes == 0 ? "(unbounded)" : r.policy.c_str(),
-      r.reliability * 100.0, r.complete ? "yes" : "NO", r.p50_ms,
-      static_cast<unsigned long long>(r.evictions),
-      static_cast<unsigned long long>(r.duplicates), r.wall_seconds);
-}
-
-void print_json(const CellResult& r, const CellParams& p) {
-  std::printf(
-      "{\"bench\":\"buffer_tradeoff\",\"protocol\":\"%s\",\"nodes\":%zu,"
-      "\"entries\":%zu,\"store_bytes\":%zu,\"policy\":\"%s\",\"bloom\":%s,"
-      "\"rate_control\":%s,\"faulted\":%s,\"messages\":%zu,\"seed\":%llu,"
-      "\"reliability\":%.6f,\"complete_delivery\":%s,\"p50_ms\":%.3f,"
-      "\"evictions\":%llu,\"duplicates\":%llu,\"network_messages\":%llu,"
-      "\"wall_seconds\":%.2f}\n",
-      r.protocol.c_str(), p.nodes, r.entries, r.bytes, r.policy.c_str(),
-      p.limits.bloom_digests ? "true" : "false",
-      p.limits.rate_control ? "true" : "false",
-      p.faulted ? "true" : "false", p.messages,
-      static_cast<unsigned long long>(p.seed), r.reliability,
-      r.complete ? "true" : "false", r.p50_ms,
-      static_cast<unsigned long long>(r.evictions),
-      static_cast<unsigned long long>(r.duplicates),
-      static_cast<unsigned long long>(r.messages_sent), r.wall_seconds);
-}
-
 }  // namespace
+
+std::string buffer_tradeoff_check(const std::string& key,
+                                  const std::string& value) {
+  std::string error;
+  if (key == "params.protocols") {
+    (void)parse_names(value, kProtocols, "protocols", &error);
+  } else if (key == "params.policies") {
+    (void)parse_names(value, kPolicies, "policies", &error);
+  }
+  return error;
+}
 
 workload::Scenario buffer_tradeoff_defaults() {
   workload::Scenario s;
@@ -314,38 +113,32 @@ int buffer_tradeoff_run(const workload::Scenario& scenario) {
   // of) entry count. {0} keeps the classic entries-only grid.
   const std::vector<std::int64_t> bytes_list =
       scenario.param_int_list("store-bytes", {0});
-  const std::string protocols = scenario.param_string(
-      "protocols", quick ? "brisa,gossip" : "brisa,gossip,tree,tag");
-  const std::string policies = scenario.param_string(
-      "policies", quick ? "oldest-first" : "oldest-first,delivered-first");
+  std::string error;
+  const std::vector<std::string> protocols = parse_names(
+      scenario.param_string("protocols",
+                            quick ? "brisa,gossip" : "brisa,gossip,tree,tag"),
+      kProtocols, "protocols", &error);
+  const std::vector<std::string> policies = parse_names(
+      scenario.param_string("policies", quick ? "oldest-first"
+                                              : "oldest-first,delivered-first"),
+      kPolicies, "policies", &error);
+  if (!error.empty()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
+  }
+  const auto selected = [](const std::vector<std::string>& names,
+                           const std::string& name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+
+  const std::size_t nodes = scenario.nodes_or(quick ? 128 : 512);
+  const std::size_t messages = scenario.messages_or(quick ? 20 : 40);
+  const double rate = scenario.rate_or(5.0);
+  const std::size_t payload = scenario.payload_or(256);
+  const bool faulted = scenario.param_bool("faults", true);
   const bool bloom = scenario.param_bool("bloom", false);
   const bool rate_control = scenario.param_bool("rate-control", false);
-  const bool faults = scenario.param_bool("faults", true);
 
-  CellParams base;
-  base.seed = scenario.seed_or(1);
-  base.nodes = scenario.nodes_or(quick ? 128 : 512);
-  base.messages = scenario.messages_or(quick ? 20 : 40);
-  base.rate = scenario.rate_or(5.0);
-  base.payload = scenario.payload_or(256);
-  base.faulted = faults;
-  base.shards = scenario.shards_or(1);
-  base.limits.bloom_digests = bloom;
-  base.limits.rate_control = rate_control;
-
-  const auto wants = [&protocols](const char* name) {
-    return protocols.find(name) != std::string::npos;
-  };
-  const auto wants_policy = [&policies](const char* name) {
-    return policies.find(name) != std::string::npos;
-  };
-
-  struct Cell {
-    std::size_t entries;
-    std::size_t bytes;
-    net::EvictionPolicy policy;
-    const char* policy_name;
-  };
   std::vector<Cell> cells;
   for (const std::int64_t e : entries_list) {
     for (const std::int64_t b : bytes_list) {
@@ -353,47 +146,84 @@ int buffer_tradeoff_run(const workload::Scenario& scenario) {
       const auto bytes = static_cast<std::size_t>(b);
       if (entries == 0 && bytes == 0) {
         // Unbounded control: the policy never fires, run the cell once.
-        cells.push_back({0, 0, net::EvictionPolicy::kOldestFirst, "-"});
+        cells.push_back({0, 0, "-"});
         continue;
       }
-      if (wants_policy("oldest-first")) {
-        cells.push_back(
-            {entries, bytes, net::EvictionPolicy::kOldestFirst,
-             "oldest-first"});
-      }
-      if (wants_policy("delivered-first")) {
-        cells.push_back(
-            {entries, bytes, net::EvictionPolicy::kDeliveredFirst,
-             "delivered-first"});
+      for (const std::string& policy : kPolicies) {
+        if (selected(policies, policy)) {
+          cells.push_back({entries, bytes, policy.c_str()});
+        }
       }
     }
   }
 
-  std::vector<std::pair<CellResult, CellParams>> results;
+  std::vector<CellResult> results;
   for (const Cell& cell : cells) {
-    CellParams p = base;
-    p.limits.store_entries = cell.entries;
-    p.limits.store_bytes = cell.bytes;
-    p.limits.eviction = cell.policy;
-    for (const char* protocol : {"brisa", "gossip", "tree", "tag"}) {
-      if (!wants(protocol)) continue;
+    for (const std::string& protocol : kProtocols) {
+      if (!selected(protocols, protocol)) continue;
       std::fprintf(stderr,
                    "running %s entries=%zu bytes=%zu policy=%s...\n",
-                   protocol, cell.entries, cell.bytes, cell.policy_name);
+                   protocol.c_str(), cell.entries, cell.bytes, cell.policy);
+      const auto wall_start = std::chrono::steady_clock::now();
+      workload::Scenario run = scenario;
+      run.protocol = protocol;
+      run.nodes = nodes;
+      run.store_entries = cell.entries;
+      run.store_bytes = cell.bytes;
+      if (cell.entries != 0 || cell.bytes != 0) run.eviction = cell.policy;
+      run.bloom_digests = bloom;
+      run.rate_control = rate_control;
+      const std::unique_ptr<workload::SystemBase> system = run_mild_fault_cell(
+          run, faulted, /*shrink=*/false, messages, rate, payload);
+      const analysis::StreamRow row = measure_stream(
+          *system, net::kDefaultStream, system->messages_sent());
+
       CellResult r;
-      if (protocol == std::string("brisa")) r = run_brisa(p);
-      else if (protocol == std::string("gossip")) r = run_gossip(p);
-      else if (protocol == std::string("tree")) r = run_tree(p);
-      else r = run_tag(p);
-      r.entries = cell.entries;
-      r.bytes = cell.bytes;
-      r.policy = cell.policy_name;
-      print_row(r);
-      results.emplace_back(std::move(r), p);
+      r.protocol = protocol;
+      r.cell = cell;
+      r.reliability = row.reliability;
+      r.complete = system->complete_delivery();
+      r.p50_ms = row.p50_ms;
+      r.evictions = system->store_evictions();
+      // The recorded schema counts the source's own duplicates too.
+      r.duplicates = row.duplicates +
+                     system->duplicates(system->source_id(net::kDefaultStream),
+                                        net::kDefaultStream);
+      r.messages_sent = system->network().messages_sent();
+      r.wall_seconds =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        wall_start)
+              .count();
+      std::printf(
+          "%-7s entries %5zu bytes %8zu %-15s: reliability %7.3f%% "
+          "(complete: %s), p50 %7.1f ms, %8llu evictions, %8llu dups, "
+          "%5.1fs wall\n",
+          r.protocol.c_str(), cell.entries, cell.bytes,
+          cell.entries == 0 && cell.bytes == 0 ? "(unbounded)" : cell.policy,
+          r.reliability * 100.0, r.complete ? "yes" : "NO", r.p50_ms,
+          static_cast<unsigned long long>(r.evictions),
+          static_cast<unsigned long long>(r.duplicates), r.wall_seconds);
+      results.push_back(std::move(r));
     }
   }
 
-  for (const auto& [r, p] : results) print_json(r, p);
+  for (const CellResult& r : results) {
+    std::printf(
+        "{\"bench\":\"buffer_tradeoff\",\"protocol\":\"%s\",\"nodes\":%zu,"
+        "\"entries\":%zu,\"store_bytes\":%zu,\"policy\":\"%s\",\"bloom\":%s,"
+        "\"rate_control\":%s,\"faulted\":%s,\"messages\":%zu,\"seed\":%llu,"
+        "\"reliability\":%.6f,\"complete_delivery\":%s,\"p50_ms\":%.3f,"
+        "\"evictions\":%llu,\"duplicates\":%llu,\"network_messages\":%llu,"
+        "\"wall_seconds\":%.2f}\n",
+        r.protocol.c_str(), nodes, r.cell.entries, r.cell.bytes, r.cell.policy,
+        bloom ? "true" : "false", rate_control ? "true" : "false",
+        faulted ? "true" : "false", messages,
+        static_cast<unsigned long long>(scenario.seed_or(1)), r.reliability,
+        r.complete ? "true" : "false", r.p50_ms,
+        static_cast<unsigned long long>(r.evictions),
+        static_cast<unsigned long long>(r.duplicates),
+        static_cast<unsigned long long>(r.messages_sent), r.wall_seconds);
+  }
 
   // The sweep reads off a cliff position, which needs the unbounded control
   // cells at 100%: an incomplete control run means the configuration (not
@@ -402,8 +232,10 @@ int buffer_tradeoff_run(const workload::Scenario& scenario) {
   // are gated.
   bool ok = true;
   std::size_t control_cells = 0;
-  for (const auto& [r, p] : results) {
-    if (r.entries != 0 || r.bytes != 0 || r.protocol == "tree") continue;
+  for (const CellResult& r : results) {
+    if (r.cell.entries != 0 || r.cell.bytes != 0 || r.protocol == "tree") {
+      continue;
+    }
     ++control_cells;
     if (!r.complete) {
       ok = false;

@@ -16,27 +16,17 @@
 // BENCH_fault_recovery.json at the repo root.
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
+#include <memory>
 #include <string>
-#include <vector>
 
-#include "analysis/stats.h"
 #include "reports/metrics.h"
 #include "reports/reports_impl.h"
+#include "workload/scenario.h"
 
 namespace brisa::reports::impl {
 
 namespace {
-
-struct ScenarioResult {
-  std::string protocol;
-  std::string scenario;
-  double reliability = 0;  ///< delivered / (members * messages)
-  double p50_ms = 0;
-  double p99_ms = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t datagrams_dropped = 0;
-  std::uint64_t blackholed = 0;
-};
 
 /// A parsed `[params] regime`.
 struct Regime {
@@ -76,53 +66,6 @@ std::string parse_regime(const std::string& text, Regime* regime) {
          text + "'";
 }
 
-/// Streams `messages` through a bootstrapped system under `plan` and
-/// extracts reliability + latency percentiles. `times_of(id)` returns the
-/// node's seq -> delivery-time map; `source` anchors the latency deltas.
-template <typename System, typename TimesOf>
-ScenarioResult measure(System& system, const char* protocol,
-                       const std::string& scenario, const net::FaultPlan& plan,
-                       net::NodeId source, TimesOf times_of,
-                       std::size_t messages) {
-  if (!plan.empty()) {
-    system.install_fault_plan(plan.shifted(system.simulator().now() -
-                                           sim::TimePoint::origin()));
-  }
-  system.run_stream(messages, 5.0, 512, sim::Duration::seconds(30));
-
-  ScenarioResult result;
-  result.protocol = protocol;
-  result.scenario = scenario;
-  const auto& source_times = times_of(source);
-  std::vector<double> delays_ms;
-  std::uint64_t delivered = 0;
-  std::size_t members = 0;
-  for (const net::NodeId id : system.all_ids()) {
-    if (!system.network().alive(id) || id == source) continue;
-    ++members;
-    const auto& times = times_of(id);
-    delivered += times.size();
-    for (const auto& [seq, at] : times) {
-      const auto it = source_times.find(seq);
-      if (it == source_times.end()) continue;
-      delays_ms.push_back((at - it->second).to_milliseconds());
-    }
-  }
-  result.reliability =
-      members == 0 ? 0.0
-                   : static_cast<double>(delivered) /
-                         (static_cast<double>(members) *
-                          static_cast<double>(messages));
-  result.p50_ms = analysis::percentile(delays_ms, 50);
-  result.p99_ms = analysis::percentile(delays_ms, 99);
-  const net::Network::FaultTotals& totals = system.network().fault_totals();
-  result.retransmissions = totals.retransmissions;
-  result.datagrams_dropped = totals.datagrams_dropped;
-  result.blackholed =
-      totals.datagrams_blackholed + totals.segments_blackholed;
-  return result;
-}
-
 net::FaultPlan loss_plan(double probability) {
   net::FaultPlan plan;
   if (probability > 0.0) {
@@ -147,60 +90,16 @@ net::FaultPlan partition_plan(std::size_t nodes, std::int64_t duration_s) {
   return plan;
 }
 
-ScenarioResult run_brisa(std::uint64_t seed, std::size_t nodes,
-                         std::size_t messages, const std::string& scenario,
-                         const net::FaultPlan& plan, std::uint32_t shards) {
-  workload::BrisaSystem::Config config;
-  config.seed = seed;
-  config.num_nodes = nodes;
-  config.shards = shards;
-  config.join_spread = sim::Duration::seconds(20);
-  config.stabilization = sim::Duration::seconds(25);
-  workload::BrisaSystem system(config);
-  system.bootstrap();
-  return measure(
-      system, "brisa", scenario, plan, system.source_id(),
-      [&system](net::NodeId id) -> const auto& {
-        return system.brisa(id).stats().delivery_time;
-      },
-      messages);
-}
-
-ScenarioResult run_gossip(std::uint64_t seed, std::size_t nodes,
-                          std::size_t messages, const std::string& scenario,
-                          const net::FaultPlan& plan, std::uint32_t shards) {
-  workload::SimpleGossipSystem::Config config;
-  config.seed = seed;
-  config.num_nodes = nodes;
-  config.shards = shards;
-  config.join_spread = sim::Duration::seconds(20);
-  workload::SimpleGossipSystem system(config);
-  system.bootstrap();
-  return measure(
-      system, "gossip-flood", scenario, plan, system.source_id(),
-      [&system](net::NodeId id) -> const auto& {
-        return system.node(id).stats().delivery_time;
-      },
-      messages);
-}
-
-ScenarioResult run_tree(std::uint64_t seed, std::size_t nodes,
-                        std::size_t messages, const std::string& scenario,
-                        const net::FaultPlan& plan, std::uint32_t shards) {
-  workload::SimpleTreeSystem::Config config;
-  config.seed = seed;
-  config.num_nodes = nodes;
-  config.shards = shards;
-  config.join_spread = sim::Duration::seconds(20);
-  workload::SimpleTreeSystem system(config);
-  system.bootstrap();
-  return measure(
-      system, "simple-tree", scenario, plan, system.source_id(),
-      [&system](net::NodeId id) -> const auto& {
-        return system.node(id).stats().delivery_time;
-      },
-      messages);
-}
+/// Per protocol: the label its rows carry and its settling time after the
+/// 20 s join window.
+struct Harness {
+  const char* protocol;
+  const char* label;
+  double stabilization_s;
+};
+constexpr Harness kHarnesses[] = {{"brisa", "brisa", 25},
+                                  {"gossip", "gossip-flood", 20},
+                                  {"tree", "simple-tree", 10}};
 
 }  // namespace
 
@@ -232,7 +131,6 @@ int fault_recovery_run(const workload::Scenario& scenario) {
   const std::size_t nodes = scenario.nodes_or(96);
   const std::size_t messages = scenario.messages_or(60);
   const std::uint64_t seed = scenario.seed_or(1);
-  const std::uint32_t shards = scenario.shards_or(1);
   const std::string protocol = scenario.protocol_or("brisa");
   const std::string label = scenario.param_string("regime", "loss_0");
   Regime regime;
@@ -246,32 +144,47 @@ int fault_recovery_run(const workload::Scenario& scenario) {
       regime.loss ? loss_plan(static_cast<double>(regime.amount) / 100.0)
                   : partition_plan(nodes, regime.amount);
 
-  const ScenarioResult r =
-      protocol == "brisa"
-          ? run_brisa(seed, nodes, messages, label, plan, shards)
-      : protocol == "gossip"
-          ? run_gossip(seed, nodes, messages, label, plan, shards)
-          : run_tree(seed, nodes, messages, label, plan, shards);
+  const Harness& harness = *std::find_if(
+      std::begin(kHarnesses), std::end(kHarnesses),
+      [&protocol](const Harness& h) { return protocol == h.protocol; });
+  workload::Scenario cell = scenario;
+  cell.nodes = nodes;
+  cell.join_spread_s = 20.0;
+  cell.stabilization_s = harness.stabilization_s;
+  const std::unique_ptr<workload::SystemBase> system =
+      workload::make_system(cell);
+  system->bootstrap();
+  if (!plan.empty()) {
+    system->install_fault_plan(plan.shifted(system->simulator().now() -
+                                            sim::TimePoint::origin()));
+  }
+  system->run_stream(messages, 5.0, 512, sim::Duration::seconds(30));
+  const analysis::StreamRow row =
+      measure_stream(*system, net::kDefaultStream, system->messages_sent());
+  const net::Network::FaultTotals& totals = system->network().fault_totals();
+  const std::uint64_t blackholed =
+      totals.datagrams_blackholed + totals.segments_blackholed;
 
   std::printf(
       "fault recovery %s under %s, %zu nodes: reliability %.2f%%, "
       "p50 %.1f ms, p99 %.1f ms, %llu retransmits, %llu dropped, "
       "%llu blackholed\n",
-      r.protocol.c_str(), label.c_str(), nodes, r.reliability * 100.0,
-      r.p50_ms, r.p99_ms, static_cast<unsigned long long>(r.retransmissions),
-      static_cast<unsigned long long>(r.datagrams_dropped),
-      static_cast<unsigned long long>(r.blackholed));
+      harness.label, label.c_str(), nodes, row.reliability * 100.0,
+      row.p50_ms, row.p99_ms,
+      static_cast<unsigned long long>(totals.retransmissions),
+      static_cast<unsigned long long>(totals.datagrams_dropped),
+      static_cast<unsigned long long>(blackholed));
   std::printf(
       "{\"bench\":\"fault_recovery\",\"protocol\":\"%s\",\"scenario\":\"%s\","
       "\"nodes\":%zu,\"messages\":%zu,\"seed\":%llu,"
       "\"reliability\":%.6f,\"p50_ms\":%.3f,\"p99_ms\":%.3f,"
       "\"retransmissions\":%llu,\"datagrams_dropped\":%llu,"
       "\"blackholed\":%llu}\n",
-      r.protocol.c_str(), r.scenario.c_str(), nodes, messages,
-      static_cast<unsigned long long>(seed), r.reliability, r.p50_ms,
-      r.p99_ms, static_cast<unsigned long long>(r.retransmissions),
-      static_cast<unsigned long long>(r.datagrams_dropped),
-      static_cast<unsigned long long>(r.blackholed));
+      harness.label, label.c_str(), nodes, messages,
+      static_cast<unsigned long long>(seed), row.reliability, row.p50_ms,
+      row.p99_ms, static_cast<unsigned long long>(totals.retransmissions),
+      static_cast<unsigned long long>(totals.datagrams_dropped),
+      static_cast<unsigned long long>(blackholed));
   return 0;
 }
 

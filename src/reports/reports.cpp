@@ -115,7 +115,8 @@ std::vector<Report> build_registry() {
         "params.bloom", "params.rate-control", "params.faults",
         "params.quick"},
        buffer_tradeoff_defaults,
-       buffer_tradeoff_run},
+       buffer_tradeoff_run,
+       buffer_tradeoff_check},
       {"run",
        "Generic declarative run: any protocol/topology/faults combination",
        {},

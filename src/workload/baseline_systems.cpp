@@ -64,6 +64,21 @@ bool SimpleTreeSystem::publish(net::StreamId stream,
   return true;
 }
 
+ChurnHooks SimpleTreeSystem::churn_hooks() {
+  ChurnHooks hooks;
+  hooks.spawn = [] {};
+  hooks.kill = [](net::NodeId) {};
+  hooks.population = [this] {
+    std::vector<net::NodeId> alive;
+    for (const auto& [id, rec] : nodes_) {
+      if (network_.alive(id)) alive.push_back(id);
+    }
+    return alive;
+  };
+  fill_fault_hooks(hooks);
+  return hooks;
+}
+
 baselines::SimpleTreeNode& SimpleTreeSystem::node(net::NodeId id) {
   const auto it = nodes_.find(id);
   BRISA_ASSERT_MSG(it != nodes_.end(), "unknown SimpleTree node");
@@ -221,6 +236,16 @@ std::vector<net::NodeId> SimpleGossipSystem::member_ids() const {
   return out;
 }
 
+std::uint64_t SimpleGossipSystem::store_evictions() const {
+  std::uint64_t evictions = 0;
+  for (const net::NodeId id : member_ids()) {
+    for (std::size_t s = 0; s < config_.num_streams; ++s) {
+      evictions += nodes_.at(id)->evictions(static_cast<net::StreamId>(s));
+    }
+  }
+  return evictions;
+}
+
 bool SimpleGossipSystem::complete_delivery() const {
   for (const auto& [id, rec] : nodes_) {
     if (!network_.alive(id)) continue;
@@ -331,6 +356,16 @@ std::vector<net::NodeId> TagSystem::member_ids() const {
     if (network_.alive(id)) out.push_back(id);
   }
   return out;
+}
+
+std::uint64_t TagSystem::store_evictions() const {
+  std::uint64_t evictions = 0;
+  for (const net::NodeId id : member_ids()) {
+    for (std::size_t s = 0; s < config_.num_streams; ++s) {
+      evictions += nodes_.at(id)->evictions(static_cast<net::StreamId>(s));
+    }
+  }
+  return evictions;
 }
 
 bool TagSystem::complete_delivery() const {

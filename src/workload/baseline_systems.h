@@ -1,6 +1,7 @@
-// Deployment harnesses for the three comparison protocols of §III-D,
-// mirroring BrisaSystem's bootstrap / stream / churn interface so the
-// benchmark code treats all four protocols uniformly.
+// Deployment harnesses for the three comparison protocols of §III-D. Each
+// implements the SystemBase protocol surface (bootstrap / stream / measure /
+// churn) that BrisaSystem implements too, so the reports drive all four
+// protocols through one interface (workload::make_system()).
 #pragma once
 
 #include <cmath>
@@ -37,19 +38,43 @@ class SimpleTreeSystem final : public SystemBase {
 
   explicit SimpleTreeSystem(Config config);
 
-  void bootstrap();
+  void bootstrap() override;
   void run_stream(std::size_t count, double rate_per_s,
-                  std::size_t payload_bytes,
-                  sim::Duration grace = sim::Duration::seconds(10));
-  /// Injects one message on `stream` at the root; false if the root died.
-  bool publish(net::StreamId stream, std::size_t payload_bytes);
+                  std::size_t payload_bytes, sim::Duration grace) override;
+  /// run_stream() with this harness's customary 10 s grace.
+  void run_stream(std::size_t count, double rate_per_s,
+                  std::size_t payload_bytes) {
+    run_stream(count, rate_per_s, payload_bytes, sim::Duration::seconds(10));
+  }
+  bool publish(net::StreamId stream, std::size_t payload_bytes) override;
+  /// SimpleTree has no spawn/kill API: spawn/kill are no-ops and
+  /// population() is the alive nodes, which is all a fault script
+  /// (drop/partition/crash/slow) needs.
+  [[nodiscard]] ChurnHooks churn_hooks() override;
 
+  [[nodiscard]] net::NodeId source_id(net::StreamId) const override {
+    return root_;
+  }
   [[nodiscard]] net::NodeId source_id() const { return root_; }
   [[nodiscard]] net::NodeId coordinator_id() const { return coordinator_id_; }
   [[nodiscard]] baselines::SimpleTreeNode& node(net::NodeId id);
   [[nodiscard]] std::vector<net::NodeId> all_ids() const;
-  [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
-  [[nodiscard]] bool complete_delivery() const;
+  /// all_ids(): the static tree counts every node it built.
+  [[nodiscard]] std::vector<net::NodeId> receivers() const override {
+    return all_ids();
+  }
+  [[nodiscard]] const util::FlatSeqMap<sim::TimePoint>& delivery_times(
+      net::NodeId id, net::StreamId stream) const override {
+    return nodes_.at(id)->stats(stream).delivery_time;
+  }
+  [[nodiscard]] std::uint64_t duplicates(
+      net::NodeId id, net::StreamId stream) const override {
+    return nodes_.at(id)->stats(stream).duplicates;
+  }
+  /// Always 0: the tree relays without a store.
+  [[nodiscard]] std::uint64_t store_evictions() const override { return 0; }
+  [[nodiscard]] std::uint64_t messages_sent() const override { return sent_; }
+  [[nodiscard]] bool complete_delivery() const override;
 
  private:
   Config config_;
@@ -83,23 +108,41 @@ class SimpleGossipSystem final : public SystemBase {
 
   explicit SimpleGossipSystem(Config config);
 
-  void bootstrap();
+  void bootstrap() override;
   void run_stream(std::size_t count, double rate_per_s,
-                  std::size_t payload_bytes,
-                  sim::Duration grace = sim::Duration::seconds(15));
-  /// Injects one message on `stream` at the source; false if it is down.
-  bool publish(net::StreamId stream, std::size_t payload_bytes);
+                  std::size_t payload_bytes, sim::Duration grace) override;
+  /// run_stream() with this harness's customary 15 s grace.
+  void run_stream(std::size_t count, double rate_per_s,
+                  std::size_t payload_bytes) {
+    run_stream(count, rate_per_s, payload_bytes, sim::Duration::seconds(15));
+  }
+  bool publish(net::StreamId stream, std::size_t payload_bytes) override;
 
   net::NodeId spawn_node();
   void kill_node(net::NodeId node);
-  [[nodiscard]] ChurnHooks churn_hooks();
+  [[nodiscard]] ChurnHooks churn_hooks() override;
 
+  [[nodiscard]] net::NodeId source_id(net::StreamId) const override {
+    return source_;
+  }
   [[nodiscard]] net::NodeId source_id() const { return source_; }
   [[nodiscard]] baselines::SimpleGossip& node(net::NodeId id);
   [[nodiscard]] std::vector<net::NodeId> all_ids() const;
   [[nodiscard]] std::vector<net::NodeId> member_ids() const;
-  [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
-  [[nodiscard]] bool complete_delivery() const;
+  [[nodiscard]] std::vector<net::NodeId> receivers() const override {
+    return member_ids();
+  }
+  [[nodiscard]] const util::FlatSeqMap<sim::TimePoint>& delivery_times(
+      net::NodeId id, net::StreamId stream) const override {
+    return nodes_.at(id)->stats(stream).delivery_time;
+  }
+  [[nodiscard]] std::uint64_t duplicates(
+      net::NodeId id, net::StreamId stream) const override {
+    return nodes_.at(id)->stats(stream).duplicates;
+  }
+  [[nodiscard]] std::uint64_t store_evictions() const override;
+  [[nodiscard]] std::uint64_t messages_sent() const override { return sent_; }
+  [[nodiscard]] bool complete_delivery() const override;
 
  private:
   net::NodeId create_node();
@@ -130,23 +173,41 @@ class TagSystem final : public SystemBase {
 
   explicit TagSystem(Config config);
 
-  void bootstrap();
+  void bootstrap() override;
   void run_stream(std::size_t count, double rate_per_s,
-                  std::size_t payload_bytes,
-                  sim::Duration grace = sim::Duration::seconds(30));
-  /// Injects one message on `stream` at the head; false if it is down.
-  bool publish(net::StreamId stream, std::size_t payload_bytes);
+                  std::size_t payload_bytes, sim::Duration grace) override;
+  /// run_stream() with this harness's customary 30 s grace.
+  void run_stream(std::size_t count, double rate_per_s,
+                  std::size_t payload_bytes) {
+    run_stream(count, rate_per_s, payload_bytes, sim::Duration::seconds(30));
+  }
+  bool publish(net::StreamId stream, std::size_t payload_bytes) override;
 
   net::NodeId spawn_node();
   void kill_node(net::NodeId node);
-  [[nodiscard]] ChurnHooks churn_hooks();
+  [[nodiscard]] ChurnHooks churn_hooks() override;
 
+  [[nodiscard]] net::NodeId source_id(net::StreamId) const override {
+    return head_;
+  }
   [[nodiscard]] net::NodeId source_id() const { return head_; }
   [[nodiscard]] baselines::TagNode& node(net::NodeId id);
   [[nodiscard]] std::vector<net::NodeId> all_ids() const;
   [[nodiscard]] std::vector<net::NodeId> member_ids() const;
-  [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
-  [[nodiscard]] bool complete_delivery() const;
+  [[nodiscard]] std::vector<net::NodeId> receivers() const override {
+    return member_ids();
+  }
+  [[nodiscard]] const util::FlatSeqMap<sim::TimePoint>& delivery_times(
+      net::NodeId id, net::StreamId stream) const override {
+    return nodes_.at(id)->stats(stream).delivery_time;
+  }
+  [[nodiscard]] std::uint64_t duplicates(
+      net::NodeId id, net::StreamId stream) const override {
+    return nodes_.at(id)->stats(stream).duplicates;
+  }
+  [[nodiscard]] std::uint64_t store_evictions() const override;
+  [[nodiscard]] std::uint64_t messages_sent() const override { return sent_; }
+  [[nodiscard]] bool complete_delivery() const override;
 
  private:
   net::NodeId create_node();

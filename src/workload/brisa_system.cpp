@@ -201,6 +201,19 @@ std::vector<net::NodeId> BrisaSystem::member_ids() const {
   return out;
 }
 
+std::uint64_t BrisaSystem::store_evictions() const {
+  std::uint64_t evictions = 0;
+  for (const net::NodeId id : member_ids()) {
+    for (std::size_t s = 0; s < config_.num_streams; ++s) {
+      evictions += nodes_.at(id)
+                       .engine->stream(static_cast<net::StreamId>(s))
+                       .stats()
+                       .buffer_evictions;
+    }
+  }
+  return evictions;
+}
+
 std::vector<analysis::StructureEdge> BrisaSystem::structure_edges(
     net::StreamId stream) const {
   std::vector<analysis::StructureEdge> edges;

@@ -49,27 +49,31 @@ class BrisaSystem final : public SystemBase {
 
   /// Creates the bootstrap population, lets everyone join, and runs the
   /// simulator until the overlay has settled.
-  void bootstrap();
+  void bootstrap() override;
 
   /// Injects `count` messages at `rate_per_s` from the stream-0 source and
   /// runs the simulator until `grace` after the last injection. (Multi-stream
   /// workloads drive all sources through a PubSubDriver instead.)
   void run_stream(std::size_t count, double rate_per_s,
-                  std::size_t payload_bytes,
-                  sim::Duration grace = sim::Duration::seconds(10));
+                  std::size_t payload_bytes, sim::Duration grace) override;
+  /// run_stream() with this harness's customary 10 s grace.
+  void run_stream(std::size_t count, double rate_per_s,
+                  std::size_t payload_bytes) {
+    run_stream(count, rate_per_s, payload_bytes, sim::Duration::seconds(10));
+  }
 
   /// Injects one message on `stream` at its source; false when the source
   /// host is currently down.
-  bool publish(net::StreamId stream, std::size_t payload_bytes);
+  bool publish(net::StreamId stream, std::size_t payload_bytes) override;
 
   /// Churn operations (usable directly or through churn_hooks()).
   net::NodeId spawn_node();
   void kill_node(net::NodeId node);
-  [[nodiscard]] ChurnHooks churn_hooks();
+  [[nodiscard]] ChurnHooks churn_hooks() override;
 
   // --- Accessors ---------------------------------------------------------
   [[nodiscard]] net::NodeId source_id() const { return sources_[0]; }
-  [[nodiscard]] net::NodeId source_id(net::StreamId stream) const {
+  [[nodiscard]] net::NodeId source_id(net::StreamId stream) const override {
     return sources_[stream];
   }
   [[nodiscard]] const std::vector<net::NodeId>& source_ids() const {
@@ -86,8 +90,20 @@ class BrisaSystem final : public SystemBase {
   [[nodiscard]] std::vector<net::NodeId> all_ids() const;
   /// Alive members only.
   [[nodiscard]] std::vector<net::NodeId> member_ids() const;
+  [[nodiscard]] std::vector<net::NodeId> receivers() const override {
+    return member_ids();
+  }
+  [[nodiscard]] const util::FlatSeqMap<sim::TimePoint>& delivery_times(
+      net::NodeId id, net::StreamId stream) const override {
+    return nodes_.at(id).engine->stream(stream).stats().delivery_time;
+  }
+  [[nodiscard]] std::uint64_t duplicates(
+      net::NodeId id, net::StreamId stream) const override {
+    return nodes_.at(id).engine->stream(stream).stats().duplicates;
+  }
+  [[nodiscard]] std::uint64_t store_evictions() const override;
   [[nodiscard]] const Config& config() const { return config_; }
-  [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
+  [[nodiscard]] std::uint64_t messages_sent() const override { return sent_; }
 
   // --- Structure extraction (Figs 6-8) ------------------------------------
   [[nodiscard]] std::vector<analysis::StructureEdge> structure_edges(
@@ -95,7 +111,7 @@ class BrisaSystem final : public SystemBase {
 
   /// True when every alive member that was present for the whole
   /// run_stream() stream delivered every message (stream 0).
-  [[nodiscard]] bool complete_delivery() const;
+  [[nodiscard]] bool complete_delivery() const override;
 
  private:
   struct NodeRec {

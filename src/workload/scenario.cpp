@@ -938,4 +938,21 @@ TagSystem::Config scenario_tag_config(const Scenario& s) {
   return config;
 }
 
+std::unique_ptr<SystemBase> make_system(const Scenario& s) {
+  const std::string protocol = s.protocol_or("brisa");
+  if (protocol == "brisa") {
+    return std::make_unique<BrisaSystem>(scenario_brisa_config(s));
+  }
+  if (protocol == "tree") {
+    return std::make_unique<SimpleTreeSystem>(scenario_tree_config(s));
+  }
+  if (protocol == "gossip") {
+    return std::make_unique<SimpleGossipSystem>(scenario_gossip_config(s));
+  }
+  if (protocol == "tag") {
+    return std::make_unique<TagSystem>(scenario_tag_config(s));
+  }
+  throw std::invalid_argument("unknown protocol '" + protocol + "'");
+}
+
 }  // namespace brisa::workload

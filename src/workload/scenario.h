@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -280,5 +281,10 @@ class Scenario {
 [[nodiscard]] SimpleGossipSystem::Config scenario_gossip_config(
     const Scenario& s);
 [[nodiscard]] TagSystem::Config scenario_tag_config(const Scenario& s);
+
+/// The scenario's protocol (brisa|tree|gossip|tag, default brisa) as a
+/// system built from the matching scenario_*_config(); not yet
+/// bootstrapped. Throws std::invalid_argument on an unknown protocol.
+[[nodiscard]] std::unique_ptr<SystemBase> make_system(const Scenario& s);
 
 }  // namespace brisa::workload

@@ -50,7 +50,7 @@ net::Network::Config with_limits(net::Network::Config config,
 
 }  // namespace
 
-std::unique_ptr<net::LatencyModel> SystemBase::prepare(
+std::unique_ptr<net::LatencyModel> Testbed::prepare(
     sim::Simulator& simulator, std::unique_ptr<net::LatencyModel> latency,
     std::uint32_t shards) {
   // Lookahead is set unconditionally (including shards == 1) so cross-host
@@ -61,9 +61,9 @@ std::unique_ptr<net::LatencyModel> SystemBase::prepare(
   return latency;
 }
 
-SystemBase::SystemBase(std::uint64_t seed, TestbedKind testbed,
-                       const std::optional<TopologyOverride>& topology,
-                       const net::Limits& limits, std::uint32_t shards)
+Testbed::Testbed(std::uint64_t seed, TestbedKind testbed,
+                 const std::optional<TopologyOverride>& topology,
+                 const net::Limits& limits, std::uint32_t shards)
     : testbed_(testbed),
       simulator_(seed),
       network_(simulator_,
@@ -78,7 +78,7 @@ SystemBase::SystemBase(std::uint64_t seed, TestbedKind testbed,
                            limits)),
       transport_(network_) {}
 
-void SystemBase::install_fault_plan(net::FaultPlan plan) {
+void Testbed::install_fault_plan(net::FaultPlan plan) {
   fault_plan_ = std::make_unique<net::FaultPlan>(std::move(plan));
   network_.install_fault_plan(fault_plan_.get());
 }

@@ -105,7 +105,7 @@ TEST(MultiStream, SingleStreamConfigMatchesLegacyAccessors) {
 TEST(MultiStream, EngineDropsMessagesForInactiveStreams) {
   // A hand-built 2-node overlay where only one side runs stream 1: traffic
   // for the missing stream must be ignored, not crash or leak into stream 0.
-  workload::SystemBase base(5, workload::TestbedKind::kCluster);
+  workload::Testbed base(5, workload::TestbedKind::kCluster);
   const NodeId a = base.network().add_host();
   const NodeId b = base.network().add_host();
   membership::HyParView pss_a(base.network(), base.transport(), a, {});

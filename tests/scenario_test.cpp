@@ -394,6 +394,10 @@ TEST(ScenarioGolden, FigureReportsRejectUnconsumedKeys) {
        "not consumed"},
       {"scale_sweep", "[params]\nsizes = 1000,10000\n", "scenario line 4",
        "not consumed"},
+      {"buffer_tradeoff", "[params]\nprotocols = brsia\n", "scenario line 4",
+       "got 'brsia'"},
+      {"buffer_tradeoff", "[params]\npolicies = oldest\n", "scenario line 4",
+       "got 'oldest'"},
   };
   for (const BadInput& input : files) {
     const std::string path = ::testing::TempDir() + "scenario_test_bad_" +
@@ -412,10 +416,13 @@ TEST(ScenarioGolden, FigureReportsRejectUnconsumedKeys) {
     std::remove(path.c_str());
   }
   // The removed list params of the two sweep reports, as they used to be
-  // given on the command line.
+  // given on the command line, and buffer_tradeoff lists naming no known
+  // protocol / eviction policy.
   const std::string fault_recovery =
       BRISA_SOURCE_DIR "/scenarios/fault_recovery.scn";
   const std::string scale_sweep = BRISA_SOURCE_DIR "/scenarios/scale_sweep.scn";
+  const std::string buffer_tradeoff =
+      BRISA_SOURCE_DIR "/scenarios/buffer_tradeoff.scn";
   for (const std::string& args :
        {"--set params.protocols=brsia " + fault_recovery,
         "--set params.regimes=loss_abc " + fault_recovery,
@@ -426,7 +433,10 @@ TEST(ScenarioGolden, FigureReportsRejectUnconsumedKeys) {
         "--set params.quick=true " + scale_sweep,
         "--set params.sizes=1000 " + scale_sweep,
         "--set params.fault-variant=false " + scale_sweep,
-        "--set params.baseline-cap=100000 " + scale_sweep}) {
+        "--set params.baseline-cap=100000 " + scale_sweep,
+        "--set params.protocols=brsia " + buffer_tradeoff,
+        "--set params.protocols=brisa,,tag " + buffer_tradeoff,
+        "--set params.policies=oldest " + buffer_tradeoff}) {
     const auto [status, out] = run_brisa("--check " + args);
     EXPECT_NE(status, 0) << args << "\n" << out;
     EXPECT_NE(out.find("error:"), std::string::npos) << args << "\n" << out;

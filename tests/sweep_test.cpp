@@ -5,7 +5,8 @@
 // and --jobs 4 (including a deterministically failing cell), a timed-out
 // cell is killed and retried exactly once, and SIGTERM to the scheduler
 // leaves no orphaned workers. The fault_recovery and scale_sweep grids
-// reproduce the rows of the serial reports they replaced.
+// reproduce the rows of the serial reports they replaced, and the reports
+// that build systems through make_system() reproduce their pinned rows.
 #include "workload/sweep.h"
 
 #include <gtest/gtest.h>
@@ -297,14 +298,16 @@ TEST(SweepExecutor, MergedOutputIsByteIdenticalAcrossJobCounts) {
   std::remove(scn.c_str());
 }
 
-/// The data rows of a merged sweep (cell headers dropped), with the
-/// wall-clock fields of a scale_sweep row cut so rows compare exactly.
+/// The JSON data rows of a report's stdout (human rows and sweep cell
+/// headers dropped), with the wall-clock fields cut so rows compare exactly.
 std::string data_rows(const std::string& merged) {
   std::istringstream in(merged);
   std::string rows;
   std::string line;
   while (std::getline(in, line)) {
-    if (line.rfind("{\"cell\":", 0) == 0) continue;
+    if (line.rfind('{', 0) != 0 || line.rfind("{\"cell\":", 0) == 0) {
+      continue;
+    }
     const std::size_t wall = line.find(",\"wall_seconds\":");
     if (wall != std::string::npos) line = line.substr(0, wall) + "}";
     rows += line + "\n";
@@ -314,7 +317,9 @@ std::string data_rows(const std::string& merged) {
 
 // The two sweep reports are single cells under a [sweep]; their merged rows
 // must be the rows the serial reports printed when they looped over
-// regimes/protocols/sizes themselves (checked in under tests/data).
+// regimes/protocols/sizes themselves, and every report that builds its
+// systems through make_system() must keep the rows it printed when each
+// report built the four protocols itself (all checked in under tests/data).
 TEST(SweepEquivalence, FaultRecoveryGridMatchesSerialRows) {
   const CommandResult result = run_command(
       std::string(kRunner) + " --jobs 2 --set scenario.nodes=32 " +
@@ -334,13 +339,59 @@ TEST(SweepEquivalence, FaultRecoveryGridMatchesSerialRows) {
 TEST(SweepEquivalence, ScaleSweepCellsMatchSerialRows) {
   const CommandResult result = run_command(
       std::string(kRunner) + " --jobs 2 --set sweep.nodes=1000 " +
-      "--set sweep.protocol=brisa " BRISA_SOURCE_DIR
-      "/scenarios/scale_sweep.scn 2>/dev/null");
+      BRISA_SOURCE_DIR "/scenarios/scale_sweep.scn 2>/dev/null");
+  ASSERT_TRUE(WIFEXITED(result.status));
+  EXPECT_EQ(WEXITSTATUS(result.status), 0);
+  EXPECT_EQ(data_rows(result.out),
+            read_file(BRISA_SOURCE_DIR "/tests/data/scale_sweep_1k.jsonl"));
+}
+
+// Four protocols x both eviction policies x an entries and a store-bytes
+// bound, plus the unbounded controls.
+TEST(SweepEquivalence, BufferTradeoffRowsMatchGolden) {
+  const CommandResult result = run_command(
+      std::string(kRunner) + " --set scenario.nodes=128 " +
+      "--set streams.messages=20 --set params.entries=0,4 " +
+      "--set params.store-bytes=0,512 " BRISA_SOURCE_DIR
+      "/scenarios/buffer_tradeoff.scn 2>/dev/null");
   ASSERT_TRUE(WIFEXITED(result.status));
   EXPECT_EQ(WEXITSTATUS(result.status), 0);
   EXPECT_EQ(data_rows(result.out),
             read_file(BRISA_SOURCE_DIR
-                      "/tests/data/scale_sweep_1k_brisa.jsonl"));
+                      "/tests/data/buffer_tradeoff_128x20.jsonl"));
+}
+
+// The generic runner over all four protocols on a flat and a generated
+// overlay, clean and faulted (the CI cut of the topology grid).
+TEST(SweepEquivalence, GenericRunnerTopologyCutMatchesGolden) {
+  const CommandResult result = run_command(
+      std::string(kRunner) + " --jobs 2 --set scenario.nodes=96 " +
+      "--set sweep.topology=random,barabasi-albert " +
+      "--set sweep.protocol=brisa,gossip,tree,tag " BRISA_SOURCE_DIR
+      "/scenarios/topology_phase_grid.scn 2>/dev/null");
+  ASSERT_TRUE(WIFEXITED(result.status));
+  EXPECT_EQ(WEXITSTATUS(result.status), 0);
+  EXPECT_EQ(result.out,
+            read_file(BRISA_SOURCE_DIR "/tests/data/topology_cut_96.jsonl"));
+}
+
+// Total loss delivers nothing: the row must still be valid JSON, with zero
+// (not NaN) latency percentiles.
+TEST(SweepEquivalence, FaultRecoveryTotalLossRowHasNoNan) {
+  const CommandResult result = run_command(
+      std::string(kRunner) + " --set sweep.protocol=gossip " +
+      "--set sweep.param.regime=loss_100 --set scenario.nodes=32 " +
+      "--set streams.messages=5 " BRISA_SOURCE_DIR
+      "/scenarios/fault_recovery.scn 2>/dev/null");
+  ASSERT_TRUE(WIFEXITED(result.status));
+  EXPECT_EQ(WEXITSTATUS(result.status), 0);
+  EXPECT_NE(result.out.find("\"scenario\":\"loss_100\""), std::string::npos)
+      << result.out;
+  EXPECT_NE(result.out.find("\"reliability\":0.000000,\"p50_ms\":0.000,"
+                            "\"p99_ms\":0.000,"),
+            std::string::npos)
+      << result.out;
+  EXPECT_EQ(result.out.find("nan"), std::string::npos) << result.out;
 }
 
 TEST(SweepExecutor, SweepOverridesShapeTheGridWithoutReachingWorkers) {
