@@ -57,11 +57,10 @@ int main(int argc, char** argv) {
     FeedNode node;
     node.pss = std::make_unique<membership::HyParView>(
         base.network(), base.transport(), id, membership::HyParView::Config{});
-    node.engine = std::make_unique<core::BrisaEngine>(base.network(),
-                                                      *node.pss, id);
+    node.engine = std::make_unique<core::BrisaEngine>(
+        base.network(), *node.pss, id, core::Brisa::Config{});
     for (std::size_t stream = 0; stream < publishers; ++stream) {
-      node.engine->add_stream(static_cast<net::StreamId>(stream),
-                              core::Brisa::Config{});
+      node.engine->add_stream(static_cast<net::StreamId>(stream));
     }
     stack.emplace(id, std::move(node));
     ids.push_back(id);

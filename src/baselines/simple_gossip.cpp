@@ -63,7 +63,7 @@ void SimpleGossip::on_datagram(net::NodeId from, net::MessagePtr message) {
       const auto& rumor = static_cast<const GossipRumor&>(*message);
       if (rumor.stream() >= streams_.size()) return;
       StreamState& state = streams_[rumor.stream()];
-      if (state.delivered.contains(rumor.seq())) {
+      if (state.stats.delivery_time.contains(rumor.seq())) {
         state.stats.duplicates += 1;
         return;  // infect-and-die: duplicates are dropped silently
       }
@@ -80,7 +80,7 @@ void SimpleGossip::on_datagram(net::NodeId from, net::MessagePtr message) {
       if (reply.stream() >= streams_.size()) return;
       StreamState& state = streams_[reply.stream()];
       for (const auto& [seq, payload_bytes] : reply.updates()) {
-        if (state.delivered.contains(seq)) continue;
+        if (state.stats.delivery_time.contains(seq)) continue;
         state.stats.anti_entropy_recoveries += 1;
         // Anti-entropy recoveries are not re-pushed: rumor mongering already
         // saturated; re-pushing old updates would only add duplicates.
@@ -96,13 +96,12 @@ void SimpleGossip::on_datagram(net::NodeId from, net::MessagePtr message) {
 void SimpleGossip::deliver(net::StreamId stream, std::uint64_t seq,
                            std::size_t payload_bytes, bool push) {
   StreamState& state = streams_[stream];
-  state.delivered.insert(seq);
-  while (state.delivered.contains(state.contiguous_upto)) {
+  state.stats.delivery_time[seq] = now();
+  while (state.stats.delivery_time.contains(state.contiguous_upto)) {
     ++state.contiguous_upto;
   }
   state.store.insert(seq, payload_bytes, state.contiguous_upto);
   state.stats.delivered += 1;
-  state.stats.delivery_time[seq] = now();
   if (push) push_rumor(stream, seq, payload_bytes);
 }
 

@@ -96,13 +96,13 @@ class SimpleGossip final : public net::Process,
  private:
   /// Per-stream sequence space: payload sizes by sequence (the anti-entropy
   /// serving store — ordered, lower_bound-driven), delivery watermark, and
-  /// statistics. `delivered` (not the store) is the duplicate-suppression
-  /// set: under a `[limits]` bound the store evicts, and an evicted seq must
-  /// not re-deliver when a rumor or reply carries it again.
+  /// statistics. The keys of stats.delivery_time (not the store) are the
+  /// duplicate-suppression set: under a `[limits]` bound the store evicts,
+  /// and an evicted seq must not re-deliver when a rumor or reply carries it
+  /// again.
   struct StreamState {
     std::uint64_t next_seq = 0;
     net::BoundedSeqStore store;
-    util::SeqSet delivered;
     std::uint64_t contiguous_upto = 0;
     /// Rotation cursor for the truncated exact digest: successive rounds
     /// advertise successive slices of the out-of-order set instead of

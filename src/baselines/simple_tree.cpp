@@ -95,7 +95,7 @@ void SimpleTreeNode::on_message(net::ConnectionId conn, net::NodeId /*from*/,
       const auto& data = static_cast<const TreeData&>(*message);
       if (data.stream() >= streams_.size()) return;
       StreamState& state = streams_[data.stream()];
-      if (state.delivered.count(data.seq()) > 0) {
+      if (state.stats.delivery_time.contains(data.seq())) {
         state.stats.duplicates += 1;
         return;
       }
@@ -110,7 +110,6 @@ void SimpleTreeNode::on_message(net::ConnectionId conn, net::NodeId /*from*/,
 void SimpleTreeNode::deliver(net::StreamId stream, std::uint64_t seq,
                              std::size_t payload_bytes) {
   StreamState& state = streams_[stream];
-  state.delivered.insert(seq);
   state.stats.delivered += 1;
   state.stats.delivery_time[seq] = now();
   forward_to_children(stream, seq, payload_bytes);

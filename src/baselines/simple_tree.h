@@ -93,11 +93,10 @@ class SimpleTreeNode final : public net::Process, public net::TransportHandler,
 
  private:
   /// Per-stream sequence space; the tree topology itself is shared by every
-  /// stream (one set of child connections). Dedup shares the flat
-  /// seq-window representation with the other protocols.
+  /// stream (one set of child connections). The keys of
+  /// stats.delivery_time are the dedup set.
   struct StreamState {
     std::uint64_t next_seq = 0;
-    util::SeqSet delivered;
     Stats stats;
   };
 

@@ -357,16 +357,16 @@ void TagNode::handle_pull_request(net::ConnectionId conn, net::NodeId from,
 void TagNode::deliver(net::StreamId stream, std::uint64_t seq,
                       std::size_t payload_bytes) {
   StreamState& state = streams_[stream];
-  if (!state.delivered.insert(seq)) {
+  if (state.stats.delivery_time.contains(seq)) {
     state.stats.duplicates += 1;
     return;
   }
-  while (state.delivered.contains(state.contiguous_upto)) {
+  state.stats.delivery_time[seq] = now();
+  while (state.stats.delivery_time.contains(state.contiguous_upto)) {
     ++state.contiguous_upto;
   }
   state.store.insert(seq, payload_bytes, state.contiguous_upto);
   state.stats.delivered += 1;
-  state.stats.delivery_time[seq] = now();
 }
 
 void TagNode::record_parent_recovery() {

@@ -202,13 +202,13 @@ class TagNode final : public net::Process,
 
   /// Per-stream sequence space: the pull store (ordered, lower_bound-driven)
   /// and delivery stats. The list/tree structure is shared by every stream.
-  /// `delivered` (not the store) is the duplicate-suppression set: under a
-  /// `[limits]` bound the store evicts, and an evicted seq must not
-  /// re-deliver when a pull reply carries it again.
+  /// The keys of stats.delivery_time (not the store) are the
+  /// duplicate-suppression set: under a `[limits]` bound the store evicts,
+  /// and an evicted seq must not re-deliver when a pull reply carries it
+  /// again.
   struct StreamState {
     std::uint64_t next_seq = 0;
     net::BoundedSeqStore store;
-    util::SeqSet delivered;
     std::uint64_t contiguous_upto = 0;
     Stats stats;
   };

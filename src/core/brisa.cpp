@@ -13,38 +13,45 @@ namespace {
 constexpr net::TrafficClass kData = net::TrafficClass::kData;
 constexpr net::TrafficClass kCtl = net::TrafficClass::kControl;
 
+/// Most entries the retransmit buffer keeps between pushes: the count cap,
+/// tightened by a `[limits]` entry bound when one is set.
+std::size_t buffer_bound(const BrisaStream::Config& config) {
+  const std::size_t entries = config.limits.store_entries;
+  return entries > 0 ? std::min(config.retransmit_buffer, entries)
+                     : config.retransmit_buffer;
+}
+
 }  // namespace
 
-BrisaStream::BrisaStream(BrisaEngine& engine, net::StreamId stream,
-                         Config config)
+BrisaStream::BrisaStream(BrisaEngine& engine, net::StreamId stream)
     : engine_(engine),
       stream_(stream),
-      config_(config),
       // Stream 0 splits exactly like the historical single-stream instance,
       // so single-stream runs keep their RNG trajectory; further streams
       // fold the id into the split key for independent randomness.
       rng_(engine.simulator().rng().split(
           0xB015AULL ^ engine.id().index() ^
           (static_cast<std::uint64_t>(stream) << 32))),
-      started_at_(engine.simulator().now()) {
+      started_at_(engine.simulator().now()),
+      payload_buffer_(buffer_bound(engine.config())) {
   BRISA_ASSERT_MSG(
-      config_.mode == StructureMode::kDag || config_.num_parents == 1,
+      config().mode == StructureMode::kDag || config().num_parents == 1,
       "tree mode requires exactly one parent");
-  BRISA_ASSERT(config_.num_parents >= 1);
+  BRISA_ASSERT(config().num_parents >= 1);
   // Adopt any neighbors that existed before this stream attached.
   for (const net::NodeId peer : pss().view_ref()) links_.try_emplace(peer);
   // Delay-aware refinement (§II-E): keep-alive piggybacked cumulative
   // delays let a node periodically re-evaluate its parent choice against
   // fresher estimates — the continuing optimization the paper attributes to
   // measuring RTTs at the HyParView level.
-  if (config_.strategy == ParentSelectionStrategy::kDelayAware &&
-      config_.mode == StructureMode::kTree && config_.prune) {
-    every(config_.refine_period, [this]() {
-      if (is_source_ || !position_known_ || repair_.has_value()) return;
+  if (config().strategy == ParentSelectionStrategy::kDelayAware &&
+      config().mode == StructureMode::kTree && config().prune) {
+    every(config().refine_period, [this]() {
+      if (is_source_ || !position_known_ || repair_ != nullptr) return;
       if (parents_.empty()) return;
       const net::NodeId parent = *parents_.begin();
       const double parent_cost =
-          candidate_cost(config_.strategy, make_candidate(parent, true));
+          candidate_cost(config().strategy, make_candidate(parent, true));
       net::NodeId best;
       double best_cost = parent_cost;
       for (const net::NodeId peer : pss().view_ref()) {
@@ -71,7 +78,7 @@ BrisaStream::BrisaStream(BrisaEngine& engine, net::StreamId stream,
       if (best.valid() && best_cost < parent_cost * 0.9) {
         start_repair_with_kind(RepairKind::kRefine, /*allow_soft=*/true,
                                net::NodeId::invalid());
-        if (repair_.has_value()) {
+        if (repair_ != nullptr) {
           repair_->pending_candidates = {best};
           try_next_repair_candidate();
         }
@@ -84,13 +91,12 @@ BrisaStream::BrisaStream(BrisaEngine& engine, net::StreamId stream,
   // us nothing — the signature of a stale structure (e.g. an adoption cycle
   // of mutually-starved nodes). The remedy is a hard reset through the
   // epidemic substrate.
-  every(config_.starvation_check_period, [this]() {
-    if (is_source_ || !position_known_ || repair_.has_value()) return;
+  every(config().starvation_check_period, [this]() {
+    if (is_source_ || !position_known_ || repair_ != nullptr) return;
     if (stats_.delivered == 0 || parents_.empty()) return;
-    const std::uint64_t mine =
-        delivered_seqs_.empty() ? 0 : delivered_seqs_.max() + 1;
-    if (watermark_heard_ <= mine) return;  // nothing newer exists nearby
-    if (now() - last_delivery_at_ < config_.starvation_timeout) return;
+    // Nothing newer than our own deliveries exists nearby.
+    if (watermark_heard_ <= delivered_watermark()) return;
+    if (now() - last_delivery_at_ < config().starvation_timeout) return;
     stats_.starvation_resets += 1;
     const std::vector<net::NodeId> stale(parents_.begin(), parents_.end());
     for (const net::NodeId parent : stale) deactivate_inbound(parent);
@@ -100,10 +106,10 @@ BrisaStream::BrisaStream(BrisaEngine& engine, net::StreamId stream,
   // DAG nodes keep probing for missing parents: bootstrap order or depth
   // false-negatives can leave a node below target even without failures
   // (§II-G: "nodes always obtained the desired number of parents").
-  if (config_.mode == StructureMode::kDag && config_.num_parents > 1) {
-    every(config_.topup_period, [this]() {
-      if (is_source_ || !position_known_ || repair_.has_value()) return;
-      if (parents_.size() >= config_.num_parents) return;
+  if (config().mode == StructureMode::kDag && config().num_parents > 1) {
+    every(config().topup_period, [this]() {
+      if (is_source_ || !position_known_ || repair_ != nullptr) return;
+      if (parents_.size() >= config().num_parents) return;
       if (network().tx_defer(id())) {
         stats_.rate_deferrals += 1;
         return;
@@ -142,12 +148,11 @@ void BrisaStream::become_source() {
 std::uint64_t BrisaStream::broadcast(std::size_t payload_bytes) {
   BRISA_ASSERT_MSG(is_source_, "broadcast() requires become_source()");
   const std::uint64_t seq = next_seq_++;
-  delivered_seqs_.insert(seq);
-  while (delivered_seqs_.count(contiguous_upto_) > 0) ++contiguous_upto_;
-  stats_.delivered += 1;
   stats_.delivery_time[seq] = now();
+  while (stats_.delivery_time.contains(contiguous_upto_)) ++contiguous_upto_;
+  stats_.delivered += 1;
   store_payload(seq, payload_bytes);
-  const BrisaData msg(stream_, seq, payload_bytes, config_.mode,
+  const BrisaData msg(stream_, seq, payload_bytes, config().mode,
                       my_position(), /*retransmission=*/false);
   relay(msg, net::NodeId::invalid());
   if (delivery_handler_) delivery_handler_(seq, payload_bytes);
@@ -183,7 +188,7 @@ std::size_t BrisaStream::out_degree() const {
 
 std::int32_t BrisaStream::depth() const {
   if (!position_known_) return -1;
-  if (config_.mode == StructureMode::kTree) {
+  if (config().mode == StructureMode::kTree) {
     return static_cast<std::int32_t>(path_.size()) - 1;
   }
   return depth_;
@@ -194,14 +199,19 @@ std::uint64_t BrisaStream::max_contiguous_seq() const { return contiguous_upto_;
 std::vector<std::uint64_t> BrisaStream::buffered_seqs() const {
   std::vector<std::uint64_t> seqs;
   seqs.reserve(payload_buffer_.size());
-  for (const auto& entry : payload_buffer_) seqs.push_back(entry.first);
+  for (std::size_t i = 0; i < payload_buffer_.size(); ++i) {
+    seqs.push_back(payload_buffer_[i].seq());
+  }
   return seqs;
 }
 
+std::uint64_t BrisaStream::delivered_watermark() const {
+  const auto& delivered = stats_.delivery_time;
+  return delivered.empty() ? 0 : delivered.max_key() + 1;
+}
+
 membership::AppWatermark BrisaStream::watermark_entry() const {
-  return {stream_,
-          delivered_seqs_.empty() ? 0 : delivered_seqs_.max() + 1,
-          cum_delay_us_};
+  return {stream_, delivered_watermark(), cum_delay_us_};
 }
 
 // --- PSS events ----------------------------------------------------------------
@@ -210,7 +220,7 @@ void BrisaStream::on_neighbor_up(net::NodeId peer) {
   links_.try_emplace(peer);  // both directions start active (§II-F)
   // A node stuck in hard repair greets every new neighbor with a resume
   // request — the PSS replenishing the view is what unblocks it.
-  if (repair_.has_value() && repair_->hard) {
+  if (repair_ != nullptr && repair_->hard) {
     send_to(peer, net::make_message<BrisaResume>(stream_, true), kCtl);
   }
 }
@@ -219,7 +229,7 @@ void BrisaStream::on_neighbor_down(net::NodeId peer,
                              membership::NeighborLossReason /*reason*/) {
   const bool was_parent = parents_.erase(peer) > 0;
   links_.erase(peer);
-  if (repair_.has_value()) {
+  if (repair_ != nullptr) {
     auto& pending = repair_->pending_candidates;
     pending.erase(std::remove(pending.begin(), pending.end(), peer),
                   pending.end());
@@ -230,13 +240,13 @@ void BrisaStream::on_neighbor_down(net::NodeId peer,
   if (is_source_) return;
   if (parents_.empty()) {
     stats_.orphan_events += 1;
-    if (!repair_.has_value()) start_repair(/*allow_soft=*/true);
+    if (repair_ == nullptr) start_repair(/*allow_soft=*/true);
     return;
   }
   // DAG with surviving parents: the stream keeps flowing; opportunistically
   // top up to the target parent count.
-  if (config_.mode == StructureMode::kDag && !repair_.has_value() &&
-      parents_.size() < config_.num_parents) {
+  if (config().mode == StructureMode::kDag && repair_ == nullptr &&
+      parents_.size() < config().num_parents) {
     start_repair_with_kind(RepairKind::kTopUp, /*allow_soft=*/true,
                            net::NodeId::invalid());
   }
@@ -255,7 +265,6 @@ void BrisaStream::on_neighbor_watermark(net::NodeId peer,
     it->second.position.cum_delay_us =
         static_cast<std::uint32_t>(std::min<std::uint64_t>(aux, 0xffffffff));
     it->second.ka_cum_fresh = true;
-    it->second.position_updated_at = now();
   }
 }
 
@@ -267,7 +276,7 @@ void BrisaStream::handle_data(net::NodeId from, const BrisaData& msg) {
   record_position(from, msg.sender_position());
   link.seen_data = true;
 
-  const bool duplicate = delivered_seqs_.count(msg.seq()) > 0;
+  const bool duplicate = stats_.delivery_time.contains(msg.seq());
 
   if (msg.retransmission()) {
     stats_.retransmissions_received += 1;
@@ -282,7 +291,7 @@ void BrisaStream::handle_data(net::NodeId from, const BrisaData& msg) {
   // a feedback loop with us (a depth-tag false negative turned cycle), so
   // after a bounded number of bumps the link is treated as a detected cycle
   // and deactivated — the DAG analogue of §II-D's steady-state detection.
-  if (config_.mode == StructureMode::kDag && position_known_ &&
+  if (config().mode == StructureMode::kDag && position_known_ &&
       parents_.count(from) > 0 && msg.sender_position().known &&
       msg.sender_position().depth >= depth_) {
     depth_ = msg.sender_position().depth + 1;
@@ -292,7 +301,7 @@ void BrisaStream::handle_data(net::NodeId from, const BrisaData& msg) {
     if (++link.depth_bumps > kMaxDepthBumpsPerParent) {
       stats_.cycle_rejections += 1;
       deactivate_inbound(from);
-      if (parents_.empty() && !repair_.has_value() && !is_source_) {
+      if (parents_.empty() && repair_ == nullptr && !is_source_) {
         // Orphaned by the cycle guard rather than by a failure; still an
         // orphan event, so the Table I accounting (repairs <= orphanings)
         // stays consistent on every trajectory.
@@ -305,20 +314,20 @@ void BrisaStream::handle_data(net::NodeId from, const BrisaData& msg) {
   if (!duplicate) {
     // Tree steady-state cycle detection (§II-D): a parent whose path now
     // includes us signals a stale structure — drop it and repair.
-    if (config_.prune && config_.mode == StructureMode::kTree &&
+    if (config().prune && config().mode == StructureMode::kTree &&
         parents_.count(from) > 0 &&
         !position_eligible(from, msg.sender_position())) {
       stats_.cycle_rejections += 1;
       deactivate_inbound(from);
       deliver_and_relay(from, msg);
-      if (parents_.empty() && !repair_.has_value()) {
+      if (parents_.empty() && repair_ == nullptr) {
         stats_.orphan_events += 1;  // cycle-orphaned (see the DAG guard)
         start_repair(/*allow_soft=*/true);
       }
       return;
     }
-    if (config_.prune && parents_.count(from) == 0) {
-      if (parents_.size() < config_.num_parents) {
+    if (config().prune && parents_.count(from) == 0) {
+      if (parents_.size() < config().num_parents) {
         // Still collecting parents: the sender is a candidate (§II-C).
         prune_with(from);
       } else {
@@ -329,15 +338,15 @@ void BrisaStream::handle_data(net::NodeId from, const BrisaData& msg) {
         deactivate_inbound(from);
       }
     } else if (parents_.count(from) > 0 &&
-               config_.mode == StructureMode::kTree &&
+               config().mode == StructureMode::kTree &&
                msg.sender_position().known) {
       // Refresh our path: upstream repairs may have moved the parent.
       adopt_position_from(from, msg.sender_position());
     }
     deliver_and_relay(from, msg);
-    if (repair_.has_value()) {
+    if (repair_ != nullptr) {
       const std::size_t needed =
-          repair_kind_ == RepairKind::kTopUp ? config_.num_parents : 1;
+          repair_kind_ == RepairKind::kTopUp ? config().num_parents : 1;
       if (parents_.size() >= needed) finish_repair(from);
     }
     return;
@@ -345,7 +354,7 @@ void BrisaStream::handle_data(net::NodeId from, const BrisaData& msg) {
 
   // Duplicate reception: the structure-emergence trigger (§II-C).
   stats_.duplicates += 1;
-  if (!config_.prune) return;
+  if (!config().prune) return;
   if (parents_.count(from) > 0) return;  // expected copies from DAG parents
   if (!link.inbound_active) return;      // deactivation already in flight
   prune_with(from);
@@ -354,7 +363,7 @@ void BrisaStream::handle_data(net::NodeId from, const BrisaData& msg) {
 void BrisaStream::deliver_and_relay(net::NodeId from, const BrisaData& msg) {
   // Flood mode never adopts parents, but Fig 9 still needs the cumulative
   // path RTT of the delivery paths: accumulate it per first reception.
-  if (!config_.prune && !msg.retransmission()) {
+  if (!config().prune && !msg.retransmission()) {
     const sim::Duration rtt = pss().rtt_estimate(from);
     const std::uint64_t hop_us =
         rtt == sim::Duration::max()
@@ -362,16 +371,15 @@ void BrisaStream::deliver_and_relay(net::NodeId from, const BrisaData& msg) {
             : static_cast<std::uint64_t>(rtt.us());
     cum_delay_us_ = msg.sender_position().cum_delay_us + hop_us;
   }
-  delivered_seqs_.insert(msg.seq());
-  while (delivered_seqs_.count(contiguous_upto_) > 0) ++contiguous_upto_;
-  stats_.delivered += 1;
   stats_.delivery_time[msg.seq()] = now();
+  while (stats_.delivery_time.contains(contiguous_upto_)) ++contiguous_upto_;
+  stats_.delivered += 1;
   last_delivery_at_ = now();
   buffer_payload(msg);
   if (delivery_handler_) delivery_handler_(msg.seq(), msg.payload_bytes());
   if (!msg.retransmission()) {
     const BrisaData relayed(stream_, msg.seq(), msg.payload_bytes(),
-                            config_.mode, my_position(),
+                            config().mode, my_position(),
                             /*retransmission=*/false);
     relay(relayed, from);
   }
@@ -390,10 +398,11 @@ void BrisaStream::arm_gap_probe() {
   // delivery, which the hole sits below. Retrying at the probe cadence
   // walks the recovery down the tree one level per period.
   gap_probe_armed_ = true;
-  after(config_.gap_probe_delay, [this]() {
+  after(config().gap_probe_delay, [this]() {
     gap_probe_armed_ = false;
-    if (delivered_seqs_.empty()) return;
-    const std::uint64_t newest = delivered_seqs_.max();
+    const auto& delivered = stats_.delivery_time;
+    if (delivered.empty()) return;
+    const std::uint64_t newest = delivered.max_key();
     if (contiguous_upto_ > newest) return;  // gap healed meanwhile
     if (parents_.empty()) return;           // repair flow handles it
     // Sequences more than one retention window below the newest delivery
@@ -403,11 +412,11 @@ void BrisaStream::arm_gap_probe() {
     // full buffer of duplicates every period forever — once that part has
     // closed.
     const std::uint64_t floor =
-        newest + 1 >= config_.retransmit_buffer
-            ? newest + 1 - config_.retransmit_buffer
+        newest + 1 >= config().retransmit_buffer
+            ? newest + 1 - config().retransmit_buffer
             : 0;
     std::uint64_t target = std::max(contiguous_upto_, floor);
-    while (target <= newest && delivered_seqs_.count(target) > 0) ++target;
+    while (target <= newest && delivered.contains(target)) ++target;
     if (target > newest) return;  // in-window hole closed
     if (network().tx_defer(id())) {
       // Send side is backlogged: pulling a window of retransmissions now
@@ -432,13 +441,13 @@ void BrisaStream::prune_with(net::NodeId duplicate_sender) {
     return;
   }
 
-  if (parents_.size() < config_.num_parents) {
+  if (parents_.size() < config().num_parents) {
     // Still collecting parents (bootstrap, or DAG below target).
     parents_.insert(duplicate_sender);
     link.inbound_active = true;
-    if (!position_known_ || config_.mode == StructureMode::kTree) {
+    if (!position_known_ || config().mode == StructureMode::kTree) {
       adopt_position_from(duplicate_sender, sender_pos);
-    } else if (config_.mode == StructureMode::kDag && sender_pos.known &&
+    } else if (config().mode == StructureMode::kDag && sender_pos.known &&
                sender_pos.depth >= depth_) {
       depth_ = sender_pos.depth + 1;
     }
@@ -449,10 +458,10 @@ void BrisaStream::prune_with(net::NodeId duplicate_sender) {
   // Full house: rank the challenger against the incumbents; evict the worst.
   CandidateInfo challenger = make_candidate(duplicate_sender, false);
   net::NodeId victim = duplicate_sender;
-  double worst_cost = candidate_cost(config_.strategy, challenger);
+  double worst_cost = candidate_cost(config().strategy, challenger);
   for (const net::NodeId parent : parents_) {
     const CandidateInfo incumbent = make_candidate(parent, true);
-    const double cost = candidate_cost(config_.strategy, incumbent);
+    const double cost = candidate_cost(config().strategy, incumbent);
     // Strictly-greater comparison: on ties the challenger loses, which is
     // exactly first-come-first-picked semantics.
     if (cost > worst_cost) {
@@ -465,9 +474,9 @@ void BrisaStream::prune_with(net::NodeId duplicate_sender) {
     deactivate_inbound(duplicate_sender);
     // §II-E symmetric deactivation: the duplicate sender had the message
     // before our relay could reach it, so we cannot be its parent either.
-    if (config_.symmetric_deactivation &&
-        allows_symmetric_deactivation(config_.strategy) &&
-        config_.mode == StructureMode::kTree) {
+    if (config().symmetric_deactivation &&
+        allows_symmetric_deactivation(config().strategy) &&
+        config().mode == StructureMode::kTree) {
       links_[duplicate_sender].outbound_active = false;
     }
     return;
@@ -477,7 +486,7 @@ void BrisaStream::prune_with(net::NodeId duplicate_sender) {
   deactivate_inbound(victim);
   parents_.insert(duplicate_sender);
   links_[duplicate_sender].inbound_active = true;
-  if (config_.mode == StructureMode::kTree) {
+  if (config().mode == StructureMode::kTree) {
     adopt_position_from(duplicate_sender, sender_pos);
   }
   note_structure_stability();
@@ -492,7 +501,7 @@ void BrisaStream::deactivate_inbound(net::NodeId peer) {
     stats_.first_deactivation_at = now();
   }
   send_to(peer,
-          net::make_message<BrisaDeactivate>(stream_, config_.mode,
+          net::make_message<BrisaDeactivate>(stream_, config().mode,
                                             my_position()),
           kCtl);
   note_structure_stability();
@@ -501,7 +510,7 @@ void BrisaStream::deactivate_inbound(net::NodeId peer) {
 bool BrisaStream::position_eligible(net::NodeId candidate,
                               const PositionInfo& position) const {
   if (!position.known) return false;
-  if (config_.mode == StructureMode::kTree) {
+  if (config().mode == StructureMode::kTree) {
     return std::find(position.path.begin(), position.path.end(), id()) ==
            position.path.end();
   }
@@ -519,7 +528,7 @@ bool BrisaStream::position_eligible(net::NodeId candidate,
 void BrisaStream::adopt_position_from(net::NodeId parent,
                                 const PositionInfo& parent_pos) {
   if (!parent_pos.known) return;
-  if (config_.mode == StructureMode::kTree) {
+  if (config().mode == StructureMode::kTree) {
     path_ = parent_pos.path;
     path_.push_back(id());
   } else {
@@ -541,13 +550,12 @@ void BrisaStream::record_position(net::NodeId peer, const PositionInfo& position
   Link& link = links_[peer];
   if (!position.known) return;
   link.position = position;
-  link.position_updated_at = now();
 }
 
 PositionInfo BrisaStream::my_position() const {
   PositionInfo pos;
   pos.known = position_known_;
-  if (config_.mode == StructureMode::kTree) {
+  if (config().mode == StructureMode::kTree) {
     pos.path = path_;
   }
   pos.depth = depth_;
@@ -577,7 +585,7 @@ void BrisaStream::note_structure_stability() {
   for (const auto& [peer, link] : links_) {
     if (link.seen_data && link.inbound_active) ++active_senders;
   }
-  if (active_senders <= config_.num_parents) {
+  if (active_senders <= config().num_parents) {
     stats_.structure_stable_at = now();
   }
 }
@@ -598,7 +606,7 @@ void BrisaStream::handle_resume(net::NodeId from, const BrisaResume& msg) {
     PositionInfo pos = my_position();
     if (parents_.count(from) > 0) pos.known = false;
     send_to(from,
-            net::make_message<BrisaResumeAck>(stream_, config_.mode,
+            net::make_message<BrisaResumeAck>(stream_, config().mode,
                                              std::move(pos)),
             kCtl);
   }
@@ -606,7 +614,7 @@ void BrisaStream::handle_resume(net::NodeId from, const BrisaResume& msg) {
 
 void BrisaStream::handle_resume_ack(net::NodeId from, const BrisaResumeAck& msg) {
   record_position(from, msg.responder_position());
-  if (!repair_.has_value()) return;
+  if (repair_ == nullptr) return;
   // Soft repair awaits one specific candidate; hard repair broadcast resumes
   // to every neighbor and adopts the first eligible responder.
   const bool relevant = repair_->awaiting_ack == from || repair_->hard;
@@ -619,7 +627,7 @@ void BrisaStream::handle_resume_ack(net::NodeId from, const BrisaResumeAck& msg)
   // responder — the §II-F soft repair lets the node take any active-view
   // neighbor; the rare adoption of a true descendant forms a cycle that the
   // bump guard / starvation reset dismantles within seconds.
-  if (!eligible && config_.mode == StructureMode::kDag &&
+  if (!eligible && config().mode == StructureMode::kDag &&
       repair_kind_ != RepairKind::kRefine &&
       msg.responder_position().known && position_known_) {
     const std::int32_t responder_depth = msg.responder_position().depth;
@@ -633,7 +641,7 @@ void BrisaStream::handle_resume_ack(net::NodeId from, const BrisaResumeAck& msg)
     BRISA_TRACE("brisa") << id() << " adopts " << from << " via resume-ack";
     // A tree holds exactly one parent: a refine adoption displaces the
     // incumbent.
-    if (config_.mode == StructureMode::kTree) {
+    if (config().mode == StructureMode::kTree) {
       const std::vector<net::NodeId> old(parents_.begin(), parents_.end());
       for (const net::NodeId prev : old) {
         if (prev != from) deactivate_inbound(prev);
@@ -667,7 +675,7 @@ void BrisaStream::handle_reactivate_order(net::NodeId from) {
   if (parents_.count(from) == 0) return;
   parents_.erase(from);
   if (!parents_.empty()) return;  // DAG: other parents still feed us
-  if (repair_.has_value()) return;
+  if (repair_ != nullptr) return;
   stats_.reactivate_orders_received += 1;
   start_repair_with_kind(RepairKind::kOrderRebuild, /*allow_soft=*/true,
                          /*exclude=*/from);
@@ -676,13 +684,15 @@ void BrisaStream::handle_reactivate_order(net::NodeId from) {
 void BrisaStream::handle_retransmit_request(net::NodeId from,
                                       const BrisaRetransmitRequest& msg) {
   links_[from].outbound_active = true;
-  for (const auto& [seq, payload_bytes] : payload_buffer_) {
+  for (std::size_t i = 0; i < payload_buffer_.size(); ++i) {
+    const util::SeqRing::Entry& entry = payload_buffer_[i];
+    const std::uint64_t seq = entry.seq();
     if (seq < msg.from_seq()) continue;
     if (msg.known(seq)) continue;  // requester already holds it (Bloom form)
     stats_.retransmissions_served += 1;
     send_to(from,
-            net::make_message<BrisaData>(stream_, seq, payload_bytes,
-                                        config_.mode, my_position(),
+            net::make_message<BrisaData>(stream_, seq, entry.bytes,
+                                        config().mode, my_position(),
                                         /*retransmission=*/true),
             kData);
   }
@@ -709,13 +719,13 @@ void BrisaStream::start_repair_with_kind(RepairKind kind, bool allow_soft,
                   cands.end());
     }
   }
-  repair_ = state;
+  repair_ = std::make_unique<RepairState>(std::move(state));
   repair_kind_ = kind;
   try_next_repair_candidate();
 }
 
 void BrisaStream::try_next_repair_candidate() {
-  if (!repair_.has_value()) return;
+  if (repair_ == nullptr) return;
   cancel(repair_->timeout_event);  // previous candidate's timer, if any
   repair_->awaiting_ack = net::NodeId::invalid();
   if (repair_->pending_candidates.empty()) {
@@ -733,8 +743,8 @@ void BrisaStream::try_next_repair_candidate() {
           kCtl);
   // The token check stays as a second line of defense: a handle is only as
   // fresh as the RepairState that stored it.
-  repair_->timeout_event = after(config_.repair_ack_timeout, [this, token]() {
-    if (repair_.has_value() && repair_->timeout_token == token &&
+  repair_->timeout_event = after(config().repair_ack_timeout, [this, token]() {
+    if (repair_ != nullptr && repair_->timeout_token == token &&
         repair_->awaiting_ack.valid()) {
       try_next_repair_candidate();
     }
@@ -742,7 +752,7 @@ void BrisaStream::try_next_repair_candidate() {
 }
 
 void BrisaStream::escalate_to_hard_repair() {
-  if (!repair_.has_value()) return;
+  if (repair_ == nullptr) return;
   if (repair_kind_ == RepairKind::kRefine) {
     repair_.reset();  // refinement is opportunistic; no fallback
     return;
@@ -753,7 +763,7 @@ void BrisaStream::escalate_to_hard_repair() {
     // deeper, so this cannot adopt its own subtree); the resume/ack
     // handshake still verifies the candidate's current position. One
     // demotion per attempt keeps depths from drifting.
-    if (config_.mode == StructureMode::kDag && !repair_->demoted &&
+    if (config().mode == StructureMode::kDag && !repair_->demoted &&
         position_known_) {
       std::vector<net::NodeId> equal_depth;
       for (const net::NodeId peer : pss().view_ref()) {
@@ -818,8 +828,8 @@ void BrisaStream::arm_hard_repair_retry() {
   // retry is one small control message per neighbor.
   const std::uint64_t token = ++repair_token_counter_;
   repair_->timeout_token = token;
-  repair_->timeout_event = after(config_.repair_ack_timeout, [this, token]() {
-    if (!repair_.has_value() || !repair_->hard) return;
+  repair_->timeout_event = after(config().repair_ack_timeout, [this, token]() {
+    if (repair_ == nullptr || !repair_->hard) return;
     if (repair_->timeout_token != token) return;
     stats_.hard_repair_retries += 1;
     net::MessagePtr resume;
@@ -834,7 +844,7 @@ void BrisaStream::arm_hard_repair_retry() {
 }
 
 void BrisaStream::finish_repair(net::NodeId new_parent) {
-  if (!repair_.has_value()) return;
+  if (repair_ == nullptr) return;
   cancel(repair_->timeout_event);
   const sim::Duration delay = now() - repair_->started_at;
   if (repair_kind_ == RepairKind::kOrphanFailure) {
@@ -884,8 +894,8 @@ std::vector<net::NodeId> BrisaStream::soft_repair_candidates() const {
     }
     if (position_eligible(peer, pos)) {
       const CandidateInfo info = make_candidate(peer, false);
-      ranked.emplace_back(candidate_cost(config_.strategy, info), peer);
-    } else if (config_.mode == StructureMode::kDag && position_known_ &&
+      ranked.emplace_back(candidate_cost(config().strategy, info), peer);
+    } else if (config().mode == StructureMode::kDag && position_known_ &&
                pos.depth == depth_) {
       equal_depth.push_back(peer);
     }
@@ -939,15 +949,15 @@ void BrisaStream::buffer_payload(const BrisaData& msg) {
 }
 
 void BrisaStream::store_payload(std::uint64_t seq, std::size_t payload_bytes) {
-  payload_buffer_.emplace_back(seq, payload_bytes);
+  payload_buffer_.push_back(seq, payload_bytes);
   payload_buffer_bytes_ += payload_bytes;
   // Historical count cap — part of baseline behavior, not counted as a
   // limits-layer eviction.
-  while (payload_buffer_.size() > config_.retransmit_buffer) {
-    payload_buffer_bytes_ -= payload_buffer_.front().second;
+  while (payload_buffer_.size() > config().retransmit_buffer) {
+    payload_buffer_bytes_ -= payload_buffer_.front().bytes;
     payload_buffer_.pop_front();
   }
-  const net::Limits& limits = config_.limits;
+  const net::Limits& limits = config().limits;
   if (!limits.bounded()) return;
   const auto over = [&]() {
     return (limits.store_entries > 0 &&
@@ -964,33 +974,36 @@ void BrisaStream::store_payload(std::uint64_t seq, std::size_t payload_bytes) {
     // watermark it drops the highest instead (drop-tail), preserving the
     // oldest still-unconfirmed seqs a repairing child is most likely to ask
     // for. kOldestFirst always drops the lowest.
-    const auto by_seq = [](const auto& a, const auto& b) {
-      return a.first < b.first;
-    };
-    auto victim = std::min_element(payload_buffer_.begin(),
-                                   payload_buffer_.end(), by_seq);
-    if (limits.eviction == net::EvictionPolicy::kDeliveredFirst &&
-        victim->first >= contiguous_upto_) {
-      victim = std::max_element(payload_buffer_.begin(),
-                                payload_buffer_.end(), by_seq);
+    std::size_t lowest = 0;
+    std::size_t highest = 0;
+    for (std::size_t i = 1; i < payload_buffer_.size(); ++i) {
+      const std::uint64_t seq = payload_buffer_[i].seq();
+      if (seq < payload_buffer_[lowest].seq()) lowest = i;
+      if (seq > payload_buffer_[highest].seq()) highest = i;
     }
-    payload_buffer_bytes_ -= victim->second;
+    std::size_t victim = lowest;
+    if (limits.eviction == net::EvictionPolicy::kDeliveredFirst &&
+        payload_buffer_[lowest].seq() >= contiguous_upto_) {
+      victim = highest;
+    }
+    payload_buffer_bytes_ -= payload_buffer_[victim].bytes;
     payload_buffer_.erase(victim);
     stats_.buffer_evictions += 1;
   }
 }
 
 net::MessagePtr BrisaStream::make_retransmit_request(std::uint64_t from_seq) {
-  if (!config_.limits.bloom_digests || delivered_seqs_.empty()) {
+  const auto& delivered = stats_.delivery_time;
+  if (!config().limits.bloom_digests || delivered.empty()) {
     return net::make_message<BrisaRetransmitRequest>(stream_, from_seq);
   }
   // Out-of-order seqs we already hold at or above from_seq: the parent
   // serves its whole window >= from_seq, so advertising these prunes the
   // retransmissions down to the actual holes plus Bloom false positives.
   std::vector<std::uint64_t> held;
-  const std::uint64_t newest = delivered_seqs_.max();
+  const std::uint64_t newest = delivered.max_key();
   for (std::uint64_t seq = from_seq; seq <= newest; ++seq) {
-    if (delivered_seqs_.count(seq) > 0) held.push_back(seq);
+    if (delivered.contains(seq)) held.push_back(seq);
   }
   if (held.empty()) {
     return net::make_message<BrisaRetransmitRequest>(stream_, from_seq);
@@ -1000,7 +1013,7 @@ net::MessagePtr BrisaStream::make_retransmit_request(std::uint64_t from_seq) {
   const std::uint64_t salt =
       (static_cast<std::uint64_t>(id().index()) << 24) ^ ++digest_rounds_;
   util::BloomFilter digest = util::BloomFilter::with_capacity(
-      held.size(), config_.limits.bloom_fp, salt);
+      held.size(), config().limits.bloom_fp, salt);
   for (const std::uint64_t seq : held) digest.insert(seq);
   return net::make_message<BrisaRetransmitRequest>(stream_, from_seq,
                                                    std::move(digest));

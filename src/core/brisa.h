@@ -8,10 +8,10 @@
 //     state machines, and Stats. It is a plain state machine — not a
 //     net::Process — driven by its engine.
 //   * BrisaEngine is the single net::Process + PssListener per node. It owns
-//     N BrisaStream instances in a flat vector indexed by StreamId,
-//     demultiplexes incoming messages by their stream id, fans membership
-//     events out to every stream, and aggregates the per-stream keep-alive
-//     watermark entries.
+//     the one Config its streams share and N BrisaStream instances in a flat
+//     vector indexed by StreamId, demultiplexes incoming messages by their
+//     stream id, fans membership events out to every stream, and aggregates
+//     the per-stream keep-alive watermark entries.
 //
 // This is the paper's §IV "Multiple Trees" argument made structural: because
 // the tree *emerges* from the epidemic substrate, additional trees cost only
@@ -34,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -48,6 +47,7 @@
 #include "sim/rng.h"
 #include "util/flat_map.h"
 #include "util/flat_seq_map.h"
+#include "util/seq_ring.h"
 
 namespace brisa::core {
 
@@ -127,7 +127,7 @@ class BrisaStream final {
     /// Per-sequence reception counts (Fig 2) and delivery instants (Fig 9,
     /// Table II). Flat vectors indexed by sequence: these two are written on
     /// every delivery, and a tree walk per stream message is measurable at
-    /// sweep sizes.
+    /// sweep sizes. The keys of delivery_time are the stream's dedup set.
     util::FlatSeqMap<std::uint32_t> receptions_per_seq;
     util::FlatSeqMap<sim::TimePoint> delivery_time;
   };
@@ -135,7 +135,7 @@ class BrisaStream final {
   using DeliveryHandler =
       std::function<void(std::uint64_t seq, std::size_t payload_bytes)>;
 
-  BrisaStream(BrisaEngine& engine, net::StreamId stream, Config config);
+  BrisaStream(BrisaEngine& engine, net::StreamId stream);
 
   // --- Source API -----------------------------------------------------------
 
@@ -164,14 +164,13 @@ class BrisaStream final {
         static_cast<std::int64_t>(cum_delay_us_));
   }
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const Config& config() const { return config_; }
+  /// The engine's Config, shared by all of its streams.
+  [[nodiscard]] const Config& config() const;
   [[nodiscard]] std::uint64_t max_contiguous_seq() const;
   /// Sequences the retransmit buffer can serve right now, in buffer
   /// (arrival) order.
   [[nodiscard]] std::vector<std::uint64_t> buffered_seqs() const;
-  [[nodiscard]] bool repair_in_progress() const {
-    return repair_.has_value();
-  }
+  [[nodiscard]] bool repair_in_progress() const { return repair_ != nullptr; }
 
   void set_delivery_handler(DeliveryHandler handler) {
     delivery_handler_ = std::move(handler);
@@ -193,7 +192,14 @@ class BrisaStream final {
 
   /// Per-neighbor dissemination link state (distinct from the PSS view
   /// entry; §II-C: deactivation does not remove the HyParView link).
+  /// Declared widest first: 48 bytes, eight of them inline per stream.
   struct Link {
+    /// Last position metadata seen from this neighbor (data messages,
+    /// deactivations, resume acks); drives soft repair and strategies.
+    PositionInfo position;
+    /// Consecutive §II-G depth bumps this parent caused; a persistent
+    /// ratchet marks a depth-tag cycle (see handle_data).
+    std::uint32_t depth_bumps = 0;
     /// We accept stream traffic from this neighbor (they are a parent or a
     /// not-yet-pruned bootstrap link).
     bool inbound_active = true;
@@ -202,13 +208,6 @@ class BrisaStream final {
     /// This neighbor has relayed stream data to us at least once; drives the
     /// Fig 13 construction-time probe.
     bool seen_data = false;
-    /// Consecutive §II-G depth bumps this parent caused; a persistent
-    /// ratchet marks a depth-tag cycle (see handle_data).
-    std::uint32_t depth_bumps = 0;
-    /// Last position metadata seen from this neighbor (data messages,
-    /// deactivations, resume acks); drives soft repair and strategies.
-    PositionInfo position;
-    sim::TimePoint position_updated_at;
     /// The cum_delay field has been refreshed by a keep-alive (§II-F
     /// piggyback), even if the rest of the position is stale or unknown.
     bool ka_cum_fresh = false;
@@ -302,6 +301,8 @@ class BrisaStream final {
   /// retransmit_buffer count cap, then any `[limits]` entry/byte bound with
   /// its eviction policy.
   void store_payload(std::uint64_t seq, std::size_t payload_bytes);
+  /// Largest delivered seq + 1; 0 before the first delivery.
+  [[nodiscard]] std::uint64_t delivered_watermark() const;
   /// A retransmit request for holes >= from_seq, carrying a Bloom digest of
   /// the seqs we already hold above from_seq when [limits] bloom_digests is
   /// on (so the parent skips them instead of resending the whole window).
@@ -310,7 +311,6 @@ class BrisaStream final {
 
   BrisaEngine& engine_;
   net::StreamId stream_;
-  Config config_;
   sim::Rng rng_;
   DeliveryHandler delivery_handler_;
 
@@ -330,15 +330,18 @@ class BrisaStream final {
   std::uint64_t cum_delay_us_ = 0; ///< accumulated hop delay from the source
   bool position_known_ = false;
 
-  // Delivery bookkeeping. The dedup set shares util's flat seq-window
-  // representation with the baselines: one presence bit per sequence.
-  util::SeqSet delivered_seqs_;
+  // Delivery bookkeeping. The dedup set is the key set of
+  // stats_.delivery_time: both were always written together.
   std::uint64_t contiguous_upto_ = 0;  ///< all seqs < this are delivered
-  std::deque<std::pair<std::uint64_t, std::size_t>> payload_buffer_;
+  /// Retransmit buffer in arrival order (see util/seq_ring.h for why not
+  /// seq order).
+  util::SeqRing payload_buffer_;
   std::size_t payload_buffer_bytes_ = 0;
   std::uint64_t digest_rounds_ = 0;  ///< per-round Bloom salt counter
 
-  std::optional<RepairState> repair_;
+  /// Heap-held: repairs are rare, and an inline RepairState would cost
+  /// every idle stream its full size.
+  std::unique_ptr<RepairState> repair_;
   RepairKind repair_kind_ = RepairKind::kOrphanFailure;
   bool gap_probe_armed_ = false;
   std::uint64_t watermark_heard_ = 0;
@@ -358,12 +361,15 @@ using Brisa = BrisaStream;
 /// single-stream hot path pays no multiplexing tax.
 class BrisaEngine final : public net::Process, public membership::PssListener {
  public:
+  /// `config` applies to every stream the engine runs.
   BrisaEngine(net::Network& network, membership::PeerSamplingService& pss,
-              net::NodeId id);
+              net::NodeId id, const BrisaStream::Config& config);
 
   /// Creates and owns the state machine for `stream`. Ids must be unique;
   /// keep them dense from 0 (the demux vector grows to the largest id).
-  BrisaStream& add_stream(net::StreamId stream, BrisaStream::Config config);
+  BrisaStream& add_stream(net::StreamId stream);
+
+  [[nodiscard]] const BrisaStream::Config& config() const { return config_; }
 
   /// The stream's state machine; asserts it exists.
   [[nodiscard]] BrisaStream& stream(net::StreamId stream);
@@ -390,9 +396,14 @@ class BrisaEngine final : public net::Process, public membership::PssListener {
 
  private:
   membership::PeerSamplingService& pss_;
+  BrisaStream::Config config_;
   /// Index = StreamId; nullptr for ids never added (sparse use).
   std::vector<std::unique_ptr<BrisaStream>> streams_;
   std::size_t stream_count_ = 0;
 };
+
+inline const BrisaStream::Config& BrisaStream::config() const {
+  return engine_.config();
+}
 
 }  // namespace brisa::core

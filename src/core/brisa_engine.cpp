@@ -5,8 +5,9 @@
 namespace brisa::core {
 
 BrisaEngine::BrisaEngine(net::Network& network,
-                         membership::PeerSamplingService& pss, net::NodeId id)
-    : net::Process(network, id), pss_(pss) {
+                         membership::PeerSamplingService& pss, net::NodeId id,
+                         const BrisaStream::Config& config)
+    : net::Process(network, id), pss_(pss), config_(config) {
   pss_.set_listener(this);
   pss_.set_watermark_provider([this]() {
     std::vector<membership::AppWatermark> entries;
@@ -18,11 +19,10 @@ BrisaEngine::BrisaEngine(net::Network& network,
   });
 }
 
-BrisaStream& BrisaEngine::add_stream(net::StreamId stream,
-                                     BrisaStream::Config config) {
+BrisaStream& BrisaEngine::add_stream(net::StreamId stream) {
   if (streams_.size() <= stream) streams_.resize(stream + 1);
   BRISA_ASSERT_MSG(streams_[stream] == nullptr, "stream id already active");
-  streams_[stream] = std::make_unique<BrisaStream>(*this, stream, config);
+  streams_[stream] = std::make_unique<BrisaStream>(*this, stream);
   ++stream_count_;
   return *streams_[stream];
 }

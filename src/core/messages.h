@@ -26,8 +26,11 @@ enum class StructureMode : std::uint8_t {
 
 /// A node's claim about its position in the dissemination structure, plus
 /// the attributes consumed by the parent-selection strategies (§II-E, §IV).
+///
+/// Fields are declared widest first so the struct packs to 40 bytes: every
+/// BrisaStream link caches one, so padding here is paid per (node, stream,
+/// neighbor). The wire size comes from wire_bytes(), not from this layout.
 struct PositionInfo {
-  bool known = false;
   /// Tree mode: identifiers from the stream source up to and including the
   /// claiming node.
   std::vector<net::NodeId> path;
@@ -35,13 +38,14 @@ struct PositionInfo {
   std::int32_t depth = -1;
   /// Uptime in seconds (gerontocratic strategy).
   std::uint32_t uptime_s = 0;
-  /// Current out-degree (load-balancing strategy).
-  std::uint16_t degree = 0;
   /// Estimated cumulative delay from the stream source in microseconds —
   /// the "cumulative round trip times, taken at each hop" of §III-B, carried
   /// so the delay-aware strategy can minimize end-to-end delay rather than
   /// the last hop only.
   std::uint32_t cum_delay_us = 0;
+  /// Current out-degree (load-balancing strategy).
+  std::uint16_t degree = 0;
+  bool known = false;
 
   /// Bytes this metadata occupies inside a message.
   [[nodiscard]] std::size_t wire_bytes(StructureMode mode) const {

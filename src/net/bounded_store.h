@@ -11,7 +11,8 @@
 //
 // IMPORTANT: the store must no longer double as the duplicate-suppression
 // set once eviction exists (a re-arriving evicted seq would re-deliver).
-// Callers dedup against a separate util::SeqSet of delivered seqs.
+// Callers dedup against the keys of their stats.delivery_time map, which
+// never evicts.
 #pragma once
 
 #include <cstddef>

@@ -7,9 +7,12 @@
 // sequence itself and keeps just enough of the std::map surface (ordered
 // iteration as (seq, value) pairs, find/size/empty) that analysis and test
 // code reads the same either way. Holes — sequences a node never saw — cost
-// one presence bit each and are skipped during iteration.
+// one presence bit each and are skipped during iteration. Presence bits live
+// in 64-bit words, so the iteration walks and the largest-key lookup skip a
+// word of holes per step.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -95,12 +98,14 @@ class FlatSeqMap {
   /// Returns the slot for `seq`, default-constructing it on first touch.
   V& operator[](std::uint64_t seq) {
     const auto index = static_cast<std::size_t>(seq);
-    if (index >= present_.size()) {
-      present_.resize(index + 1, false);
+    if (index >= values_.size()) {
       values_.resize(index + 1);
+      words_.resize(index / kWordBits + 1, 0);
     }
-    if (!present_[index]) {
-      present_[index] = true;
+    std::uint64_t& word = words_[index / kWordBits];
+    const std::uint64_t bit = std::uint64_t{1} << (index % kWordBits);
+    if ((word & bit) == 0) {
+      word |= bit;
       ++size_;
     }
     return values_[index];
@@ -108,7 +113,7 @@ class FlatSeqMap {
 
   [[nodiscard]] bool contains(std::uint64_t seq) const {
     const auto index = static_cast<std::size_t>(seq);
-    return index < present_.size() && present_[index];
+    return index < values_.size() && present(index);
   }
 
   [[nodiscard]] std::size_t count(std::uint64_t seq) const {
@@ -118,12 +123,12 @@ class FlatSeqMap {
   /// Removes `seq` if present; returns the number of entries removed (0/1,
   /// std::map::erase analogue). The value slot is reset so a later
   /// re-insertion through operator[] sees a default-constructed V. The
-  /// presence vector keeps its length: sequence keys are dense and
+  /// slot vectors keep their length: sequence keys are dense and
   /// monotonically growing, so shrinking would only be undone.
   std::size_t erase(std::uint64_t seq) {
+    if (!contains(seq)) return 0;
     const auto index = static_cast<std::size_t>(seq);
-    if (index >= present_.size() || !present_[index]) return 0;
-    present_[index] = false;
+    words_[index / kWordBits] &= ~(std::uint64_t{1} << (index % kWordBits));
     values_[index] = V{};
     --size_;
     return 1;
@@ -141,23 +146,25 @@ class FlatSeqMap {
   /// First present entry with key >= seq (std::map::lower_bound analogue;
   /// drives the pull/anti-entropy batch walks in the baselines).
   [[nodiscard]] iterator lower_bound(std::uint64_t seq) {
-    const auto from = static_cast<std::size_t>(seq);
-    return {this, next_present(from < present_.size() ? from
-                                                      : present_.size())};
+    return {this, next_present(clamp_index(seq))};
   }
   [[nodiscard]] const_iterator lower_bound(std::uint64_t seq) const {
-    const auto from = static_cast<std::size_t>(seq);
-    return {this, next_present(from < present_.size() ? from
-                                                      : present_.size())};
+    return {this, next_present(clamp_index(seq))};
+  }
+
+  /// Largest present key (std::prev(end())->first); map must be non-empty.
+  [[nodiscard]] std::uint64_t max_key() const {
+    BRISA_ASSERT_MSG(size_ > 0, "max_key() of empty FlatSeqMap");
+    return prev_present(values_.size());
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
   [[nodiscard]] iterator begin() { return {this, next_present(0)}; }
-  [[nodiscard]] iterator end() { return {this, present_.size()}; }
+  [[nodiscard]] iterator end() { return {this, values_.size()}; }
   [[nodiscard]] const_iterator begin() const { return {this, next_present(0)}; }
-  [[nodiscard]] const_iterator end() const { return {this, present_.size()}; }
+  [[nodiscard]] const_iterator end() const { return {this, values_.size()}; }
 
   bool operator==(const FlatSeqMap& other) const {
     if (size_ != other.size_) return false;
@@ -175,74 +182,49 @@ class FlatSeqMap {
   template <bool Const>
   friend class Iterator;
 
-  [[nodiscard]] std::size_t next_present(std::size_t from) const {
-    while (from < present_.size() && !present_[from]) ++from;
-    return from;
+  static constexpr std::size_t kWordBits = 64;
+
+  [[nodiscard]] bool present(std::size_t index) const {
+    return ((words_[index / kWordBits] >> (index % kWordBits)) & 1) != 0;
   }
+  [[nodiscard]] std::size_t clamp_index(std::uint64_t seq) const {
+    return seq < values_.size() ? static_cast<std::size_t>(seq)
+                                : values_.size();
+  }
+
+  /// First present index >= from, or end. Bits are only ever set below
+  /// values_.size(), so a set bit is always a valid index.
+  [[nodiscard]] std::size_t next_present(std::size_t from) const {
+    if (from >= values_.size()) return values_.size();
+    std::size_t word = from / kWordBits;
+    std::uint64_t bits =
+        words_[word] & (~std::uint64_t{0} << (from % kWordBits));
+    while (bits == 0) {
+      if (++word == words_.size()) return values_.size();
+      bits = words_[word];
+    }
+    return word * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
+  }
+  /// Last present index < from.
   [[nodiscard]] std::size_t prev_present(std::size_t from) const {
     BRISA_ASSERT_MSG(size_ > 0, "-- past begin of empty FlatSeqMap");
-    do {
-      BRISA_ASSERT_MSG(from > 0, "-- past begin of FlatSeqMap");
-      --from;
-    } while (!present_[from]);
-    return from;
+    BRISA_ASSERT_MSG(from > 0, "-- past begin of FlatSeqMap");
+    const std::size_t last = from - 1;
+    std::size_t word = last / kWordBits;
+    std::uint64_t bits = words_[word] & (~std::uint64_t{0} >>
+                                         (kWordBits - 1 - last % kWordBits));
+    while (bits == 0) {
+      BRISA_ASSERT_MSG(word > 0, "-- past begin of FlatSeqMap");
+      bits = words_[--word];
+    }
+    return word * kWordBits + kWordBits - 1 -
+           static_cast<std::size_t>(std::countl_zero(bits));
   }
 
   std::vector<V> values_;
-  std::vector<bool> present_;
+  /// Presence bit per slot of values_, 64 to a word.
+  std::vector<std::uint64_t> words_;
   std::size_t size_ = 0;
-};
-
-/// Duplicate-suppression set over dense sequence numbers: the std::set
-/// subset the dissemination protocols need (insert / count / max), backed by
-/// one presence bit per sequence instead of a red-black-tree node per entry.
-/// All four protocols share this one representation; per-node dedup state is
-/// max_seq/8 bytes instead of ~48 bytes per delivered message.
-class SeqSet {
- public:
-  /// Returns true when `seq` was newly inserted.
-  bool insert(std::uint64_t seq) {
-    const auto index = static_cast<std::size_t>(seq);
-    if (index >= present_.size()) present_.resize(index + 1, false);
-    if (present_[index]) return false;
-    present_[index] = true;
-    ++size_;
-    if (seq > max_ || size_ == 1) max_ = seq;
-    return true;
-  }
-
-  [[nodiscard]] bool contains(std::uint64_t seq) const {
-    const auto index = static_cast<std::size_t>(seq);
-    return index < present_.size() && present_[index];
-  }
-
-  [[nodiscard]] std::size_t count(std::uint64_t seq) const {
-    return contains(seq) ? 1 : 0;
-  }
-
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-
-  /// Largest inserted sequence; set must be non-empty.
-  [[nodiscard]] std::uint64_t max() const {
-    BRISA_ASSERT_MSG(size_ > 0, "max() of empty SeqSet");
-    return max_;
-  }
-
-  bool operator==(const SeqSet& other) const {
-    if (size_ != other.size_) return false;
-    if (size_ == 0) return true;
-    if (max_ != other.max_) return false;
-    for (std::uint64_t seq = 0; seq <= max_; ++seq) {
-      if (contains(seq) != other.contains(seq)) return false;
-    }
-    return true;
-  }
-
- private:
-  std::vector<bool> present_;
-  std::size_t size_ = 0;
-  std::uint64_t max_ = 0;
 };
 
 }  // namespace brisa::util

@@ -20,9 +20,9 @@ net::NodeId BrisaSystem::create_node() {
   rec.hyparview = std::make_unique<membership::HyParView>(
       network_, transport_, id, config_.hyparview);
   rec.engine = std::make_unique<core::BrisaEngine>(network_, *rec.hyparview,
-                                                   id);
+                                                   id, config_.brisa);
   for (std::size_t s = 0; s < config_.num_streams; ++s) {
-    rec.engine->add_stream(static_cast<net::StreamId>(s), config_.brisa);
+    rec.engine->add_stream(static_cast<net::StreamId>(s));
   }
   rec.created_at = simulator_.now();
   nodes_.emplace(id, std::move(rec));

@@ -2,8 +2,11 @@
 // orders, message recovery, and behaviour under scripted churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "workload/brisa_system.h"
 #include "workload/churn.h"
@@ -122,6 +125,34 @@ TEST(BrisaRepair, RetransmissionsAreServedFromBuffer) {
   }
   // The repair asked the new parent for missing data at least once.
   EXPECT_GT(served + received, 0u);
+}
+
+// The retransmit buffer wraps its ring twice here (12 pushes through a
+// 5-entry cap) and must still list the newest arrivals oldest first: that
+// order is the order retransmissions are served in.
+TEST(BrisaRepair, RetransmitBufferKeepsArrivalOrderAcrossWrap) {
+  workload::BrisaSystem::Config config = repair_config(41, 24);
+  config.brisa.retransmit_buffer = 5;
+  workload::BrisaSystem system(config);
+  system.bootstrap();
+  system.run_stream(12, 5.0, 256);
+  ASSERT_TRUE(system.complete_delivery());
+  for (const net::NodeId id : system.member_ids()) {
+    const Brisa& brisa = system.brisa(id);
+    std::vector<std::pair<sim::TimePoint, std::uint64_t>> arrivals;
+    for (const auto& [seq, at] : brisa.stats().delivery_time) {
+      arrivals.emplace_back(at, seq);
+    }
+    std::sort(arrivals.begin(), arrivals.end());
+    std::vector<std::uint64_t> newest;
+    for (std::size_t i = arrivals.size() - 5; i < arrivals.size(); ++i) {
+      newest.push_back(arrivals[i].second);
+    }
+    EXPECT_EQ(brisa.buffered_seqs(), newest) << "node " << id;
+    EXPECT_EQ(brisa.buffered_seqs(),
+              (std::vector<std::uint64_t>{7, 8, 9, 10, 11}))
+        << "node " << id;
+  }
 }
 
 TEST(BrisaRepair, ScriptedChurnTreeDeliversEverything) {

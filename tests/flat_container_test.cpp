@@ -1,11 +1,11 @@
 // Randomized differential tests for the flat hot-path containers:
 // util::SmallVec against std::vector, util::FlatMap against std::map,
-// util::FlatSet against std::set, and util::SeqSet against std::set — same
-// operation stream, element-identical state and iteration order after every
-// step. Iteration-order equality is the load-bearing property: the repo's
-// determinism contract (same seed => byte-identical experiment output)
-// survives the std::map -> FlatMap migration only because ascending-key
-// iteration is preserved exactly.
+// util::FlatSet against std::set, util::FlatSeqMap against std::map, and
+// util::SeqRing against std::deque — same operation stream, element-identical
+// state and iteration order after every step. Iteration-order equality is
+// the load-bearing property: the repo's determinism contract (same seed =>
+// byte-identical experiment output) survives the std::map -> FlatMap
+// migration only because ascending-key iteration is preserved exactly.
 //
 // The large-N stress cases push the containers well past their inline
 // capacity and back; CI runs this binary under ASan/UBSan, which turns any
@@ -13,15 +13,19 @@
 // hard failure.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.h"
 #include "util/flat_map.h"
 #include "util/flat_seq_map.h"
+#include "util/seq_ring.h"
 #include "util/small_vec.h"
 
 namespace brisa {
@@ -237,41 +241,76 @@ TEST(FlatSet, DifferentialAgainstStdSet) {
   }
 }
 
-// --- SeqSet vs std::set ------------------------------------------------------
+// --- FlatSeqMap vs std::map -------------------------------------------------
 
-TEST(SeqSet, DifferentialAgainstStdSet) {
-  sim::Rng rng(0x5ee);
-  for (int round = 0; round < 10; ++round) {
-    util::SeqSet flat;
-    std::set<std::uint64_t> ref;
-    for (int op = 0; op < 2'000; ++op) {
-      const std::uint64_t seq = rng.uniform(4'096);
-      if (rng.uniform(100) < 70) {
-        EXPECT_EQ(flat.insert(seq), ref.insert(seq).second);
-      } else {
-        EXPECT_EQ(flat.count(seq), ref.count(seq));
-      }
-      ASSERT_EQ(flat.size(), ref.size());
-      ASSERT_EQ(flat.empty(), ref.empty());
-      if (!ref.empty()) {
-        EXPECT_EQ(flat.max(), *ref.rbegin());
-      }
-    }
+/// Element-identical state, forward order and reverse order (walking back
+/// from end(), the way datacenter_update reads the last delivery).
+template <typename V>
+void expect_same_seq_map(const util::FlatSeqMap<V>& flat,
+                         const std::map<std::uint64_t, V>& ref) {
+  ASSERT_EQ(flat.size(), ref.size());
+  ASSERT_EQ(flat.empty(), ref.empty());
+  auto fit = flat.begin();
+  for (const auto& [key, value] : ref) {
+    ASSERT_NE(fit, flat.end());
+    EXPECT_EQ(fit->first, key);
+    EXPECT_EQ(fit->second, value);
+    ++fit;
   }
+  EXPECT_EQ(fit, flat.end());
+  if (ref.empty()) {
+    EXPECT_EQ(flat.begin(), flat.end());
+    return;
+  }
+  EXPECT_EQ(flat.max_key(), ref.rbegin()->first);
+  auto rit = flat.end();
+  for (auto it = ref.rbegin(); it != ref.rend(); ++it) {
+    --rit;
+    EXPECT_EQ(rit->first, it->first);
+    EXPECT_EQ(rit->second, it->second);
+  }
+  EXPECT_EQ(rit, flat.begin());
 }
 
-TEST(SeqSet, ContiguousWalkMatchesProtocolUse) {
-  // The exact pattern the protocols run: insert out of order, advance the
-  // contiguous watermark with count().
-  util::SeqSet seen;
-  std::uint64_t upto = 0;
-  for (const std::uint64_t seq : {1, 0, 4, 2, 3, 7, 5}) {
-    seen.insert(seq);
-    while (seen.count(upto) > 0) ++upto;
+TEST(FlatSeqMap, DifferentialAgainstStdMap) {
+  // Keys straddle the 64-bit presence-word boundaries (63/64/65, 127/128,
+  // 191/192) so every walk crosses words in both directions.
+  const std::vector<std::uint64_t> keys = {0,  1,   2,   62,  63,  64,
+                                           65, 126, 127, 128, 129, 191,
+                                           192, 193, 255, 256, 300};
+  sim::Rng rng(0x5ee);
+  for (int round = 0; round < 10; ++round) {
+    util::FlatSeqMap<std::uint32_t> flat;
+    std::map<std::uint64_t, std::uint32_t> ref;
+    for (int op = 0; op < 2'000; ++op) {
+      const std::uint64_t key = keys[rng.uniform(keys.size())];
+      const std::uint64_t dice = rng.uniform(100);
+      if (dice < 40) {
+        const auto value = static_cast<std::uint32_t>(rng.uniform(1'000));
+        flat[key] += value;
+        ref[key] += value;
+      } else if (dice < 65) {
+        EXPECT_EQ(flat.erase(key), ref.erase(key));
+      } else if (dice < 80) {
+        EXPECT_EQ(flat.contains(key), ref.count(key) > 0);
+        EXPECT_EQ(flat.count(key), ref.count(key));
+        const auto fit = flat.find(key);
+        const auto rit = ref.find(key);
+        ASSERT_EQ(fit == flat.end(), rit == ref.end());
+        if (rit != ref.end()) {
+          EXPECT_EQ(fit->second, rit->second);
+        }
+      } else {
+        const auto fit = flat.lower_bound(key);
+        const auto rit = ref.lower_bound(key);
+        ASSERT_EQ(fit == flat.end(), rit == ref.end()) << "key " << key;
+        if (rit != ref.end()) {
+          EXPECT_EQ(fit->first, rit->first);
+        }
+      }
+      expect_same_seq_map(flat, ref);
+    }
   }
-  EXPECT_EQ(upto, 6u);
-  EXPECT_EQ(seen.max(), 7u);
-  EXPECT_EQ(seen.size(), 7u);
 }
 
 // --- FlatSeqMap additions ----------------------------------------------------
@@ -294,6 +333,79 @@ TEST(FlatSeqMap, LowerBoundSkipsHolesLikeStdMap) {
       EXPECT_EQ(fit->second, rit->second);
     }
   }
+}
+
+// --- SeqRing vs std::deque ---------------------------------------------------
+
+/// Drives a SeqRing and a std::deque reference through the retransmit
+/// buffer's operations: push, count-cap trim from the front, and
+/// order-preserving erase of the lowest- or highest-seq entry (the
+/// `[limits]` victims) once the ring has wrapped.
+void ring_differential(std::size_t bound, std::uint64_t salt) {
+  util::SeqRing ring(bound);
+  std::deque<std::pair<std::uint64_t, std::uint32_t>> ref;
+  EXPECT_EQ(ring.capacity(), 0u) << "an empty ring allocates nothing";
+  sim::Rng rng(salt);
+  std::uint64_t next_seq = 0;
+  for (int op = 0; op < 20'000; ++op) {
+    // Mostly ascending seqs with back-fill below them, like a late joiner;
+    // some seqs exceed 32 bits to exercise the split halves.
+    std::uint64_t seq = rng.uniform(100) < 80 ? next_seq++
+                                              : rng.uniform(next_seq + 1);
+    if (rng.uniform(50) == 0) seq += std::uint64_t{1} << 33;
+    const auto bytes = static_cast<std::uint32_t>(rng.uniform(5'000));
+    ring.push_back(seq, bytes);
+    ref.emplace_back(seq, bytes);
+    ASSERT_LE(ring.capacity(), bound + 1);
+    while (ref.size() > bound) {
+      ring.pop_front();
+      ref.pop_front();
+    }
+    const std::uint64_t dice = rng.uniform(100);
+    if (dice < 30 && !ref.empty()) {
+      const auto by_seq = [](const auto& a, const auto& b) {
+        return a.first < b.first;
+      };
+      const auto victim =
+          dice < 15 ? std::min_element(ref.begin(), ref.end(), by_seq)
+                    : std::max_element(ref.begin(), ref.end(), by_seq);
+      ring.erase(static_cast<std::size_t>(victim - ref.begin()));
+      ref.erase(victim);
+    }
+    ASSERT_EQ(ring.size(), ref.size());
+    ASSERT_EQ(ring.empty(), ref.empty());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      ASSERT_EQ(ring[i].seq(), ref[i].first) << "op " << op << " at " << i;
+      ASSERT_EQ(ring[i].bytes, ref[i].second) << "op " << op << " at " << i;
+    }
+  }
+  EXPECT_EQ(ring.capacity(), bound + 1) << "the bound was never reached";
+}
+
+TEST(SeqRing, DifferentialAgainstDequeSmallBound) { ring_differential(5, 1); }
+
+TEST(SeqRing, DifferentialAgainstDequeLargeBound) {
+  ring_differential(257, 2);
+}
+
+TEST(SeqRing, GrowthStartsAt64AndStopsAtBoundPlusOne) {
+  const auto capacities = [](std::size_t bound, std::size_t pushes) {
+    util::SeqRing ring(bound);
+    std::vector<std::size_t> seen;
+    for (std::uint64_t seq = 0; seq < pushes; ++seq) {
+      ring.push_back(seq, 1);
+      if (ring.size() > bound) ring.pop_front();
+      if (seen.empty() || seen.back() != ring.capacity()) {
+        seen.push_back(ring.capacity());
+      }
+    }
+    return seen;
+  };
+  EXPECT_EQ(capacities(5, 20), (std::vector<std::size_t>{6}));
+  EXPECT_EQ(capacities(128, 40), (std::vector<std::size_t>{64}));
+  // No 256 -> 258 step: a doubling that would stop just short of the
+  // ceiling goes straight to it.
+  EXPECT_EQ(capacities(257, 600), (std::vector<std::size_t>{64, 128, 258}));
 }
 
 }  // namespace

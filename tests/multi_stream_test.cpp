@@ -110,11 +110,11 @@ TEST(MultiStream, EngineDropsMessagesForInactiveStreams) {
   const NodeId b = base.network().add_host();
   membership::HyParView pss_a(base.network(), base.transport(), a, {});
   membership::HyParView pss_b(base.network(), base.transport(), b, {});
-  core::BrisaEngine engine_a(base.network(), pss_a, a);
-  core::BrisaEngine engine_b(base.network(), pss_b, b);
-  engine_a.add_stream(0, {});
-  engine_a.add_stream(1, {});
-  engine_b.add_stream(0, {});  // b does not run stream 1
+  core::BrisaEngine engine_a(base.network(), pss_a, a, {});
+  core::BrisaEngine engine_b(base.network(), pss_b, b, {});
+  engine_a.add_stream(0);
+  engine_a.add_stream(1);
+  engine_b.add_stream(0);  // b does not run stream 1
 
   pss_a.start();
   pss_b.join(a);
