@@ -16,7 +16,10 @@ For every end-to-end metric that BENCHMARK.json names it prints both
 medians, both interquartile ranges, the relative change of the medians,
 and how many pairs the change won, tied and lost (by the metric's
 `better` direction). It exits 1 when any run fails or is incorrect, or
-when the simulated-outcome fingerprints of the two sides differ.
+when the simulated-outcome fingerprints of the two sides differ. Before
+exiting on differing fingerprints it runs each side once more with
+`--trace 1` and prints every simulated per-layer counter (and outcome
+field) whose value differs, so the diff says which layer moved.
 
 Builds go under --work-dir (default: a temporary directory, removed at
 the end); pass a directory to reuse builds across calls.
@@ -58,11 +61,11 @@ def export(rev, dest):
         fail(f"{rev} has no perfbench/run.py")
 
 
-def run_side(tree, target_dir, args):
-    """One untraced run; returns (metrics dict, fingerprint)."""
+def run_perfbench(tree, target_dir, args, trace):
+    """One run of the tree's perfbench/run.py; returns its stdout lines."""
     command = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
                "--workload", args.workload, "--seed", str(args.seed),
-               "--seconds", repr(args.seconds), "--trace", "0",
+               "--seconds", repr(args.seconds), "--trace", trace,
                "--scale", args.scale]
     env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
     done = subprocess.run(command, cwd=tree, env=env, capture_output=True,
@@ -70,15 +73,63 @@ def run_side(tree, target_dir, args):
     if done.returncode != 0:
         sys.stderr.write(done.stderr[-4000:])
         fail(f"{tree}: perfbench/run.py exited {done.returncode}")
-    lines = done.stdout.splitlines()
-    fingerprint = None
+    return done.stdout.splitlines()
+
+
+def prefixed_json(lines, prefix):
+    """The JSON object on the line starting with `prefix`, or {}."""
     for line in lines:
-        if line.startswith("outcome "):
-            fingerprint = json.loads(line[len("outcome "):]).get("fingerprint")
+        if line.startswith(prefix):
+            return json.loads(line[len(prefix):])
+    return {}
+
+
+def run_side(tree, target_dir, args):
+    """One untraced run; returns (metrics dict, fingerprint)."""
+    lines = run_perfbench(tree, target_dir, args, "0")
+    fingerprint = prefixed_json(lines, "outcome ").get("fingerprint")
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"] != 0:
         fail(f"{tree}: incorrect run ({result['failed']} failed)")
     return {k: v["value"] for k, v in result["metrics"].items()}, fingerprint
+
+
+# Per-layer metrics measured on the host (wall time, memory) rather than
+# counted in the simulation; they differ run to run, so the counter diff
+# leaves them out.
+HOST_UNITS = ("s", "ns", "us")
+HOST_PREFIXES = ("mem.",)
+
+
+def traced_counters(tree, target_dir, args):
+    """One traced run; returns {name: value} for every simulated per-layer
+    counter (listed or unlisted) and the outcome line's numeric fields."""
+    lines = run_perfbench(tree, target_dir, args, "1")
+    metrics = dict(prefixed_json(lines, "unlisted "))
+    metrics.update(json.loads(lines[-1])["metrics"])
+    counters = {name: m["value"] for name, m in metrics.items()
+                if m["unit"] not in HOST_UNITS
+                and not name.startswith(HOST_PREFIXES)}
+    for key, value in prefixed_json(lines, "outcome ").items():
+        # reps counts how many repetitions fit the time budget.
+        if key not in ("seed", "reps") and isinstance(value, (int, float)):
+            counters[f"outcome.{key}"] = value
+    return counters
+
+
+def print_counter_diff(sides, args):
+    """Runs each side once traced and prints the counters that differ."""
+    base = traced_counters(*sides["base"], args)
+    change = traced_counters(*sides["change"], args)
+    names = sorted(set(base) | set(change))
+    differing = [name for name in names if base.get(name) != change.get(name)]
+    print(f"counters that differ ({len(differing)} of {len(names)}, "
+          f"one traced run per side):")
+    for name in differing:
+        b, c = base.get(name), change.get(name)
+        delta = (f"{(c - b) / b * 100:+.1f}%"
+                 if b and c is not None else "n/a")
+        print(f"  {name:<32} base {b!s:>14}  change {c!s:>14}  {delta}")
 
 
 def quantile(values, q):
@@ -88,6 +139,33 @@ def quantile(values, q):
     low = int(pos)
     high = min(low + 1, len(ordered) - 1)
     return ordered[low] + (ordered[high] - ordered[low]) * (pos - low)
+
+
+def report(args, spec, samples):
+    """Prints medians, IQRs and win/tie/loss for every end-to-end metric."""
+    print(f"workload {args.workload} seed {args.seed} scale {args.scale} "
+          f"pairs {args.pairs} seconds {args.seconds} base {args.base_rev}")
+    header = (f"{'metric':<24} {'unit':<6} {'base median':>12} "
+              f"{'base IQR':>23} {'change median':>13} {'change IQR':>23} "
+              f"{'delta':>8}  win/tie/loss")
+    print(header)
+    for name, meta in spec.items():
+        base = [s[name] for s in samples["base"]]
+        change = [s[name] for s in samples["change"]]
+        wins = ties = losses = 0
+        for b, c in zip(base, change):
+            if c == b:
+                ties += 1
+            elif (c < b) == (meta["better"] == "lower"):
+                wins += 1
+            else:
+                losses += 1
+        bm, cm = quantile(base, 0.5), quantile(change, 0.5)
+        delta = f"{(cm - bm) / bm * 100:+.1f}%" if bm else "n/a"
+        biqr = f"{quantile(base, 0.25):.4g}..{quantile(base, 0.75):.4g}"
+        ciqr = f"{quantile(change, 0.25):.4g}..{quantile(change, 0.75):.4g}"
+        print(f"{name:<24} {meta['unit']:<6} {bm:>12.6g} {biqr:>23} "
+              f"{cm:>13.6g} {ciqr:>23} {delta:>8}  {wins}/{ties}/{losses}")
 
 
 def main():
@@ -126,41 +204,18 @@ def main():
                 fingerprints[side].add(fingerprint)
                 print(f"pair {pair + 1}/{args.pairs} {side}: "
                       f"fingerprint {fingerprint}", file=sys.stderr)
+        report(args, spec, samples)
+        base_fps, change_fps = fingerprints["base"], fingerprints["change"]
+        if base_fps == change_fps and len(base_fps) == 1:
+            print(f"fingerprints: equal ({base_fps.pop()})")
+            return 0
+        print(f"fingerprints: DIFFER (base {sorted(map(str, base_fps))}, "
+              f"change {sorted(map(str, change_fps))})")
+        print_counter_diff(sides, args)
+        return 1
     finally:
         if not args.work_dir:
             shutil.rmtree(work, ignore_errors=True)
-
-    print(f"workload {args.workload} seed {args.seed} scale {args.scale} "
-          f"pairs {args.pairs} seconds {args.seconds} base {args.base_rev}")
-    header = (f"{'metric':<24} {'unit':<6} {'base median':>12} "
-              f"{'base IQR':>23} {'change median':>13} {'change IQR':>23} "
-              f"{'delta':>8}  win/tie/loss")
-    print(header)
-    for name, meta in spec.items():
-        base = [s[name] for s in samples["base"]]
-        change = [s[name] for s in samples["change"]]
-        wins = ties = losses = 0
-        for b, c in zip(base, change):
-            if c == b:
-                ties += 1
-            elif (c < b) == (meta["better"] == "lower"):
-                wins += 1
-            else:
-                losses += 1
-        bm, cm = quantile(base, 0.5), quantile(change, 0.5)
-        delta = f"{(cm - bm) / bm * 100:+.1f}%" if bm else "n/a"
-        biqr = f"{quantile(base, 0.25):.4g}..{quantile(base, 0.75):.4g}"
-        ciqr = f"{quantile(change, 0.25):.4g}..{quantile(change, 0.75):.4g}"
-        print(f"{name:<24} {meta['unit']:<6} {bm:>12.6g} {biqr:>23} "
-              f"{cm:>13.6g} {ciqr:>23} {delta:>8}  {wins}/{ties}/{losses}")
-
-    base_fps, change_fps = fingerprints["base"], fingerprints["change"]
-    if base_fps == change_fps and len(base_fps) == 1:
-        print(f"fingerprints: equal ({base_fps.pop()})")
-        return 0
-    print(f"fingerprints: DIFFER (base {sorted(map(str, base_fps))}, "
-          f"change {sorted(map(str, change_fps))})")
-    return 1
 
 
 if __name__ == "__main__":

@@ -40,84 +40,6 @@ BrisaStream::BrisaStream(BrisaEngine& engine, net::StreamId stream)
   BRISA_ASSERT(config().num_parents >= 1);
   // Adopt any neighbors that existed before this stream attached.
   for (const net::NodeId peer : pss().view_ref()) links_.try_emplace(peer);
-  // Delay-aware refinement (§II-E): keep-alive piggybacked cumulative
-  // delays let a node periodically re-evaluate its parent choice against
-  // fresher estimates — the continuing optimization the paper attributes to
-  // measuring RTTs at the HyParView level.
-  if (config().strategy == ParentSelectionStrategy::kDelayAware &&
-      config().mode == StructureMode::kTree && config().prune) {
-    every(config().refine_period, [this]() {
-      if (is_source_ || !position_known_ || repair_ != nullptr) return;
-      if (parents_.empty()) return;
-      const net::NodeId parent = *parents_.begin();
-      const double parent_cost =
-          candidate_cost(config().strategy, make_candidate(parent, true));
-      net::NodeId best;
-      double best_cost = parent_cost;
-      for (const net::NodeId peer : pss().view_ref()) {
-        if (parents_.count(peer) > 0) continue;
-        const auto it = links_.find(peer);
-        if (it == links_.end()) continue;
-        // Rank by the keep-alive-fresh cumulative delay; cycle safety is
-        // confirmed by the resume/ack handshake, not the stale path cache.
-        if (!it->second.ka_cum_fresh && !it->second.position.known) continue;
-        const sim::Duration rtt = pss().rtt_estimate(peer);
-        if (rtt == sim::Duration::max()) continue;
-        const double cost =
-            static_cast<double>(it->second.position.cum_delay_us) +
-            static_cast<double>(rtt.us());
-        if (cost < best_cost) {
-          best_cost = cost;
-          best = peer;
-        }
-      }
-      BRISA_TRACE("brisa") << this->id() << " refine check: parent_cost="
-                           << parent_cost << " best_cost=" << best_cost
-                           << " best=" << best;
-      // Switch only for a clear win; hysteresis prevents oscillation.
-      if (best.valid() && best_cost < parent_cost * 0.9) {
-        start_repair_with_kind(RepairKind::kRefine, /*allow_soft=*/true,
-                               net::NodeId::invalid());
-        if (repair_ != nullptr) {
-          repair_->pending_candidates = {best};
-          try_next_repair_candidate();
-        }
-      }
-    });
-  }
-
-  // Starvation surveillance (§II-F fallback): keep-alive watermarks reveal
-  // when the stream has advanced at our neighbors while our own parents feed
-  // us nothing — the signature of a stale structure (e.g. an adoption cycle
-  // of mutually-starved nodes). The remedy is a hard reset through the
-  // epidemic substrate.
-  every(config().starvation_check_period, [this]() {
-    if (is_source_ || !position_known_ || repair_ != nullptr) return;
-    if (stats_.delivered == 0 || parents_.empty()) return;
-    // Nothing newer than our own deliveries exists nearby.
-    if (watermark_heard_ <= delivered_watermark()) return;
-    if (now() - last_delivery_at_ < config().starvation_timeout) return;
-    stats_.starvation_resets += 1;
-    const std::vector<net::NodeId> stale(parents_.begin(), parents_.end());
-    for (const net::NodeId parent : stale) deactivate_inbound(parent);
-    start_repair_with_kind(RepairKind::kStarvation, /*allow_soft=*/false,
-                           net::NodeId::invalid());
-  });
-  // DAG nodes keep probing for missing parents: bootstrap order or depth
-  // false-negatives can leave a node below target even without failures
-  // (§II-G: "nodes always obtained the desired number of parents").
-  if (config().mode == StructureMode::kDag && config().num_parents > 1) {
-    every(config().topup_period, [this]() {
-      if (is_source_ || !position_known_ || repair_ != nullptr) return;
-      if (parents_.size() >= config().num_parents) return;
-      if (network().tx_defer(id())) {
-        stats_.rate_deferrals += 1;
-        return;
-      }
-      start_repair_with_kind(RepairKind::kTopUp, /*allow_soft=*/true,
-                             net::NodeId::invalid());
-    });
-  }
 }
 
 // --- Engine access shims ------------------------------------------------------
@@ -130,11 +52,85 @@ membership::PeerSamplingService& BrisaStream::pss() const {
 sim::EventId BrisaStream::after(sim::Duration delay, sim::Callback fn) {
   return engine_.after(delay, std::move(fn));
 }
-sim::PeriodicId BrisaStream::every(sim::Duration period, sim::Callback fn) {
-  return engine_.every(period, std::move(fn));
-}
 void BrisaStream::cancel(sim::EventId event) { engine_.cancel(event); }
 net::Network& BrisaStream::network() const { return engine_.network(); }
+
+// --- Periodic maintenance (run by the engine's ticks) ------------------------
+
+void BrisaStream::check_refine() {
+  // Delay-aware refinement (§II-E): keep-alive piggybacked cumulative
+  // delays let a node periodically re-evaluate its parent choice against
+  // fresher estimates — the continuing optimization the paper attributes to
+  // measuring RTTs at the HyParView level.
+  if (is_source_ || !position_known_ || repair_ != nullptr) return;
+  if (parents_.empty()) return;
+  const net::NodeId parent = *parents_.begin();
+  const double parent_cost =
+      candidate_cost(config().strategy, make_candidate(parent, true));
+  net::NodeId best;
+  double best_cost = parent_cost;
+  for (const net::NodeId peer : pss().view_ref()) {
+    if (parents_.count(peer) > 0) continue;
+    const auto it = links_.find(peer);
+    if (it == links_.end()) continue;
+    // Rank by the keep-alive-fresh cumulative delay; cycle safety is
+    // confirmed by the resume/ack handshake, not the stale path cache.
+    if (!it->second.ka_cum_fresh && !it->second.position.known) continue;
+    const sim::Duration rtt = pss().rtt_estimate(peer);
+    if (rtt == sim::Duration::max()) continue;
+    const double cost =
+        static_cast<double>(it->second.position.cum_delay_us) +
+        static_cast<double>(rtt.us());
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = peer;
+    }
+  }
+  BRISA_TRACE("brisa") << this->id() << " refine check: parent_cost="
+                       << parent_cost << " best_cost=" << best_cost
+                       << " best=" << best;
+  // Switch only for a clear win; hysteresis prevents oscillation.
+  if (best.valid() && best_cost < parent_cost * 0.9) {
+    start_repair_with_kind(RepairKind::kRefine, /*allow_soft=*/true,
+                           net::NodeId::invalid());
+    if (repair_ != nullptr) {
+      repair_->pending_candidates = {best};
+      try_next_repair_candidate();
+    }
+  }
+}
+
+void BrisaStream::check_starvation() {
+  // Starvation surveillance (§II-F fallback): keep-alive watermarks reveal
+  // when the stream has advanced at our neighbors while our own parents feed
+  // us nothing — the signature of a stale structure (e.g. an adoption cycle
+  // of mutually-starved nodes). The remedy is a hard reset through the
+  // epidemic substrate.
+  if (is_source_ || !position_known_ || repair_ != nullptr) return;
+  if (stats_.delivered == 0 || parents_.empty()) return;
+  // Nothing newer than our own deliveries exists nearby.
+  if (watermark_heard_ <= delivered_watermark()) return;
+  if (now() - last_delivery_at_ < kStarvationTimeout) return;
+  stats_.starvation_resets += 1;
+  const std::vector<net::NodeId> stale(parents_.begin(), parents_.end());
+  for (const net::NodeId parent : stale) deactivate_inbound(parent);
+  start_repair_with_kind(RepairKind::kStarvation, /*allow_soft=*/false,
+                         net::NodeId::invalid());
+}
+
+void BrisaStream::check_topup() {
+  // DAG nodes keep probing for missing parents: bootstrap order or depth
+  // false-negatives can leave a node below target even without failures
+  // (§II-G: "nodes always obtained the desired number of parents").
+  if (is_source_ || !position_known_ || repair_ != nullptr) return;
+  if (parents_.size() >= config().num_parents) return;
+  if (network().tx_defer(id())) {
+    stats_.rate_deferrals += 1;
+    return;
+  }
+  start_repair_with_kind(RepairKind::kTopUp, /*allow_soft=*/true,
+                         net::NodeId::invalid());
+}
 
 // --- Source API --------------------------------------------------------------
 
@@ -398,7 +394,7 @@ void BrisaStream::arm_gap_probe() {
   // delivery, which the hole sits below. Retrying at the probe cadence
   // walks the recovery down the tree one level per period.
   gap_probe_armed_ = true;
-  after(config().gap_probe_delay, [this]() {
+  after(kGapProbeDelay, [this]() {
     gap_probe_armed_ = false;
     const auto& delivered = stats_.delivery_time;
     if (delivered.empty()) return;
@@ -743,7 +739,7 @@ void BrisaStream::try_next_repair_candidate() {
           kCtl);
   // The token check stays as a second line of defense: a handle is only as
   // fresh as the RepairState that stored it.
-  repair_->timeout_event = after(config().repair_ack_timeout, [this, token]() {
+  repair_->timeout_event = after(kRepairAckTimeout, [this, token]() {
     if (repair_ != nullptr && repair_->timeout_token == token &&
         repair_->awaiting_ack.valid()) {
       try_next_repair_candidate();
@@ -828,7 +824,7 @@ void BrisaStream::arm_hard_repair_retry() {
   // retry is one small control message per neighbor.
   const std::uint64_t token = ++repair_token_counter_;
   repair_->timeout_token = token;
-  repair_->timeout_event = after(config().repair_ack_timeout, [this, token]() {
+  repair_->timeout_event = after(kRepairAckTimeout, [this, token]() {
     if (repair_ == nullptr || !repair_->hard) return;
     if (repair_->timeout_token != token) return;
     stats_.hard_repair_retries += 1;

@@ -5,18 +5,22 @@
 //
 //   * BrisaStream holds everything that is per-stream: parents/children
 //     links, path/depth position, dedup and delivery bookkeeping, repair
-//     state machines, and Stats. It is a plain state machine — not a
-//     net::Process — driven by its engine.
+//     state machines and their one-shot timers, and Stats. It is a plain
+//     state machine — not a net::Process — driven by its engine, and it
+//     arms no periodic timer of its own.
 //   * BrisaEngine is the single net::Process + PssListener per node. It owns
 //     the one Config its streams share and N BrisaStream instances in a flat
 //     vector indexed by StreamId, demultiplexes incoming messages by their
-//     stream id, fans membership events out to every stream, and aggregates
-//     the per-stream keep-alive watermark entries.
+//     stream id, fans membership events out to every stream, aggregates
+//     the per-stream keep-alive watermark entries, and runs the periodic
+//     maintenance: at most two ticks per node (starvation, plus refine or
+//     DAG top-up), each walking the streams in id order.
 //
 // This is the paper's §IV "Multiple Trees" argument made structural: because
 // the tree *emerges* from the epidemic substrate, additional trees cost only
-// their per-stream state — the membership layer, failure detection, and
-// keep-alive probing are shared across the whole forest.
+// their per-stream state — the membership layer, failure detection,
+// keep-alive probing and the maintenance ticks are shared across the whole
+// forest.
 //
 // The protocol per stream is unchanged from the single-stream original:
 //   * bootstraps by flooding the first stream message over the PSS overlay;
@@ -67,27 +71,36 @@ class BrisaStream final {
     bool symmetric_deactivation = true;
     /// How many recent payloads each node buffers for child recovery.
     std::size_t retransmit_buffer = 128;
-    /// Patience for a BrisaResume acknowledgment before trying the next
-    /// candidate (or escalating to hard repair).
-    sim::Duration repair_ack_timeout = sim::Duration::milliseconds(500);
-    /// How often a DAG node below its parent target probes for another
-    /// eligible parent (§II-G acquisition guarantee).
-    sim::Duration topup_period = sim::Duration::seconds(5);
-    /// Patience before pulling a sequence hole from a parent's buffer
-    /// (covers losses from deactivation/swap races).
-    sim::Duration gap_probe_delay = sim::Duration::milliseconds(750);
-    /// Starvation surveillance (§II-F fallback): when neighbors' keep-alive
-    /// watermarks advance past ours and nothing arrives for this long, the
-    /// structure above us is stale — reset hard through the substrate.
-    sim::Duration starvation_check_period = sim::Duration::seconds(2);
-    sim::Duration starvation_timeout = sim::Duration::seconds(4);
-    /// Period of the delay-aware parent re-evaluation (tree mode only).
-    sim::Duration refine_period = sim::Duration::seconds(5);
     /// Bandwidth-discipline layer ([limits] scenario section): extra bounds
     /// on the retransmit buffer, Bloom digests on retransmit requests, and
     /// gap-probe/topup backoff under send-side congestion. Default = off.
     net::Limits limits;
   };
+
+  // --- Timing constants ------------------------------------------------------
+  // Shared by every stream; the periodic ones drive BrisaEngine's
+  // maintenance ticks.
+
+  /// Patience for a BrisaResume acknowledgment before trying the next
+  /// candidate (or escalating to hard repair).
+  static constexpr sim::Duration kRepairAckTimeout =
+      sim::Duration::milliseconds(500);
+  /// How often a DAG node below its parent target probes for another
+  /// eligible parent (§II-G acquisition guarantee).
+  static constexpr sim::Duration kTopupPeriod = sim::Duration::seconds(5);
+  /// Patience before pulling a sequence hole from a parent's buffer
+  /// (covers losses from deactivation/swap races).
+  static constexpr sim::Duration kGapProbeDelay =
+      sim::Duration::milliseconds(750);
+  /// Starvation surveillance (§II-F fallback): when neighbors' keep-alive
+  /// watermarks advance past ours and nothing arrives for
+  /// kStarvationTimeout, the structure above us is stale — reset hard
+  /// through the substrate.
+  static constexpr sim::Duration kStarvationCheckPeriod =
+      sim::Duration::seconds(2);
+  static constexpr sim::Duration kStarvationTimeout = sim::Duration::seconds(4);
+  /// Period of the delay-aware parent re-evaluation (tree mode only).
+  static constexpr sim::Duration kRefinePeriod = sim::Duration::seconds(5);
 
   /// Per-(node, stream) protocol statistics; the experiment harnesses
   /// aggregate these across nodes into the paper's tables and figures.
@@ -248,8 +261,16 @@ class BrisaStream final {
   [[nodiscard]] membership::PeerSamplingService& pss() const;
   [[nodiscard]] net::Network& network() const;
   sim::EventId after(sim::Duration delay, sim::Callback fn);
-  sim::PeriodicId every(sim::Duration period, sim::Callback fn);
   void cancel(sim::EventId event);
+
+  // Periodic maintenance, run by the engine's ticks (one tick per mechanism
+  // per node, walking the streams in id order).
+  /// Delay-aware refinement (§II-E): switch to a clearly cheaper parent.
+  void check_refine();
+  /// Starvation surveillance (§II-F fallback): hard reset a stale structure.
+  void check_starvation();
+  /// DAG top-up (§II-G): probe for a missing parent while below target.
+  void check_topup();
 
   // Message handlers (invoked by the engine after stream demux).
   void handle_data(net::NodeId from, const BrisaData& msg);
@@ -395,6 +416,9 @@ class BrisaEngine final : public net::Process, public membership::PssListener {
                              std::uint64_t aux) override;
 
  private:
+  /// Runs one maintenance check on every local stream, in id order.
+  void tick(void (BrisaStream::*check)());
+
   membership::PeerSamplingService& pss_;
   BrisaStream::Config config_;
   /// Index = StreamId; nullptr for ids never added (sparse use).

@@ -17,6 +17,31 @@ BrisaEngine::BrisaEngine(net::Network& network,
     }
     return entries;
   });
+  // Periodic maintenance: one tick per mechanism, each walking the streams
+  // in id order. Every stream is checked at the engine's phase, which is
+  // its own as long as callers add streams right after building the
+  // engine (all of them do).
+  if (config_.strategy == ParentSelectionStrategy::kDelayAware &&
+      config_.mode == StructureMode::kTree && config_.prune) {
+    every(BrisaStream::kRefinePeriod,
+          [this]() { tick(&BrisaStream::check_refine); });
+  }
+  // A flooding stream never holds a parent, so its starvation check would
+  // always return early.
+  if (config_.prune) {
+    every(BrisaStream::kStarvationCheckPeriod,
+          [this]() { tick(&BrisaStream::check_starvation); });
+  }
+  if (config_.mode == StructureMode::kDag && config_.num_parents > 1) {
+    every(BrisaStream::kTopupPeriod,
+          [this]() { tick(&BrisaStream::check_topup); });
+  }
+}
+
+void BrisaEngine::tick(void (BrisaStream::*check)()) {
+  for (const auto& stream : streams_) {
+    if (stream != nullptr) (stream.get()->*check)();
+  }
 }
 
 BrisaStream& BrisaEngine::add_stream(net::StreamId stream) {

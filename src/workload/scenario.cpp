@@ -4,6 +4,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/parent_selection.h"
 #include "workload/churn.h"
@@ -489,6 +490,35 @@ void Scenario::validate() const {
       *inter_rtt_min_ms > *inter_rtt_max_ms) {
     fail("", "topology inter-rtt-min-ms exceeds inter-rtt-max-ms");
   }
+  if (nodes && *nodes < 2) {
+    fail("", "scenario nodes must be >= 2, got " + fmt_size(*nodes));
+  }
+  if (nodes && streams && *streams > *nodes) {
+    fail("", "streams count " + fmt_size(*streams) +
+                 " exceeds scenario nodes " + fmt_size(*nodes) +
+                 " (each stream needs its own source)");
+  }
+  // Latencies and run phases: a negative value aborts the simulator (or,
+  // for grace-s, silently sends nothing).
+  const std::pair<const char*, const std::optional<double>*> non_negative[] = {
+      {"topology intra-rtt-ms", &intra_rtt_ms},
+      {"topology inter-rtt-min-ms", &inter_rtt_min_ms},
+      {"topology inter-rtt-max-ms", &inter_rtt_max_ms},
+      {"topology jitter-ms", &wan_jitter_ms},
+      {"topology intra-rack-us", &intra_rack_us},
+      {"topology intra-pod-us", &intra_pod_us},
+      {"topology inter-pod-us", &inter_pod_us},
+      {"topology jitter-us", &fat_tree_jitter_us},
+      {"run join-spread-s", &join_spread_s},
+      {"run stabilization-s", &stabilization_s},
+      {"run grace-s", &grace_s},
+  };
+  for (const auto& [key, value] : non_negative) {
+    if (*value && **value < 0.0) {
+      fail("", std::string(key) + " must be non-negative, got " +
+                   fmt_double(**value));
+    }
+  }
   if (ba_m && *ba_m == 0) fail("", "topology ba-m must be >= 1");
   if (ws_k && (*ws_k < 2 || *ws_k % 2 != 0)) {
     fail("", "topology ws-k must be an even integer >= 2, got " +
@@ -511,6 +541,19 @@ void Scenario::validate() const {
   }
   if (flash_rate && *flash_rate <= 0.0) {
     fail("", "streams flash-rate-per-s must be positive");
+  }
+  if (rate && *rate <= 0.0) {
+    fail("", "streams rate-per-s must be positive, got " + fmt_double(*rate));
+  }
+  if (active_view && *active_view == 0) {
+    fail("", "overlay active-view must be >= 1");
+  }
+  if (passive_view && *passive_view == 0) {
+    fail("", "overlay passive-view must be >= 1");
+  }
+  if (expansion_factor && *expansion_factor < 1.0) {
+    fail("", "overlay expansion-factor must be >= 1, got " +
+                 fmt_double(*expansion_factor));
   }
   if (parents && *parents == 0) fail("", "overlay parents must be >= 1");
   if (shards && (*shards == 0 || *shards > 63)) {

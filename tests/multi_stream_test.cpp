@@ -1,5 +1,6 @@
 // Multi-stream engine tests: per-stream isolation over one shared PSS,
-// demux of unknown streams, partial subscription via the PubSubDriver, the
+// per-engine maintenance ticks and starvation surveillance, demux of
+// unknown streams, partial subscription via the PubSubDriver, the
 // 8-stream faulted determinism golden (mirrors the PR 2 single-stream
 // golden), and a property sweep asserting per-stream reliability under 20%
 // loss.
@@ -12,6 +13,7 @@
 #include "core/brisa.h"
 #include "membership/hyparview.h"
 #include "net/fault.h"
+#include "net/message_pool.h"
 #include "workload/brisa_system.h"
 #include "workload/churn.h"
 #include "workload/pubsub.h"
@@ -98,6 +100,68 @@ TEST(MultiStream, SingleStreamConfigMatchesLegacyAccessors) {
   const NodeId node = system.member_ids().front();
   EXPECT_EQ(&system.brisa(node), &system.brisa(node, net::kDefaultStream));
   EXPECT_EQ(system.engine(node).stream_count(), 1u);
+}
+
+// --- Engine-level maintenance ------------------------------------------------
+
+TEST(MultiStream, MaintenanceTicksArePerEngineNotPerStream) {
+  // The starvation/refine/top-up checks run as engine ticks that walk the
+  // streams, so adding streams adds no periodic timers.
+  constexpr std::size_t kNodes = 24;
+  const auto periodics = [](std::size_t streams, bool prune) {
+    workload::BrisaSystem::Config config = multi_config(17, kNodes, streams);
+    config.brisa.prune = prune;
+    workload::BrisaSystem system(config);
+    system.bootstrap();
+    return system.simulator().stats().active_periodics;
+  };
+  const std::size_t one_stream = periodics(1, true);
+  EXPECT_EQ(periodics(8, true), one_stream);
+  // Flooding streams never hold a parent, so a flooding engine arms no
+  // starvation tick: one periodic fewer per node.
+  EXPECT_EQ(periodics(8, false), one_stream - kNodes);
+}
+
+TEST(MultiStream, StarvationResetRecoversOnlyTheStarvedStream) {
+  // C tells its stream-1 parent to stop relaying while still counting it as
+  // a parent: stream 1 starves at C until the keep-alive watermarks expose
+  // it and the starvation check resets the structure; stream 0 is untouched.
+  workload::BrisaSystem system(multi_config(23, 30, 2));
+  system.bootstrap();
+  std::size_t sent = 0;
+  const auto publish_both = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      system.publish(0, 256);
+      system.publish(1, 256);
+      ++sent;
+      system.run_for(sim::Duration::milliseconds(200));
+    }
+  };
+  publish_both(10);
+
+  NodeId c;
+  for (const NodeId id : system.member_ids()) {
+    if (id == system.source_id(0) || id == system.source_id(1)) continue;
+    if (system.brisa(id, 1).parents().size() == 1) {
+      c = id;
+      break;
+    }
+  }
+  ASSERT_TRUE(c.valid());
+  const NodeId parent = system.brisa(c, 1).parents().front();
+  system.hyparview(c).send_app(
+      parent,
+      net::make_message<core::BrisaDeactivate>(1, core::StructureMode::kTree,
+                                               core::PositionInfo{}),
+      net::TrafficClass::kControl);
+
+  publish_both(40);
+  system.run_for(sim::Duration::seconds(20));
+
+  EXPECT_GE(system.brisa(c, 1).stats().starvation_resets, 1u);
+  EXPECT_EQ(system.brisa(c, 0).stats().starvation_resets, 0u);
+  EXPECT_EQ(system.brisa(c, 1).stats().delivery_time.size(), sent);
+  EXPECT_EQ(system.brisa(c, 0).stats().delivery_time.size(), sent);
 }
 
 // --- Demux of locally inactive streams --------------------------------------

@@ -6,6 +6,7 @@
 #include "workload/scenario.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <stdexcept>
@@ -166,6 +167,58 @@ TEST(Scenario, SemanticValidation) {
             std::string::npos);
 }
 
+TEST(Scenario, RejectsValuesThatWouldAbortOrEmptyARun) {
+  // Each of these used to reach a runtime assertion (SIGABRT) or run with
+  // nothing measured; validate() must name the key instead.
+  struct Case {
+    std::vector<std::pair<std::string, std::string>> set;
+    std::string expected;
+  };
+  const Case cases[] = {
+      {{{"scenario.nodes", "0"}}, "scenario nodes"},
+      {{{"scenario.nodes", "1"}}, "scenario nodes"},
+      {{{"scenario.nodes", "2"}, {"streams.count", "4"}},
+       "exceeds scenario nodes"},
+      {{{"streams.rate-per-s", "0"}}, "streams rate-per-s"},
+      {{{"streams.rate-per-s", "-1"}}, "streams rate-per-s"},
+      {{{"overlay.active-view", "0"}}, "overlay active-view"},
+      {{{"overlay.passive-view", "0"}}, "overlay passive-view"},
+      {{{"overlay.expansion-factor", "0"}}, "overlay expansion-factor"},
+      {{{"run.join-spread-s", "-3"}}, "run join-spread-s"},
+      {{{"run.stabilization-s", "-1"}}, "run stabilization-s"},
+      {{{"run.grace-s", "-5"}}, "run grace-s"},
+      {{{"topology.intra-rtt-ms", "-1"}}, "topology intra-rtt-ms"},
+      {{{"topology.inter-rtt-min-ms", "-1"}}, "topology inter-rtt-min-ms"},
+      {{{"topology.inter-rtt-max-ms", "-1"}}, "topology inter-rtt-max-ms"},
+      {{{"topology.jitter-ms", "-1"}}, "topology jitter-ms"},
+      {{{"topology.intra-rack-us", "-5"}}, "topology intra-rack-us"},
+      {{{"topology.intra-pod-us", "-5"}}, "topology intra-pod-us"},
+      {{{"topology.inter-pod-us", "-5"}}, "topology inter-pod-us"},
+      {{{"topology.jitter-us", "-5"}}, "topology jitter-us"},
+  };
+  for (const Case& c : cases) {
+    Scenario s;
+    for (const auto& [key, value] : c.set) s.set_path(key, value);
+    std::string diagnostic;
+    try {
+      s.validate();
+    } catch (const std::invalid_argument& e) {
+      diagnostic = e.what();
+    }
+    EXPECT_NE(diagnostic.find(c.expected), std::string::npos)
+        << c.set.front().first << "=" << c.set.front().second << " -> '"
+        << diagnostic << "'";
+  }
+  // The boundary values stay legal.
+  Scenario ok;
+  ok.set_path("scenario.nodes", "2")
+      .set_path("streams.count", "2")
+      .set_path("run.grace-s", "0")
+      .set_path("topology.intra-rtt-ms", "0")
+      .set_path("overlay.expansion-factor", "1");
+  EXPECT_NO_THROW(ok.validate());
+}
+
 TEST(Scenario, RemovedQueueKeyIsRejectedNotIgnored) {
   // [run] queue used to pick heap|calendar. The heap is now the only
   // pending-event set, so a scenario naming the key must be told, at its
@@ -208,6 +261,17 @@ TEST(Scenario, RemovedQueueKeyIsRejectedOnTheCommandLine) {
   EXPECT_NE(status, 0) << out;
   EXPECT_NE(out.find("--set run.queue=calendar"), std::string::npos) << out;
   EXPECT_NE(out.find("only pending-event set"), std::string::npos) << out;
+}
+
+TEST(Scenario, AbortingValueIsAUsageErrorOnTheCommandLine) {
+  // Without --check: the run itself must refuse (exit 2), not abort (134).
+  const auto [status, out] =
+      run_brisa("--set scenario.nodes=40 --set streams.messages=5 "
+                "--set overlay.active-view=0 " BRISA_SOURCE_DIR
+                "/scenarios/clustered_wan_feed.scn");
+  ASSERT_TRUE(WIFEXITED(status)) << out;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << out;
+  EXPECT_NE(out.find("overlay active-view"), std::string::npos) << out;
 }
 
 TEST(Scenario, ChurnDslErrorsAnchorAtTheSection) {
