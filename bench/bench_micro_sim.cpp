@@ -1,6 +1,8 @@
 // Simulator substrate micro-benchmarks: event-queue throughput, RNG speed,
 // and end-to-end message cost through the transport. These bound how large a
-// BRISA deployment the simulator can handle per wall-clock second.
+// BRISA deployment the simulator can handle per wall-clock second. One
+// protocol benchmark (BM_BrisaBootstrap) prices the overlay bootstrap per
+// stream count.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -14,6 +16,7 @@
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
+#include "workload/brisa_system.h"
 
 namespace {
 
@@ -323,6 +326,26 @@ void BM_MessagePoolMakeRelease(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MessagePoolMakeRelease);
+
+/// Construction plus bootstrap() of 150 BRISA nodes running N streams each:
+/// joins, shuffles and the keep-alives that carry one progress entry per
+/// stream, with no stream traffic. The micro view of perfbench topics'
+/// setup_s (same join spread and stabilization).
+void BM_BrisaBootstrap(benchmark::State& state) {
+  workload::BrisaSystem::Config config;
+  config.num_nodes = 150;
+  config.num_streams = static_cast<std::size_t>(state.range(0));
+  config.join_spread = sim::Duration::seconds(30);
+  config.stabilization = sim::Duration::seconds(20);
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    workload::BrisaSystem system(config);
+    system.bootstrap();
+    events += system.simulator().events_fired();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_BrisaBootstrap)->Arg(1)->Arg(32)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -15,11 +15,13 @@ alike.
 For every end-to-end metric that BENCHMARK.json names it prints both
 medians, both interquartile ranges, the relative change of the medians,
 and how many pairs the change won, tied and lost (by the metric's
-`better` direction). It exits 1 when any run fails or is incorrect, or
-when the simulated-outcome fingerprints of the two sides differ. Before
-exiting on differing fingerprints it runs each side once more with
-`--trace 1` and prints every simulated per-layer counter (and outcome
-field) whose value differs, so the diff says which layer moved.
+`better` direction). It then runs each side once more, short and with
+`--trace 1`, and prints every `span.*` self-time (the median over that
+run's traced reps) with its relative change, so the report names the
+layer that moved. It exits 1 when any run fails or is incorrect, or
+when the simulated-outcome fingerprints of the two sides differ; before
+that exit it prints every simulated per-layer counter (and outcome
+field) of the traced runs whose value differs.
 
 Builds go under --work-dir (default: a temporary directory, removed at
 the end); pass a directory to reuse builds across calls.
@@ -61,11 +63,11 @@ def export(rev, dest):
         fail(f"{rev} has no perfbench/run.py")
 
 
-def run_perfbench(tree, target_dir, args, trace):
+def run_perfbench(tree, target_dir, args, trace, seconds):
     """One run of the tree's perfbench/run.py; returns its stdout lines."""
     command = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
                "--workload", args.workload, "--seed", str(args.seed),
-               "--seconds", repr(args.seconds), "--trace", trace,
+               "--seconds", repr(seconds), "--trace", trace,
                "--scale", args.scale]
     env = dict(os.environ, CARGO_TARGET_DIR=target_dir)
     done = subprocess.run(command, cwd=tree, env=env, capture_output=True,
@@ -86,7 +88,7 @@ def prefixed_json(lines, prefix):
 
 def run_side(tree, target_dir, args):
     """One untraced run; returns (metrics dict, fingerprint)."""
-    lines = run_perfbench(tree, target_dir, args, "0")
+    lines = run_perfbench(tree, target_dir, args, "0", args.seconds)
     fingerprint = prefixed_json(lines, "outcome ").get("fingerprint")
     result = json.loads(lines[-1])
     if not result["correct"] or result["failed"] != 0:
@@ -101,35 +103,66 @@ HOST_UNITS = ("s", "ns", "us")
 HOST_PREFIXES = ("mem.",)
 
 
-def traced_counters(tree, target_dir, args):
-    """One traced run; returns {name: value} for every simulated per-layer
-    counter (listed or unlisted) and the outcome line's numeric fields."""
-    lines = run_perfbench(tree, target_dir, args, "1")
+# Budget of the one traced run per side: enough for a few traced reps of
+# every workload, short next to the pairs.
+TRACE_SECONDS = 10.0
+
+
+def trace_seconds(args):
+    return min(args.seconds, TRACE_SECONDS)
+
+
+def traced_run(tree, target_dir, args):
+    """One short traced run; returns (per-layer metrics {name: metric},
+    outcome line fields)."""
+    lines = run_perfbench(tree, target_dir, args, "1", trace_seconds(args))
     metrics = dict(prefixed_json(lines, "unlisted "))
     metrics.update(json.loads(lines[-1])["metrics"])
+    return metrics, prefixed_json(lines, "outcome ")
+
+
+def simulated_counters(metrics, outcome):
+    """{name: value} for every simulated per-layer counter (listed or
+    unlisted) and the outcome line's numeric fields."""
     counters = {name: m["value"] for name, m in metrics.items()
                 if m["unit"] not in HOST_UNITS
                 and not name.startswith(HOST_PREFIXES)}
-    for key, value in prefixed_json(lines, "outcome ").items():
+    for key, value in outcome.items():
         # reps counts how many repetitions fit the time budget.
         if key not in ("seed", "reps") and isinstance(value, (int, float)):
             counters[f"outcome.{key}"] = value
     return counters
 
 
-def print_counter_diff(sides, args):
-    """Runs each side once traced and prints the counters that differ."""
-    base = traced_counters(*sides["base"], args)
-    change = traced_counters(*sides["change"], args)
+def relative(b, c):
+    return f"{(c - b) / b * 100:+.1f}%" if b and c is not None else "n/a"
+
+
+def print_span_times(base, change, seconds):
+    """Prints each span.* self-time of the two traced runs and its change."""
+    names = sorted(name for name in set(base) | set(change)
+                   if name.startswith("span."))
+    print(f"layer self-times (span.*, median over the traced reps of one "
+          f"{seconds:g} s traced run per side):")
+    def seconds(metric):
+        return "n/a" if metric is None else f"{metric['value']:.4g}"
+    for name in names:
+        b, c = base.get(name), change.get(name)
+        delta = relative(b and b["value"], c and c["value"])
+        print(f"  {name:<34} base {seconds(b):>10}  change {seconds(c):>10}"
+              f"  {delta}")
+
+
+def print_counter_diff(base, change):
+    """Prints the simulated counters of the traced runs that differ."""
     names = sorted(set(base) | set(change))
     differing = [name for name in names if base.get(name) != change.get(name)]
     print(f"counters that differ ({len(differing)} of {len(names)}, "
           f"one traced run per side):")
     for name in differing:
         b, c = base.get(name), change.get(name)
-        delta = (f"{(c - b) / b * 100:+.1f}%"
-                 if b and c is not None else "n/a")
-        print(f"  {name:<32} base {b!s:>14}  change {c!s:>14}  {delta}")
+        print(f"  {name:<32} base {b!s:>14}  change {c!s:>14}  "
+              f"{relative(b, c)}")
 
 
 def quantile(values, q):
@@ -205,13 +238,18 @@ def main():
                 print(f"pair {pair + 1}/{args.pairs} {side}: "
                       f"fingerprint {fingerprint}", file=sys.stderr)
         report(args, spec, samples)
+        traced = {side: traced_run(*sides[side], args)
+                  for side in ("base", "change")}
+        print_span_times(traced["base"][0], traced["change"][0],
+                         trace_seconds(args))
         base_fps, change_fps = fingerprints["base"], fingerprints["change"]
         if base_fps == change_fps and len(base_fps) == 1:
             print(f"fingerprints: equal ({base_fps.pop()})")
             return 0
         print(f"fingerprints: DIFFER (base {sorted(map(str, base_fps))}, "
               f"change {sorted(map(str, change_fps))})")
-        print_counter_diff(sides, args)
+        print_counter_diff(simulated_counters(*traced["base"]),
+                           simulated_counters(*traced["change"]))
         return 1
     finally:
         if not args.work_dir:

@@ -20,37 +20,70 @@ std::vector<CdfPoint> make_cdf(std::vector<double> samples) {
   return cdf;
 }
 
+namespace {
+
+/// The linear-interpolated rank of percentile p over n samples: the two
+/// neighboring ranks and the weight of the upper one.
+struct Rank {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+};
+
+Rank rank_of(std::size_t n, double p) {
+  const double rank = (p / 100.0) * static_cast<double>(n - 1);
+  return {static_cast<std::size_t>(std::floor(rank)),
+          static_cast<std::size_t>(std::ceil(rank)),
+          rank - std::floor(rank)};
+}
+
+double interpolate(double lo, double hi, double frac) {
+  return lo + (hi - lo) * frac;
+}
+
+/// percentile() over samples already sorted ascending.
+double sorted_percentile(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return std::numeric_limits<double>::quiet_NaN();
+  if (sorted.size() == 1) return sorted.front();
+  const Rank r = rank_of(sorted.size(), p);
+  return interpolate(sorted[r.lo], sorted[r.hi], r.frac);
+}
+
+}  // namespace
+
 std::vector<CdfPoint> cdf_at_percents(std::vector<double> samples,
                                       const std::vector<double>& percents) {
   std::sort(samples.begin(), samples.end());
   std::vector<CdfPoint> cdf;
   cdf.reserve(percents.size());
   for (const double p : percents) {
-    cdf.push_back({percentile(samples, p), p});
+    cdf.push_back({sorted_percentile(samples, p), p});
   }
   return cdf;
 }
 
 double percentile(std::vector<double> samples, double p) {
   if (samples.empty()) return std::numeric_limits<double>::quiet_NaN();
-  std::sort(samples.begin(), samples.end());
   if (samples.size() == 1) return samples.front();
-  const double rank =
-      (p / 100.0) * static_cast<double>(samples.size() - 1);
-  const auto lo = static_cast<std::size_t>(std::floor(rank));
-  const auto hi = static_cast<std::size_t>(std::ceil(rank));
-  const double frac = rank - std::floor(rank);
-  return samples[lo] + (samples[hi] - samples[lo]) * frac;
+  // Selection instead of a full sort: the low rank by nth_element, the high
+  // rank (when it differs) as the smallest sample above it. The values are
+  // the sorted vector's, so the result is bit-identical.
+  const Rank r = rank_of(samples.size(), p);
+  const auto lo = samples.begin() + static_cast<std::ptrdiff_t>(r.lo);
+  std::nth_element(samples.begin(), lo, samples.end());
+  const double hi =
+      r.hi == r.lo ? *lo : *std::min_element(lo + 1, samples.end());
+  return interpolate(*lo, hi, r.frac);
 }
 
 PercentileSummary summarize(std::vector<double> samples) {
   std::sort(samples.begin(), samples.end());
   PercentileSummary s;
-  s.p5 = percentile(samples, 5);
-  s.p25 = percentile(samples, 25);
-  s.p50 = percentile(samples, 50);
-  s.p75 = percentile(samples, 75);
-  s.p90 = percentile(samples, 90);
+  s.p5 = sorted_percentile(samples, 5);
+  s.p25 = sorted_percentile(samples, 25);
+  s.p50 = sorted_percentile(samples, 50);
+  s.p75 = sorted_percentile(samples, 75);
+  s.p90 = sorted_percentile(samples, 90);
   return s;
 }
 

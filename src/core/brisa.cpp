@@ -109,7 +109,7 @@ void BrisaStream::check_starvation() {
   if (is_source_ || !position_known_ || repair_ != nullptr) return;
   if (stats_.delivered == 0 || parents_.empty()) return;
   // Nothing newer than our own deliveries exists nearby.
-  if (watermark_heard_ <= delivered_watermark()) return;
+  if (engine_.heard_watermark(stream_) <= delivered_watermark()) return;
   if (now() - last_delivery_at_ < kStarvationTimeout) return;
   stats_.starvation_resets += 1;
   const std::vector<net::NodeId> stale(parents_.begin(), parents_.end());
@@ -144,9 +144,7 @@ void BrisaStream::become_source() {
 std::uint64_t BrisaStream::broadcast(std::size_t payload_bytes) {
   BRISA_ASSERT_MSG(is_source_, "broadcast() requires become_source()");
   const std::uint64_t seq = next_seq_++;
-  stats_.delivery_time[seq] = now();
-  while (stats_.delivery_time.contains(contiguous_upto_)) ++contiguous_upto_;
-  stats_.delivered += 1;
+  record_delivery(seq);
   store_payload(seq, payload_bytes);
   const BrisaData msg(stream_, seq, payload_bytes, config().mode,
                       my_position(), /*retransmission=*/false);
@@ -201,15 +199,6 @@ std::vector<std::uint64_t> BrisaStream::buffered_seqs() const {
   return seqs;
 }
 
-std::uint64_t BrisaStream::delivered_watermark() const {
-  const auto& delivered = stats_.delivery_time;
-  return delivered.empty() ? 0 : delivered.max_key() + 1;
-}
-
-membership::AppWatermark BrisaStream::watermark_entry() const {
-  return {stream_, delivered_watermark(), cum_delay_us_};
-}
-
 // --- PSS events ----------------------------------------------------------------
 
 void BrisaStream::on_neighbor_up(net::NodeId peer) {
@@ -248,18 +237,15 @@ void BrisaStream::on_neighbor_down(net::NodeId peer,
   }
 }
 
-void BrisaStream::on_neighbor_watermark(net::NodeId peer,
-                                        std::uint64_t watermark,
-                                        std::uint64_t aux) {
-  watermark_heard_ = std::max(watermark_heard_, watermark);
-  // The aux value is the neighbor's cumulative path delay (§III-B). Keeping
-  // the cache fresh is what lets the delay-aware strategy keep refining
-  // after the bootstrap duplicates dry up — even for neighbors whose full
-  // position (path) we never saw.
+void BrisaStream::note_keepalive_delay(net::NodeId peer,
+                                       std::uint64_t cum_delay_us) {
+  // Keeping the cache fresh is what lets the delay-aware strategy keep
+  // refining after the bootstrap duplicates dry up — even for neighbors
+  // whose full position (path) we never saw.
   const auto it = links_.find(peer);
   if (it != links_.end()) {
-    it->second.position.cum_delay_us =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(aux, 0xffffffff));
+    it->second.position.cum_delay_us = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(cum_delay_us, 0xffffffff));
     it->second.ka_cum_fresh = true;
   }
 }
@@ -365,11 +351,10 @@ void BrisaStream::deliver_and_relay(net::NodeId from, const BrisaData& msg) {
         rtt == sim::Duration::max()
             ? 100'000
             : static_cast<std::uint64_t>(rtt.us());
-    cum_delay_us_ = msg.sender_position().cum_delay_us + hop_us;
+    engine_.note_cum_delay(stream_,
+                           msg.sender_position().cum_delay_us + hop_us);
   }
-  stats_.delivery_time[msg.seq()] = now();
-  while (stats_.delivery_time.contains(contiguous_upto_)) ++contiguous_upto_;
-  stats_.delivered += 1;
+  record_delivery(msg.seq());
   last_delivery_at_ = now();
   buffer_payload(msg);
   if (delivery_handler_) delivery_handler_(msg.seq(), msg.payload_bytes());
@@ -386,6 +371,13 @@ void BrisaStream::deliver_and_relay(net::NodeId from, const BrisaData& msg) {
   if (contiguous_upto_ <= msg.seq() && !gap_probe_armed_) arm_gap_probe();
 }
 
+void BrisaStream::record_delivery(std::uint64_t seq) {
+  stats_.delivery_time[seq] = now();
+  while (stats_.delivery_time.contains(contiguous_upto_)) ++contiguous_upto_;
+  stats_.delivered += 1;
+  engine_.note_delivered(stream_, seq);
+}
+
 void BrisaStream::arm_gap_probe() {
   // Re-arms itself until the hole closes: the first pull can legitimately
   // fail when the parent is missing the same suffix (it heals from *its*
@@ -396,9 +388,9 @@ void BrisaStream::arm_gap_probe() {
   gap_probe_armed_ = true;
   after(kGapProbeDelay, [this]() {
     gap_probe_armed_ = false;
-    const auto& delivered = stats_.delivery_time;
-    if (delivered.empty()) return;
-    const std::uint64_t newest = delivered.max_key();
+    const std::uint64_t watermark = delivered_watermark();
+    if (watermark == 0) return;
+    const std::uint64_t newest = watermark - 1;
     if (contiguous_upto_ > newest) return;  // gap healed meanwhile
     if (parents_.empty()) return;           // repair flow handles it
     // Sequences more than one retention window below the newest delivery
@@ -412,7 +404,9 @@ void BrisaStream::arm_gap_probe() {
             ? newest + 1 - config().retransmit_buffer
             : 0;
     std::uint64_t target = std::max(contiguous_upto_, floor);
-    while (target <= newest && delivered.contains(target)) ++target;
+    while (target <= newest && stats_.delivery_time.contains(target)) {
+      ++target;
+    }
     if (target > newest) return;  // in-window hole closed
     if (network().tx_defer(id())) {
       // Send side is backlogged: pulling a window of retransmissions now
@@ -538,7 +532,7 @@ void BrisaStream::adopt_position_from(net::NodeId parent,
       rtt == sim::Duration::max()
           ? 100'000  // no estimate yet: assume a generic 100 ms RTT
           : static_cast<std::uint64_t>(rtt.us());
-  cum_delay_us_ = parent_pos.cum_delay_us + hop_us;
+  engine_.note_cum_delay(stream_, parent_pos.cum_delay_us + hop_us);
   position_known_ = true;
 }
 
@@ -560,7 +554,7 @@ PositionInfo BrisaStream::my_position() const {
   pos.degree = static_cast<std::uint16_t>(
       std::min<std::size_t>(out_degree(), 0xffff));
   pos.cum_delay_us = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(cum_delay_us_, 0xffffffffULL));
+      std::min<std::uint64_t>(cum_delay_us(), 0xffffffffULL));
   return pos;
 }
 
@@ -989,17 +983,16 @@ void BrisaStream::store_payload(std::uint64_t seq, std::size_t payload_bytes) {
 }
 
 net::MessagePtr BrisaStream::make_retransmit_request(std::uint64_t from_seq) {
-  const auto& delivered = stats_.delivery_time;
-  if (!config().limits.bloom_digests || delivered.empty()) {
+  const std::uint64_t watermark = delivered_watermark();
+  if (!config().limits.bloom_digests || watermark == 0) {
     return net::make_message<BrisaRetransmitRequest>(stream_, from_seq);
   }
   // Out-of-order seqs we already hold at or above from_seq: the parent
   // serves its whole window >= from_seq, so advertising these prunes the
   // retransmissions down to the actual holes plus Bloom false positives.
   std::vector<std::uint64_t> held;
-  const std::uint64_t newest = delivered.max_key();
-  for (std::uint64_t seq = from_seq; seq <= newest; ++seq) {
-    if (delivered.contains(seq)) held.push_back(seq);
+  for (std::uint64_t seq = from_seq; seq < watermark; ++seq) {
+    if (stats_.delivery_time.contains(seq)) held.push_back(seq);
   }
   if (held.empty()) {
     return net::make_message<BrisaRetransmitRequest>(stream_, from_seq);

@@ -11,8 +11,9 @@
 //   * BrisaEngine is the single net::Process + PssListener per node. It owns
 //     the one Config its streams share and N BrisaStream instances in a flat
 //     vector indexed by StreamId, demultiplexes incoming messages by their
-//     stream id, fans membership events out to every stream, aggregates
-//     the per-stream keep-alive watermark entries, and runs the periodic
+//     stream id, fans membership events out to every stream, keeps the
+//     keep-alive progress table (one contiguous entry per stream, handed to
+//     HyParView as the shared keep-alive snapshot), and runs the periodic
 //     maintenance: at most two ticks per node (starvation, plus refine or
 //     DAG top-up), each walking the streams in id order.
 //
@@ -174,12 +175,15 @@ class BrisaStream final {
   /// Cumulative per-hop RTT from the source (§III-B's routing-delay metric).
   [[nodiscard]] sim::Duration cumulative_path_rtt() const {
     return sim::Duration::microseconds(
-        static_cast<std::int64_t>(cum_delay_us_));
+        static_cast<std::int64_t>(cum_delay_us()));
   }
   [[nodiscard]] const Stats& stats() const { return stats_; }
   /// The engine's Config, shared by all of its streams.
   [[nodiscard]] const Config& config() const;
   [[nodiscard]] std::uint64_t max_contiguous_seq() const;
+  /// Largest delivered seq + 1; 0 before the first delivery. Read from the
+  /// engine's progress table, which keeps it current on every delivery.
+  [[nodiscard]] std::uint64_t delivered_watermark() const;
   /// Sequences the retransmit buffer can serve right now, in buffer
   /// (arrival) order.
   [[nodiscard]] std::vector<std::uint64_t> buffered_seqs() const;
@@ -194,11 +198,6 @@ class BrisaStream final {
   void on_neighbor_up(net::NodeId peer);
   void on_neighbor_down(net::NodeId peer,
                         membership::NeighborLossReason reason);
-  void on_neighbor_watermark(net::NodeId peer, std::uint64_t watermark,
-                             std::uint64_t aux);
-
-  /// This stream's keep-alive piggyback entry.
-  [[nodiscard]] membership::AppWatermark watermark_entry() const;
 
  private:
   friend class BrisaEngine;  // routes demultiplexed messages to handle_*
@@ -272,6 +271,13 @@ class BrisaStream final {
   /// DAG top-up (§II-G): probe for a missing parent while below target.
   void check_topup();
 
+  /// A neighbor's keep-alive advertised its cumulative path delay (§III-B);
+  /// the engine forwards it only under the delay-aware strategy, the one
+  /// reader of the keep-alive-fresh link cache.
+  void note_keepalive_delay(net::NodeId peer, std::uint64_t cum_delay_us);
+  /// Accumulated hop delay from the source (the progress entry's aux).
+  [[nodiscard]] std::uint64_t cum_delay_us() const;
+
   // Message handlers (invoked by the engine after stream demux).
   void handle_data(net::NodeId from, const BrisaData& msg);
   void handle_deactivate(net::NodeId from, const BrisaDeactivate& msg);
@@ -322,20 +328,23 @@ class BrisaStream final {
   /// retransmit_buffer count cap, then any `[limits]` entry/byte bound with
   /// its eviction policy.
   void store_payload(std::uint64_t seq, std::size_t payload_bytes);
-  /// Largest delivered seq + 1; 0 before the first delivery.
-  [[nodiscard]] std::uint64_t delivered_watermark() const;
+  /// Records a first delivery of `seq`: delivery instant, contiguity and the
+  /// progress table's watermark.
+  void record_delivery(std::uint64_t seq);
   /// A retransmit request for holes >= from_seq, carrying a Bloom digest of
   /// the seqs we already hold above from_seq when [limits] bloom_digests is
   /// on (so the parent skips them instead of resending the whole window).
   [[nodiscard]] net::MessagePtr make_retransmit_request(
       std::uint64_t from_seq);
 
+  // Members are ordered so that small fields share words instead of each
+  // padding out its own (perfbench topics runs 32 streams per node).
   BrisaEngine& engine_;
   net::StreamId stream_;
+  bool is_source_ = false;
   sim::Rng rng_;
   DeliveryHandler delivery_handler_;
 
-  bool is_source_ = false;
   sim::TimePoint started_at_;
   std::uint64_t next_seq_ = 0;
 
@@ -348,8 +357,9 @@ class BrisaStream final {
   // Position in the structure.
   std::vector<net::NodeId> path_;  ///< tree mode; includes self when known
   std::int32_t depth_ = -1;        ///< DAG mode
-  std::uint64_t cum_delay_us_ = 0; ///< accumulated hop delay from the source
   bool position_known_ = false;
+  RepairKind repair_kind_ = RepairKind::kOrphanFailure;  ///< see repair_
+  bool gap_probe_armed_ = false;
 
   // Delivery bookkeeping. The dedup set is the key set of
   // stats_.delivery_time: both were always written together.
@@ -363,9 +373,6 @@ class BrisaStream final {
   /// Heap-held: repairs are rare, and an inline RepairState would cost
   /// every idle stream its full size.
   std::unique_ptr<RepairState> repair_;
-  RepairKind repair_kind_ = RepairKind::kOrphanFailure;
-  bool gap_probe_armed_ = false;
-  std::uint64_t watermark_heard_ = 0;
   sim::TimePoint last_delivery_at_;
   std::uint64_t repair_token_counter_ = 0;
 
@@ -399,7 +406,7 @@ class BrisaEngine final : public net::Process, public membership::PssListener {
   [[nodiscard]] BrisaStream* find_stream(net::StreamId stream);
   [[nodiscard]] const BrisaStream* find_stream(net::StreamId stream) const;
 
-  [[nodiscard]] std::size_t stream_count() const { return stream_count_; }
+  [[nodiscard]] std::size_t stream_count() const { return progress_->size(); }
   /// Ids of the locally active streams, ascending.
   [[nodiscard]] std::vector<net::StreamId> stream_ids() const;
 
@@ -411,23 +418,62 @@ class BrisaEngine final : public net::Process, public membership::PssListener {
   void on_neighbor_down(net::NodeId peer,
                         membership::NeighborLossReason reason) override;
   void on_app_message(net::NodeId from, net::MessagePtr message) override;
-  void on_neighbor_watermark(net::NodeId peer, net::StreamId stream,
-                             std::uint64_t watermark,
-                             std::uint64_t aux) override;
+  /// Raises each local stream's heard watermark in the progress table; the
+  /// stream objects are touched only under the delay-aware strategy.
+  void on_neighbor_watermarks(
+      net::NodeId peer,
+      const std::vector<membership::AppWatermark>& entries) override;
+  /// The progress table itself, one entry per local stream in id order. The
+  /// same object until a stream's watermark or path delay changes.
+  [[nodiscard]] membership::WatermarkSnapshot watermark_snapshot() override;
 
  private:
+  friend class BrisaStream;  // writes its own progress entry
+
   /// Runs one maintenance check on every local stream, in id order.
   void tick(void (BrisaStream::*check)());
+
+  [[nodiscard]] const membership::AppWatermark& progress(
+      net::StreamId stream) const {
+    return (*progress_)[slot_[stream]];
+  }
+  /// Newest watermark any neighbor's keep-alive advertised for `stream`.
+  [[nodiscard]] std::uint64_t heard_watermark(net::StreamId stream) const {
+    return heard_[slot_[stream]];
+  }
+  /// The progress table, ready to write: copied first when it was handed
+  /// out since the last write (copy-on-write), so a snapshot never changes.
+  std::vector<membership::AppWatermark>& writable_progress();
+  void note_delivered(net::StreamId stream, std::uint64_t seq);
+  void note_cum_delay(net::StreamId stream, std::uint64_t cum_delay_us);
 
   membership::PeerSamplingService& pss_;
   BrisaStream::Config config_;
   /// Index = StreamId; nullptr for ids never added (sparse use).
   std::vector<std::unique_ptr<BrisaStream>> streams_;
-  std::size_t stream_count_ = 0;
+  /// Keep-alive progress table: {stream, delivered watermark, cumulative
+  /// path delay} per local stream, ascending by id. It is the snapshot
+  /// every keep-alive carries (DESIGN.md §8). Never null.
+  std::shared_ptr<std::vector<membership::AppWatermark>> progress_;
+  /// progress_ was handed out since its last write.
+  bool progress_shared_ = false;
+  /// Heard watermark per progress_ slot: local state, never sent.
+  std::vector<std::uint64_t> heard_;
+  /// Index = StreamId -> slot in progress_/heard_; kNoSlot when not local.
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  std::vector<std::uint32_t> slot_;
 };
 
 inline const BrisaStream::Config& BrisaStream::config() const {
   return engine_.config();
+}
+
+inline std::uint64_t BrisaStream::delivered_watermark() const {
+  return engine_.progress(stream_).watermark;
+}
+
+inline std::uint64_t BrisaStream::cum_delay_us() const {
+  return engine_.progress(stream_).aux;
 }
 
 }  // namespace brisa::core

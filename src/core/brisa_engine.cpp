@@ -1,5 +1,7 @@
 #include "core/brisa.h"
 
+#include <algorithm>
+
 #include "util/assert.h"
 
 namespace brisa::core {
@@ -7,16 +9,11 @@ namespace brisa::core {
 BrisaEngine::BrisaEngine(net::Network& network,
                          membership::PeerSamplingService& pss, net::NodeId id,
                          const BrisaStream::Config& config)
-    : net::Process(network, id), pss_(pss), config_(config) {
+    : net::Process(network, id),
+      pss_(pss),
+      config_(config),
+      progress_(std::make_shared<std::vector<membership::AppWatermark>>()) {
   pss_.set_listener(this);
-  pss_.set_watermark_provider([this]() {
-    std::vector<membership::AppWatermark> entries;
-    entries.reserve(stream_count_);
-    for (const auto& stream : streams_) {
-      if (stream != nullptr) entries.push_back(stream->watermark_entry());
-    }
-    return entries;
-  });
   // Periodic maintenance: one tick per mechanism, each walking the streams
   // in id order. Every stream is checked at the engine's phase, which is
   // its own as long as callers add streams right after building the
@@ -45,11 +42,57 @@ void BrisaEngine::tick(void (BrisaStream::*check)()) {
 }
 
 BrisaStream& BrisaEngine::add_stream(net::StreamId stream) {
-  if (streams_.size() <= stream) streams_.resize(stream + 1);
+  if (streams_.size() <= stream) {
+    streams_.resize(stream + 1);
+    slot_.resize(stream + 1, kNoSlot);
+  }
   BRISA_ASSERT_MSG(streams_[stream] == nullptr, "stream id already active");
+  // The progress entry goes in at its id order; later slots shift by one.
+  std::vector<membership::AppWatermark>& table = writable_progress();
+  const auto at = std::lower_bound(
+      table.begin(), table.end(), stream,
+      [](const membership::AppWatermark& entry, net::StreamId id) {
+        return entry.stream < id;
+      });
+  const auto slot = at - table.begin();
+  table.insert(at, {stream, 0, 0});
+  heard_.insert(heard_.begin() + slot, 0);
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    slot_[table[i].stream] = static_cast<std::uint32_t>(i);
+  }
   streams_[stream] = std::make_unique<BrisaStream>(*this, stream);
-  ++stream_count_;
   return *streams_[stream];
+}
+
+membership::WatermarkSnapshot BrisaEngine::watermark_snapshot() {
+  progress_shared_ = true;
+  return progress_;
+}
+
+std::vector<membership::AppWatermark>& BrisaEngine::writable_progress() {
+  // Copy-on-write: a table handed to a keep-alive is never written again,
+  // so its readers (possibly on another shard's thread) need no
+  // synchronization beyond the refcount.
+  if (progress_shared_) {
+    progress_ =
+        std::make_shared<std::vector<membership::AppWatermark>>(*progress_);
+    progress_shared_ = false;
+  }
+  return *progress_;
+}
+
+void BrisaEngine::note_delivered(net::StreamId stream, std::uint64_t seq) {
+  // Out-of-order fills below the newest delivery leave the watermark alone.
+  if (seq < progress(stream).watermark) return;
+  writable_progress()[slot_[stream]].watermark = seq + 1;
+}
+
+void BrisaEngine::note_cum_delay(net::StreamId stream,
+                                 std::uint64_t cum_delay_us) {
+  // Tree nodes re-adopt their parent's position on every data message;
+  // an unchanged delay must not cost a copy of a shared snapshot.
+  if (progress(stream).aux == cum_delay_us) return;
+  writable_progress()[slot_[stream]].aux = cum_delay_us;
 }
 
 BrisaStream& BrisaEngine::stream(net::StreamId stream) {
@@ -74,11 +117,9 @@ const BrisaStream* BrisaEngine::find_stream(net::StreamId stream) const {
 
 std::vector<net::StreamId> BrisaEngine::stream_ids() const {
   std::vector<net::StreamId> ids;
-  ids.reserve(stream_count_);
-  for (std::size_t i = 0; i < streams_.size(); ++i) {
-    if (streams_[i] != nullptr) {
-      ids.push_back(static_cast<net::StreamId>(i));
-    }
+  ids.reserve(progress_->size());
+  for (const membership::AppWatermark& entry : *progress_) {
+    ids.push_back(entry.stream);
   }
   return ids;
 }
@@ -96,11 +137,22 @@ void BrisaEngine::on_neighbor_down(net::NodeId peer,
   }
 }
 
-void BrisaEngine::on_neighbor_watermark(net::NodeId peer, net::StreamId stream,
-                                        std::uint64_t watermark,
-                                        std::uint64_t aux) {
-  if (BrisaStream* s = find_stream(stream)) {
-    s->on_neighbor_watermark(peer, watermark, aux);
+void BrisaEngine::on_neighbor_watermarks(
+    net::NodeId peer, const std::vector<membership::AppWatermark>& entries) {
+  // check_refine and the delay-aware candidate cost are the only readers of
+  // the keep-alive path delay; other strategies never visit the streams.
+  const bool delay_aware =
+      config_.strategy == ParentSelectionStrategy::kDelayAware;
+  for (const membership::AppWatermark& entry : entries) {
+    // A peer may run streams this node does not.
+    if (entry.stream >= slot_.size() || slot_[entry.stream] == kNoSlot) {
+      continue;
+    }
+    std::uint64_t& heard = heard_[slot_[entry.stream]];
+    heard = std::max(heard, entry.watermark);
+    if (delay_aware) {
+      streams_[entry.stream]->note_keepalive_delay(peer, entry.aux);
+    }
   }
 }
 

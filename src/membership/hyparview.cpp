@@ -365,23 +365,14 @@ void HyParView::integrate_shuffle_sample(
 }
 
 WatermarkSnapshot HyParView::current_watermarks() const {
-  if (!watermark_provider_) return nullptr;
-  return std::make_shared<const std::vector<AppWatermark>>(
-      watermark_provider_());
-}
-
-void HyParView::notify_watermarks(net::NodeId from,
-                                  const std::vector<AppWatermark>& entries) {
-  if (listener_ == nullptr) return;
-  for (const AppWatermark& entry : entries) {
-    listener_->on_neighbor_watermark(from, entry.stream, entry.watermark,
-                                     entry.aux);
-  }
+  return listener_ != nullptr ? listener_->watermark_snapshot() : nullptr;
 }
 
 void HyParView::handle_keepalive(net::ConnectionId conn, net::NodeId from,
                                  const HpvKeepAlive& msg) {
-  notify_watermarks(from, msg.watermarks());
+  if (listener_ != nullptr) {
+    listener_->on_neighbor_watermarks(from, msg.watermarks());
+  }
   transport_.send(conn, id(),
                   net::make_message<HpvKeepAliveReply>(msg.probe_id(),
                                                       current_watermarks()),
@@ -390,7 +381,9 @@ void HyParView::handle_keepalive(net::ConnectionId conn, net::NodeId from,
 
 void HyParView::handle_keepalive_reply(net::NodeId from,
                                        const HpvKeepAliveReply& msg) {
-  notify_watermarks(from, msg.watermarks());
+  if (listener_ != nullptr) {
+    listener_->on_neighbor_watermarks(from, msg.watermarks());
+  }
   const auto it = links_.find(from);
   if (it == links_.end()) return;
   Link& link = it->second;
@@ -545,8 +538,8 @@ void HyParView::on_shuffle_timer() {
 }
 
 void HyParView::on_keepalive_timer() {
-  // One provider call per tick; each link's probe shares the snapshot by
-  // refcount instead of copying the entries.
+  // One snapshot per tick; each link's probe shares it by refcount instead
+  // of copying the entries.
   const WatermarkSnapshot watermarks = current_watermarks();
   // Collect first: fail_link mutates links_.
   std::vector<net::NodeId> timed_out;

@@ -64,9 +64,6 @@ class HyParView final : public PeerSamplingService,
                 net::TrafficClass traffic_class) override;
   [[nodiscard]] sim::Duration rtt_estimate(net::NodeId peer) const override;
   void set_listener(PssListener* listener) override { listener_ = listener; }
-  void set_watermark_provider(WatermarkProvider provider) override {
-    watermark_provider_ = std::move(provider);
-  }
 
   // --- TransportHandler ------------------------------------------------------
   void on_connection_up(net::ConnectionId conn, net::NodeId peer,
@@ -136,8 +133,6 @@ class HyParView final : public PeerSamplingService,
   void integrate_shuffle_sample(const std::vector<net::NodeId>& sample,
                                 const std::vector<net::NodeId>& sent);
   [[nodiscard]] WatermarkSnapshot current_watermarks() const;
-  void notify_watermarks(net::NodeId from,
-                         const std::vector<AppWatermark>& entries);
   void handle_keepalive(net::ConnectionId conn, net::NodeId from,
                         const HpvKeepAlive& msg);
   void handle_keepalive_reply(net::NodeId from, const HpvKeepAliveReply& msg);
@@ -168,7 +163,6 @@ class HyParView final : public PeerSamplingService,
   Config config_;
   sim::Rng rng_;
   PssListener* listener_ = nullptr;
-  WatermarkProvider watermark_provider_;
 
   /// Active view + in-progress links. Sorted flat storage: the per-send
   /// lookup is a binary search over one or two cache lines, and iteration

@@ -140,18 +140,19 @@ class HpvShuffleReply final : public net::Message {
   std::vector<net::NodeId> sample_;
 };
 
-/// Shared immutable per-stream watermark snapshot: one keep-alive tick
-/// builds the entries once, and every outgoing probe that tick bumps a
-/// refcount instead of copying the vector (keep-alives are steady-state
-/// hot-path traffic; see WatermarkSnapshot uses in hyparview.cpp).
-using WatermarkSnapshot =
-    std::shared_ptr<const std::vector<AppWatermark>>;
-
 /// Keep-alives double as RTT probes for the delay-aware parent selection
 /// (§II-E) and piggyback per-stream repair metadata (§II-F): one
 /// AppWatermark entry per locally active stream. Wire cost: 16 bytes header
 /// + 20 bytes per entry (stream id + watermark + aux), so the keep-alive tax
 /// of an additional multiplexed stream is 20 bytes per probe.
+///
+/// The entries travel as a WatermarkSnapshot (peer_sampling.h): the
+/// listener's own progress table, handed out by refcount. Every probe of a
+/// keep-alive tick and every reply shares it. The listener never writes a
+/// table it has handed out: its first change after a hand-out goes to a
+/// copy. So a snapshot is immutable, and a node whose streams are quiet
+/// sends the same one for as long as they stay quiet (BRISA: BrisaEngine,
+/// DESIGN.md §8).
 class HpvKeepAlive final : public net::Message {
  public:
   HpvKeepAlive(std::uint64_t probe_id, WatermarkSnapshot watermarks)

@@ -6,7 +6,7 @@
 // be substituted for the §IV "perspectives" experiments.
 #pragma once
 
-#include <functional>
+#include <memory>
 #include <vector>
 
 #include "net/message.h"
@@ -35,6 +35,10 @@ struct AppWatermark {
   std::uint64_t aux = 0;
 };
 
+/// An immutable set of AppWatermark entries, shared by refcount between the
+/// listener that owns it and every keep-alive that carries it.
+using WatermarkSnapshot = std::shared_ptr<const std::vector<AppWatermark>>;
+
 class PssListener {
  public:
   virtual ~PssListener() = default;
@@ -49,13 +53,18 @@ class PssListener {
   /// A non-membership message arrived over a membership link.
   virtual void on_app_message(net::NodeId from, net::MessagePtr message) = 0;
 
-  /// One stream's progress watermark piggybacked on a neighbor's keep-alive;
-  /// called once per AppWatermark entry the keep-alive carried. Default:
-  /// ignore.
-  virtual void on_neighbor_watermark(net::NodeId /*peer*/,
-                                     net::StreamId /*stream*/,
-                                     std::uint64_t /*watermark*/,
-                                     std::uint64_t /*aux*/) {}
+  /// The progress entries piggybacked on one keep-alive (or reply) from
+  /// `peer`, one per stream the peer runs; called once per keep-alive.
+  /// Default: ignore.
+  virtual void on_neighbor_watermarks(
+      net::NodeId /*peer*/, const std::vector<AppWatermark>& /*entries*/) {}
+
+  /// The entries this node's outgoing keep-alives and replies carry (one
+  /// per locally active stream); nullptr carries none. Asked once per
+  /// keep-alive tick and once per reply. Default: none.
+  [[nodiscard]] virtual WatermarkSnapshot watermark_snapshot() {
+    return nullptr;
+  }
 };
 
 class PeerSamplingService {
@@ -84,11 +93,6 @@ class PeerSamplingService {
   [[nodiscard]] virtual sim::Duration rtt_estimate(net::NodeId peer) const = 0;
 
   virtual void set_listener(PssListener* listener) = 0;
-
-  /// Supplies the per-stream watermark entries carried in outgoing
-  /// keep-alives (one AppWatermark per locally active stream).
-  using WatermarkProvider = std::function<std::vector<AppWatermark>()>;
-  virtual void set_watermark_provider(WatermarkProvider provider) = 0;
 };
 
 }  // namespace brisa::membership

@@ -1,7 +1,10 @@
 // Analysis toolkit tests: CDF/percentile math, table rendering, DOT export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "analysis/dot_export.h"
 #include "analysis/stats.h"
@@ -31,6 +34,52 @@ TEST(Stats, PercentileInterpolates) {
 TEST(Stats, PercentileEdgeCases) {
   EXPECT_TRUE(std::isnan(percentile({}, 50)));
   EXPECT_DOUBLE_EQ(percentile({42.0}, 99), 42.0);
+}
+
+/// The sort-based definition percentile() had before it used selection.
+double sorted_reference(std::vector<double> samples, double p) {
+  std::sort(samples.begin(), samples.end());
+  if (samples.size() == 1) return samples.front();
+  const double rank = (p / 100.0) * static_cast<double>(samples.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(rank));
+  const auto hi = static_cast<std::size_t>(std::ceil(rank));
+  const double frac = rank - std::floor(rank);
+  return samples[lo] + (samples[hi] - samples[lo]) * frac;
+}
+
+TEST(Stats, PercentileBySelectionMatchesSortBitwise) {
+  std::vector<std::vector<double>> inputs = {
+      {4.2}, {7.5, 7.5}, {9.0, -1.0}, {3.0, 1.0, 3.0}, {0.3, 0.1, 0.2}};
+  // 1,000 samples over 37 distinct values (every value repeats), and over
+  // 2^20 values (few ties, so a wrong upper rank shows).
+  for (const std::uint64_t distinct : {37u, 1u << 20}) {
+    std::vector<double> large;
+    std::uint64_t x = 12345;
+    for (int i = 0; i < 1000; ++i) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      large.push_back(static_cast<double>((x >> 33) % distinct) * 0.37 - 3.1);
+    }
+    inputs.push_back(large);
+  }
+  const std::vector<double> percents = {0, 1, 25, 50, 99, 100, 12.5, 66.6};
+  for (const std::vector<double>& samples : inputs) {
+    const auto cdf = cdf_at_percents(samples, percents);
+    for (std::size_t i = 0; i < percents.size(); ++i) {
+      const double p = percents[i];
+      const auto expected = std::bit_cast<std::uint64_t>(
+          sorted_reference(samples, p));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(percentile(samples, p)),
+                expected)
+          << "n=" << samples.size() << " p=" << p;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(cdf[i].value), expected)
+          << "n=" << samples.size() << " p=" << p;
+    }
+    const PercentileSummary s = summarize(samples);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s.p25),
+              std::bit_cast<std::uint64_t>(sorted_reference(samples, 25)));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s.p90),
+              std::bit_cast<std::uint64_t>(sorted_reference(samples, 90)));
+  }
 }
 
 TEST(Stats, SummaryOrdering) {

@@ -1,6 +1,7 @@
 // Multi-stream engine tests: per-stream isolation over one shared PSS,
-// per-engine maintenance ticks and starvation surveillance, demux of
-// unknown streams, partial subscription via the PubSubDriver, the
+// per-engine maintenance ticks and starvation surveillance, the engine's
+// keep-alive progress table, demux of unknown streams, partial subscription
+// via the PubSubDriver, the
 // 8-stream faulted determinism golden (mirrors the PR 2 single-stream
 // golden), and a property sweep asserting per-stream reliability under 20%
 // loss.
@@ -162,6 +163,52 @@ TEST(MultiStream, StarvationResetRecoversOnlyTheStarvedStream) {
   EXPECT_EQ(system.brisa(c, 0).stats().starvation_resets, 0u);
   EXPECT_EQ(system.brisa(c, 1).stats().delivery_time.size(), sent);
   EXPECT_EQ(system.brisa(c, 0).stats().delivery_time.size(), sent);
+}
+
+// --- Keep-alive progress table ------------------------------------------------
+
+TEST(MultiStream, QuietEngineHandsOutOneSnapshot) {
+  workload::BrisaSystem system(multi_config(29, 24, 4));
+  system.bootstrap();
+  const NodeId source = system.source_id(2);
+  core::BrisaEngine& engine = system.engine(source);
+  const membership::WatermarkSnapshot first = engine.watermark_snapshot();
+  ASSERT_NE(first, nullptr);
+  ASSERT_EQ(first->size(), 4u);
+  // No delivery in between: keep-alives share the same table.
+  system.run_for(sim::Duration::seconds(5));
+  EXPECT_EQ(engine.watermark_snapshot().get(), first.get());
+
+  // A delivery while `first` is held writes a copy; `first` stays as sent.
+  system.brisa(source, 2).broadcast(64);
+  const membership::WatermarkSnapshot second = engine.watermark_snapshot();
+  EXPECT_NE(second.get(), first.get());
+  EXPECT_EQ((*first)[2].watermark, 0u);
+  EXPECT_EQ((*second)[2].watermark, 1u);
+}
+
+TEST(MultiStream, BroadcastAdvancesOnlyItsOwnProgressEntry) {
+  workload::BrisaSystem system(multi_config(31, 24, 4));
+  system.bootstrap();
+  run_pubsub(system, 4, 5);
+  const NodeId source = system.source_id(1);
+  core::BrisaEngine& engine = system.engine(source);
+  const std::vector<membership::AppWatermark> before =
+      *engine.watermark_snapshot();
+  const std::uint64_t seq = system.brisa(source, 1).broadcast(64);
+  const std::vector<membership::AppWatermark> after =
+      *engine.watermark_snapshot();
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].stream, static_cast<StreamId>(i));
+    EXPECT_EQ(after[i].aux, before[i].aux) << "stream " << i;
+    if (after[i].stream == 1) {
+      EXPECT_EQ(after[i].watermark, seq + 1);
+      EXPECT_GT(after[i].watermark, before[i].watermark);
+    } else {
+      EXPECT_EQ(after[i].watermark, before[i].watermark) << "stream " << i;
+    }
+  }
 }
 
 // --- Demux of locally inactive streams --------------------------------------
@@ -350,6 +397,37 @@ TEST_P(MultiStreamLossProperties, EveryStreamFullyReliableUnder20PctLoss) {
           << "node " << id << " stream " << stream;
     }
   }
+}
+
+TEST(MultiStream, ProgressTableTracksNewestDeliveryUnderLoss) {
+  // 20% loss over 8 tree streams: repairs and gap probes pull holes after
+  // higher seqs arrived, so the table also sees fills below its watermark.
+  workload::BrisaSystem system(multi_config(401, 48, 8));
+  system.bootstrap();
+  workload::ChurnDriver driver(
+      system.simulator(),
+      workload::ChurnScript::parse("from 0 s to 45 s drop 20%\n"
+                                   "at 60 s stop\n"),
+      system.churn_hooks());
+  driver.arm();
+  run_pubsub(system, 8, 20, 1.0, sim::Duration::seconds(50));
+
+  std::size_t out_of_order = 0;
+  for (const NodeId id : system.all_ids()) {
+    for (StreamId stream = 0; stream < 8; ++stream) {
+      const core::BrisaStream& s = system.brisa(id, stream);
+      const auto& delivered = s.stats().delivery_time;
+      EXPECT_EQ(s.delivered_watermark(),
+                delivered.empty() ? 0 : delivered.max_key() + 1)
+          << "node " << id << " stream " << stream;
+      sim::TimePoint latest;
+      for (const auto& [seq, at] : delivered) {
+        if (at < latest) ++out_of_order;
+        latest = std::max(latest, at);
+      }
+    }
+  }
+  EXPECT_GT(out_of_order, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
