@@ -15,13 +15,16 @@ alike.
 For every end-to-end metric that BENCHMARK.json names it prints both
 medians, both interquartile ranges, the relative change of the medians,
 and how many pairs the change won, tied and lost (by the metric's
-`better` direction). It then runs each side once more, short and with
-`--trace 1`, and prints every `span.*` self-time (the median over that
-run's traced reps) with its relative change, so the report names the
-layer that moved. It exits 1 when any run fails or is incorrect, or
-when the simulated-outcome fingerprints of the two sides differ; before
-that exit it prints every simulated per-layer counter (and outcome
-field) of the traced runs whose value differs.
+`better` direction). It then runs each side three more times, short and
+with `--trace 1`, again alternating which side goes first, and prints
+every `span.*` self-time (per run, the median over that run's traced
+reps) as the median of the three runs with their min..max and the
+relative change of the medians, so the report names the layer that
+moved and shows how far one traced run can stray. From the same traced
+runs it prints every simulated per-layer counter (and outcome field)
+whose value differs between the sides. It exits 1 when any run fails or
+is incorrect, or when the simulated-outcome fingerprints of the two
+sides differ.
 
 Builds go under --work-dir (default: a temporary directory, removed at
 the end); pass a directory to reuse builds across calls.
@@ -103,9 +106,13 @@ HOST_UNITS = ("s", "ns", "us")
 HOST_PREFIXES = ("mem.",)
 
 
-# Budget of the one traced run per side: enough for a few traced reps of
-# every workload, short next to the pairs.
+# Budget of each traced run: enough for a few traced reps of every
+# workload, short next to the pairs.
 TRACE_SECONDS = 10.0
+# Traced runs per side. One run's span self-times stray by tens of percent
+# on a shared host (bcast read +43% on a single run while ten untraced
+# pairs read -13%); three show the spread.
+TRACED_RUNS = 3
 
 
 def trace_seconds(args):
@@ -138,19 +145,37 @@ def relative(b, c):
     return f"{(c - b) / b * 100:+.1f}%" if b and c is not None else "n/a"
 
 
-def print_span_times(base, change, seconds):
-    """Prints each span.* self-time of the two traced runs and its change."""
-    names = sorted(name for name in set(base) | set(change)
-                   if name.startswith("span."))
-    print(f"layer self-times (span.*, median over the traced reps of one "
-          f"{seconds:g} s traced run per side):")
-    def seconds(metric):
-        return "n/a" if metric is None else f"{metric['value']:.4g}"
+def traced_runs(sides, args):
+    """TRACED_RUNS traced runs per side, alternating which side goes first;
+    returns {side: [(metrics, outcome), ...]}."""
+    runs = {"base": [], "change": []}
+    for i in range(TRACED_RUNS):
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            runs[side].append(traced_run(*sides[side], args))
+    return runs
+
+
+def print_span_times(base_runs, change_runs, seconds):
+    """Prints each span.* self-time as the median (min..max) of each side's
+    traced runs, and the change of the medians."""
+    names = sorted({name for metrics, _ in base_runs + change_runs
+                    for name in metrics if name.startswith("span.")})
+    print(f"layer self-times (span.*: median (min..max) of {TRACED_RUNS} "
+          f"{seconds:g} s traced runs per side, each the median over its "
+          f"traced reps):")
+    def values(runs, name):
+        return [m[name]["value"] for m, _ in runs if name in m]
+    def summary(vals):
+        if not vals:
+            return "n/a", None
+        median = quantile(vals, 0.5)
+        return (f"{median:.4g} ({min(vals):.4g}..{max(vals):.4g})", median)
     for name in names:
-        b, c = base.get(name), change.get(name)
-        delta = relative(b and b["value"], c and c["value"])
-        print(f"  {name:<34} base {seconds(b):>10}  change {seconds(c):>10}"
-              f"  {delta}")
+        b_text, b = summary(values(base_runs, name))
+        c_text, c = summary(values(change_runs, name))
+        print(f"  {name:<34} base {b_text:>26}  change {c_text:>26}"
+              f"  {relative(b, c)}")
 
 
 def print_counter_diff(base, change):
@@ -158,7 +183,7 @@ def print_counter_diff(base, change):
     names = sorted(set(base) | set(change))
     differing = [name for name in names if base.get(name) != change.get(name)]
     print(f"counters that differ ({len(differing)} of {len(names)}, "
-          f"one traced run per side):")
+          f"first traced run per side):")
     for name in differing:
         b, c = base.get(name), change.get(name)
         print(f"  {name:<32} base {b!s:>14}  change {c!s:>14}  "
@@ -238,18 +263,17 @@ def main():
                 print(f"pair {pair + 1}/{args.pairs} {side}: "
                       f"fingerprint {fingerprint}", file=sys.stderr)
         report(args, spec, samples)
-        traced = {side: traced_run(*sides[side], args)
-                  for side in ("base", "change")}
-        print_span_times(traced["base"][0], traced["change"][0],
+        traced = traced_runs(sides, args)
+        print_span_times(traced["base"], traced["change"],
                          trace_seconds(args))
+        print_counter_diff(simulated_counters(*traced["base"][0]),
+                           simulated_counters(*traced["change"][0]))
         base_fps, change_fps = fingerprints["base"], fingerprints["change"]
         if base_fps == change_fps and len(base_fps) == 1:
             print(f"fingerprints: equal ({base_fps.pop()})")
             return 0
         print(f"fingerprints: DIFFER (base {sorted(map(str, base_fps))}, "
               f"change {sorted(map(str, change_fps))})")
-        print_counter_diff(simulated_counters(*traced["base"]),
-                           simulated_counters(*traced["change"]))
         return 1
     finally:
         if not args.work_dir:

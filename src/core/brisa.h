@@ -435,11 +435,11 @@ class BrisaEngine final : public net::Process, public membership::PssListener {
 
   [[nodiscard]] const membership::AppWatermark& progress(
       net::StreamId stream) const {
-    return (*progress_)[slot_[stream]];
+    return (*progress_)[local_[stream].slot];
   }
   /// Newest watermark any neighbor's keep-alive advertised for `stream`.
   [[nodiscard]] std::uint64_t heard_watermark(net::StreamId stream) const {
-    return heard_[slot_[stream]];
+    return local_[stream].heard;
   }
   /// The progress table, ready to write: copied first when it was handed
   /// out since the last write (copy-on-write), so a snapshot never changes.
@@ -457,11 +457,16 @@ class BrisaEngine final : public net::Process, public membership::PssListener {
   std::shared_ptr<std::vector<membership::AppWatermark>> progress_;
   /// progress_ was handed out since its last write.
   bool progress_shared_ = false;
-  /// Heard watermark per progress_ slot: local state, never sent.
-  std::vector<std::uint64_t> heard_;
-  /// Index = StreamId -> slot in progress_/heard_; kNoSlot when not local.
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
-  std::vector<std::uint32_t> slot_;
+  /// Per-stream state the keep-alives never carry.
+  struct LocalProgress {
+    /// Newest watermark heard from any neighbor.
+    std::uint64_t heard = 0;
+    /// Slot in progress_; kNoSlot when the stream is not local.
+    std::uint32_t slot = kNoSlot;
+  };
+  /// Index = StreamId.
+  std::vector<LocalProgress> local_;
 };
 
 inline const BrisaStream::Config& BrisaStream::config() const {

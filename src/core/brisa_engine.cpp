@@ -44,7 +44,7 @@ void BrisaEngine::tick(void (BrisaStream::*check)()) {
 BrisaStream& BrisaEngine::add_stream(net::StreamId stream) {
   if (streams_.size() <= stream) {
     streams_.resize(stream + 1);
-    slot_.resize(stream + 1, kNoSlot);
+    local_.resize(stream + 1);
   }
   BRISA_ASSERT_MSG(streams_[stream] == nullptr, "stream id already active");
   // The progress entry goes in at its id order; later slots shift by one.
@@ -56,9 +56,8 @@ BrisaStream& BrisaEngine::add_stream(net::StreamId stream) {
       });
   const auto slot = at - table.begin();
   table.insert(at, {stream, 0, 0});
-  heard_.insert(heard_.begin() + slot, 0);
-  for (std::size_t i = 0; i < table.size(); ++i) {
-    slot_[table[i].stream] = static_cast<std::uint32_t>(i);
+  for (std::size_t i = static_cast<std::size_t>(slot); i < table.size(); ++i) {
+    local_[table[i].stream].slot = static_cast<std::uint32_t>(i);
   }
   streams_[stream] = std::make_unique<BrisaStream>(*this, stream);
   return *streams_[stream];
@@ -84,7 +83,7 @@ std::vector<membership::AppWatermark>& BrisaEngine::writable_progress() {
 void BrisaEngine::note_delivered(net::StreamId stream, std::uint64_t seq) {
   // Out-of-order fills below the newest delivery leave the watermark alone.
   if (seq < progress(stream).watermark) return;
-  writable_progress()[slot_[stream]].watermark = seq + 1;
+  writable_progress()[local_[stream].slot].watermark = seq + 1;
 }
 
 void BrisaEngine::note_cum_delay(net::StreamId stream,
@@ -92,7 +91,7 @@ void BrisaEngine::note_cum_delay(net::StreamId stream,
   // Tree nodes re-adopt their parent's position on every data message;
   // an unchanged delay must not cost a copy of a shared snapshot.
   if (progress(stream).aux == cum_delay_us) return;
-  writable_progress()[slot_[stream]].aux = cum_delay_us;
+  writable_progress()[local_[stream].slot].aux = cum_delay_us;
 }
 
 BrisaStream& BrisaEngine::stream(net::StreamId stream) {
@@ -145,10 +144,11 @@ void BrisaEngine::on_neighbor_watermarks(
       config_.strategy == ParentSelectionStrategy::kDelayAware;
   for (const membership::AppWatermark& entry : entries) {
     // A peer may run streams this node does not.
-    if (entry.stream >= slot_.size() || slot_[entry.stream] == kNoSlot) {
+    if (entry.stream >= local_.size() ||
+        local_[entry.stream].slot == kNoSlot) {
       continue;
     }
-    std::uint64_t& heard = heard_[slot_[entry.stream]];
+    std::uint64_t& heard = local_[entry.stream].heard;
     heard = std::max(heard, entry.watermark);
     if (delay_aware) {
       streams_[entry.stream]->note_keepalive_delay(peer, entry.aux);

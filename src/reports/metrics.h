@@ -172,20 +172,6 @@ inline std::vector<double> collect_degrees(workload::BrisaSystem& system) {
   return degrees;
 }
 
-/// First-to-last delivery window per node, seconds (Table II).
-template <typename TimesOf>
-std::vector<double> collect_windows_s(const std::vector<net::NodeId>& ids,
-                                      const TimesOf& times_of) {
-  std::vector<double> windows;
-  for (const net::NodeId id : ids) {
-    const auto& times = times_of(id);
-    if (times.size() < 2) continue;
-    windows.push_back(
-        (std::prev(times.end())->second - times.begin()->second).to_seconds());
-  }
-  return windows;
-}
-
 /// Prints a CDF as aligned "value percent" rows under a banner.
 inline void print_cdf(const std::string& title,
                       const std::vector<double>& samples) {

@@ -16,12 +16,6 @@ namespace brisa::reports::impl {
 
 namespace {
 
-struct PhaseBytes {
-  double stabilization_mb_per_node;
-  double dissemination_mb_per_node;
-  bool complete;
-};
-
 double mean_upload_mb(net::Network& network,
                       const std::vector<net::NodeId>& ids) {
   double total = 0;
@@ -29,20 +23,6 @@ double mean_upload_mb(net::Network& network,
     total += static_cast<double>(network.stats(id).total_up_bytes());
   }
   return total / static_cast<double>(ids.size()) / (1024.0 * 1024.0);
-}
-
-template <typename System>
-PhaseBytes measure(System& system, std::size_t messages, std::size_t payload,
-                   sim::Duration grace) {
-  PhaseBytes result;
-  result.stabilization_mb_per_node =
-      mean_upload_mb(system.network(), system.all_ids());
-  system.network().reset_stats();
-  system.run_stream(messages, 5.0, payload, grace);
-  result.dissemination_mb_per_node =
-      mean_upload_mb(system.network(), system.all_ids());
-  result.complete = system.complete_delivery();
-  return result;
 }
 
 }  // namespace
@@ -63,7 +43,6 @@ int fig12_run(const workload::Scenario& scenario) {
   const std::size_t messages = scenario.messages_or(500);
   const auto payloads =
       scenario.param_int_list("payloads", {0, 1024, 10240, 20480});
-  const std::uint64_t seed = scenario.seed_or(1);
 
   std::printf(
       "=== Fig 12: per-node data transmitted (MB), %zu nodes, %zu messages "
@@ -73,83 +52,44 @@ int fig12_run(const workload::Scenario& scenario) {
   analysis::Table table({"protocol", "payload", "stabilize MB", "dissem. MB",
                          "total MB", "complete"});
 
+  // One row per protocol, in the paper's order. SimpleGossip has no
+  // structure: the paper attributes everything to dissemination; Cyclon
+  // shuffles land in the stabilization column here, which is still tiny.
+  struct Row {
+    const char* protocol;
+    const char* label;
+    std::int64_t grace_s;
+  };
+  static constexpr Row kRows[] = {
+      {"tree", "SimpleTree", 10},
+      {"brisa", "BRISA tree/view4", 10},
+      {"tag", "TAG view4", 260},  // pull drains at half rate
+      {"gossip", "SimpleGossip", 30},
+  };
+  workload::Scenario cell = scenario;
+  cell.active_view = 4;  // BRISA's HyParView view; the others ignore it
   for (const std::int64_t payload : payloads) {
     const auto payload_label = std::to_string(payload / 1024) + "KB";
-    const auto pay = static_cast<std::size_t>(payload);
-    {
-      workload::SimpleTreeSystem::Config config;
-      config.seed = seed;
-      config.num_nodes = nodes;
-      config.shards = scenario.shards_or(1);
-      workload::SimpleTreeSystem system(config);
-      system.bootstrap();
-      const PhaseBytes r =
-          measure(system, messages, pay, sim::Duration::seconds(10));
-      table.add_row({"SimpleTree", payload_label,
-                     analysis::Table::num(r.stabilization_mb_per_node, 3),
-                     analysis::Table::num(r.dissemination_mb_per_node, 2),
-                     analysis::Table::num(r.stabilization_mb_per_node +
-                                              r.dissemination_mb_per_node,
-                                          2),
-                     r.complete ? "yes" : "NO"});
-    }
-    {
-      workload::BrisaSystem::Config config;
-      config.seed = seed;
-      config.num_nodes = nodes;
-      config.shards = scenario.shards_or(1);
-      config.hyparview.active_size = 4;
-      workload::BrisaSystem system(config);
-      system.bootstrap();
+    for (const Row& row : kRows) {
+      cell.protocol = row.protocol;
+      const std::unique_ptr<workload::SystemBase> system =
+          workload::make_system(cell);
+      system->bootstrap();
+      const double stabilization_mb =
+          mean_upload_mb(system->network(), system->all_ids());
+      system->network().reset_stats();
       // The first few messages are part of structure emergence; the paper
       // includes them in dissemination.
-      const PhaseBytes r =
-          measure(system, messages, pay, sim::Duration::seconds(10));
-      table.add_row({"BRISA tree/view4", payload_label,
-                     analysis::Table::num(r.stabilization_mb_per_node, 3),
-                     analysis::Table::num(r.dissemination_mb_per_node, 2),
-                     analysis::Table::num(r.stabilization_mb_per_node +
-                                              r.dissemination_mb_per_node,
-                                          2),
-                     r.complete ? "yes" : "NO"});
-    }
-    {
-      workload::TagSystem::Config config;
-      config.seed = seed;
-      config.num_nodes = nodes;
-      config.shards = scenario.shards_or(1);
-      workload::TagSystem system(config);
-      system.bootstrap();
-      const PhaseBytes r =
-          measure(system, messages, pay,
-                  sim::Duration::seconds(260));  // pull drains at half rate
-      table.add_row({"TAG view4", payload_label,
-                     analysis::Table::num(r.stabilization_mb_per_node, 3),
-                     analysis::Table::num(r.dissemination_mb_per_node, 2),
-                     analysis::Table::num(r.stabilization_mb_per_node +
-                                              r.dissemination_mb_per_node,
-                                          2),
-                     r.complete ? "yes" : "NO"});
-    }
-    {
-      workload::SimpleGossipSystem::Config config;
-      config.seed = seed;
-      config.num_nodes = nodes;
-      config.shards = scenario.shards_or(1);
-      workload::SimpleGossipSystem system(config);
-      system.bootstrap();
-      // SimpleGossip has no structure: the paper attributes everything to
-      // dissemination; Cyclon shuffles land in the stabilization column
-      // here, which is still tiny.
-      const PhaseBytes r =
-          measure(system, messages, pay, sim::Duration::seconds(30));
-      table.add_row({"SimpleGossip", payload_label,
-                     analysis::Table::num(r.stabilization_mb_per_node, 3),
-                     analysis::Table::num(r.dissemination_mb_per_node, 2),
-                     analysis::Table::num(r.stabilization_mb_per_node +
-                                              r.dissemination_mb_per_node,
-                                          2),
-                     r.complete ? "yes" : "NO"});
+      system->run_stream(messages, 5.0, static_cast<std::size_t>(payload),
+                         sim::Duration::seconds(row.grace_s));
+      const double dissemination_mb =
+          mean_upload_mb(system->network(), system->all_ids());
+      table.add_row({row.label, payload_label,
+                     analysis::Table::num(stabilization_mb, 3),
+                     analysis::Table::num(dissemination_mb, 2),
+                     analysis::Table::num(
+                         stabilization_mb + dissemination_mb, 2),
+                     system->complete_delivery() ? "yes" : "NO"});
     }
   }
   std::printf("%s", table.render().c_str());

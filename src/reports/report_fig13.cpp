@@ -17,21 +17,14 @@ namespace brisa::reports::impl {
 
 namespace {
 
-std::vector<double> brisa_construction_s(std::uint64_t seed,
-                                         std::size_t nodes,
-                                         workload::TestbedKind testbed,
-                                         std::uint32_t shards) {
-  workload::BrisaSystem::Config config;
-  config.seed = seed;
-  config.num_nodes = nodes;
-  config.shards = shards;
-  config.testbed = testbed;
-  config.hyparview.active_size = 4;
-  config.stabilization =
-      testbed == workload::TestbedKind::kPlanetLab
-          ? sim::Duration::seconds(40)
-          : sim::Duration::seconds(30);
-  workload::BrisaSystem system(config);
+bool on_planetlab(const workload::Scenario& cell) {
+  return workload::scenario_testbed(cell) == workload::TestbedKind::kPlanetLab;
+}
+
+std::vector<double> brisa_construction_s(workload::Scenario cell) {
+  cell.active_view = 4;
+  cell.stabilization_s = on_planetlab(cell) ? 40 : 30;
+  workload::BrisaSystem system(workload::scenario_brisa_config(cell));
   system.bootstrap();
   system.run_stream(60, 5.0, 1024, sim::Duration::seconds(20));
 
@@ -48,20 +41,10 @@ std::vector<double> brisa_construction_s(std::uint64_t seed,
   return samples;
 }
 
-std::vector<double> tag_construction_s(std::uint64_t seed, std::size_t nodes,
-                                       workload::TestbedKind testbed,
-                                       std::uint32_t shards) {
-  workload::TagSystem::Config config;
-  config.seed = seed;
-  config.num_nodes = nodes;
-  config.shards = shards;
-  config.testbed = testbed;
-  config.join_spread = sim::Duration::seconds(60);
-  config.stabilization =
-      testbed == workload::TestbedKind::kPlanetLab
-          ? sim::Duration::seconds(60)
-          : sim::Duration::seconds(30);
-  workload::TagSystem system(config);
+std::vector<double> tag_construction_s(workload::Scenario cell) {
+  cell.join_spread_s = 60;
+  cell.stabilization_s = on_planetlab(cell) ? 60 : 30;
+  workload::TagSystem system(workload::scenario_tag_config(cell));
   system.bootstrap();
 
   std::vector<double> samples;
@@ -93,22 +76,22 @@ int fig13_run(const workload::Scenario& scenario) {
       static_cast<std::size_t>(scenario.param_int("cluster-nodes", 512));
   const auto planetlab_nodes =
       static_cast<std::size_t>(scenario.param_int("planetlab-nodes", 200));
-  const std::uint64_t seed = scenario.seed_or(1);
 
   std::printf(
       "=== Fig 13: construction time CDF, cluster %zu nodes / PlanetLab %zu "
       "nodes ===\n",
       cluster_nodes, planetlab_nodes);
 
-  const std::uint32_t shards = scenario.shards_or(1);
-  const auto brisa_cluster = brisa_construction_s(
-      seed, cluster_nodes, workload::TestbedKind::kCluster, shards);
-  const auto tag_cluster = tag_construction_s(
-      seed, cluster_nodes, workload::TestbedKind::kCluster, shards);
-  const auto brisa_pl = brisa_construction_s(
-      seed, planetlab_nodes, workload::TestbedKind::kPlanetLab, shards);
-  const auto tag_pl = tag_construction_s(
-      seed, planetlab_nodes, workload::TestbedKind::kPlanetLab, shards);
+  workload::Scenario cluster = scenario;
+  cluster.nodes = cluster_nodes;
+  cluster.topology_model = "cluster";
+  workload::Scenario planetlab = scenario;
+  planetlab.nodes = planetlab_nodes;
+  planetlab.topology_model = "planetlab";
+  const auto brisa_cluster = brisa_construction_s(cluster);
+  const auto tag_cluster = tag_construction_s(cluster);
+  const auto brisa_pl = brisa_construction_s(planetlab);
+  const auto tag_pl = tag_construction_s(planetlab);
 
   print_cdf("BRISA cluster (s percent)", brisa_cluster);
   print_cdf("TAG cluster (s percent)", tag_cluster);

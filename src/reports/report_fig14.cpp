@@ -25,7 +25,6 @@ workload::Scenario fig14_defaults() {
 int fig14_run(const workload::Scenario& scenario) {
   const std::size_t nodes = scenario.nodes_or(128);
   const std::int64_t churn_seconds = scenario.param_int("churn-seconds", 360);
-  const std::uint64_t seed = scenario.seed_or(1);
 
   std::printf(
       "=== Fig 14: hard-repair recovery delays, %zu nodes, 3%%/min churn "
@@ -40,16 +39,15 @@ int fig14_run(const workload::Scenario& scenario) {
   const auto stream_messages =
       static_cast<std::size_t>(5 * churn_seconds);
 
+  workload::Scenario cell = scenario;
+  cell.nodes = nodes;
+  cell.active_view = 4;  // BRISA's HyParView view; TAG ignores it
+
   // --- BRISA ---------------------------------------------------------------
   std::vector<double> brisa_hard_ms, brisa_soft_ms;
   std::uint64_t brisa_hard_count = 0;
   {
-    workload::BrisaSystem::Config config;
-    config.seed = seed;
-    config.num_nodes = nodes;
-    config.shards = scenario.shards_or(1);
-    config.hyparview.active_size = 4;
-    workload::BrisaSystem system(config);
+    workload::BrisaSystem system(workload::scenario_brisa_config(cell));
     system.bootstrap();
     system.run_stream(30, 5.0, 1024);
     workload::ChurnDriver driver(system.simulator(),
@@ -74,11 +72,7 @@ int fig14_run(const workload::Scenario& scenario) {
   std::vector<double> tag_hard_ms;
   std::uint64_t tag_hard_count = 0;
   {
-    workload::TagSystem::Config config;
-    config.seed = seed;
-    config.num_nodes = nodes;
-    config.shards = scenario.shards_or(1);
-    workload::TagSystem system(config);
+    workload::TagSystem system(workload::scenario_tag_config(cell));
     system.bootstrap();
     system.run_stream(30, 5.0, 1024, sim::Duration::seconds(30));
     workload::ChurnDriver driver(system.simulator(),

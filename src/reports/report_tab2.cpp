@@ -5,12 +5,29 @@
 // Paper numbers: SimpleTree 100.0 s (baseline), BRISA +6%, SimpleGossip
 // +28%, TAG +100%.
 #include <cstdio>
+#include <iterator>
 
 #include "analysis/table.h"
 #include "reports/metrics.h"
 #include "reports/reports_impl.h"
 
 namespace brisa::reports::impl {
+
+namespace {
+
+/// First-to-last stream-0 delivery window of every receiver, seconds.
+std::vector<double> delivery_windows_s(const workload::SystemBase& system) {
+  std::vector<double> windows;
+  for (const net::NodeId id : system.receivers()) {
+    const auto& times = system.delivery_times(id, net::kDefaultStream);
+    if (times.size() < 2) continue;
+    windows.push_back(
+        (std::prev(times.end())->second - times.begin()->second).to_seconds());
+  }
+  return windows;
+}
+
+}  // namespace
 
 workload::Scenario tab2_defaults() {
   workload::Scenario s;
@@ -25,7 +42,6 @@ workload::Scenario tab2_defaults() {
 int tab2_run(const workload::Scenario& scenario) {
   const std::size_t nodes = scenario.nodes_or(512);
   const std::size_t messages = scenario.messages_or(500);
-  const std::uint64_t seed = scenario.seed_or(1);
 
   std::printf(
       "=== Table II: dissemination latency, %zu nodes, %zu x 1KB at 5/s "
@@ -33,77 +49,38 @@ int tab2_run(const workload::Scenario& scenario) {
       nodes, messages, static_cast<double>(messages) / 5.0);
 
   struct Row {
+    const char* protocol;
+    const char* label;
+    std::int64_t grace_s;
+  };
+  static constexpr Row kRows[] = {
+      {"tree", "SimpleTree", 10},
+      {"brisa", "BRISA", 10},
+      {"gossip", "SimpleGossip", 60},
+      {"tag", "TAG", 240},
+  };
+  struct Result {
     std::string name;
     double latency_s;
     bool complete;
   };
-  std::vector<Row> rows;
-
-  {
-    workload::SimpleTreeSystem::Config config;
-    config.seed = seed;
-    config.num_nodes = nodes;
-    config.shards = scenario.shards_or(1);
-    workload::SimpleTreeSystem system(config);
-    system.bootstrap();
-    system.run_stream(messages, 5.0, 1024);
-    const auto windows = collect_windows_s(
-        system.all_ids(), [&](net::NodeId id) -> const auto& {
-          return system.node(id).stats().delivery_time;
-        });
-    rows.push_back(
-        {"SimpleTree", analysis::mean(windows), system.complete_delivery()});
-  }
-  {
-    workload::BrisaSystem::Config config;
-    config.seed = seed;
-    config.num_nodes = nodes;
-    config.shards = scenario.shards_or(1);
-    config.hyparview.active_size = 4;
-    workload::BrisaSystem system(config);
-    system.bootstrap();
-    system.run_stream(messages, 5.0, 1024);
-    const auto windows = collect_windows_s(
-        system.member_ids(), [&](net::NodeId id) -> const auto& {
-          return system.brisa(id).stats().delivery_time;
-        });
-    rows.push_back(
-        {"BRISA", analysis::mean(windows), system.complete_delivery()});
-  }
-  {
-    workload::SimpleGossipSystem::Config config;
-    config.seed = seed;
-    config.num_nodes = nodes;
-    config.shards = scenario.shards_or(1);
-    workload::SimpleGossipSystem system(config);
-    system.bootstrap();
-    system.run_stream(messages, 5.0, 1024, sim::Duration::seconds(60));
-    const auto windows = collect_windows_s(
-        system.all_ids(), [&](net::NodeId id) -> const auto& {
-          return system.node(id).stats().delivery_time;
-        });
-    rows.push_back({"SimpleGossip", analysis::mean(windows),
-                    system.complete_delivery()});
-  }
-  {
-    workload::TagSystem::Config config;
-    config.seed = seed;
-    config.num_nodes = nodes;
-    config.shards = scenario.shards_or(1);
-    workload::TagSystem system(config);
-    system.bootstrap();
-    system.run_stream(messages, 5.0, 1024, sim::Duration::seconds(240));
-    const auto windows = collect_windows_s(
-        system.all_ids(), [&](net::NodeId id) -> const auto& {
-          return system.node(id).stats().delivery_time;
-        });
-    rows.push_back(
-        {"TAG", analysis::mean(windows), system.complete_delivery()});
+  std::vector<Result> rows;
+  workload::Scenario cell = scenario;
+  cell.active_view = 4;  // BRISA's HyParView view; the others ignore it
+  for (const Row& row : kRows) {
+    cell.protocol = row.protocol;
+    const std::unique_ptr<workload::SystemBase> system =
+        workload::make_system(cell);
+    system->bootstrap();
+    system->run_stream(messages, 5.0, 1024,
+                       sim::Duration::seconds(row.grace_s));
+    rows.push_back({row.label, analysis::mean(delivery_windows_s(*system)),
+                    system->complete_delivery()});
   }
 
   const double baseline = rows[0].latency_s;
   analysis::Table table({"protocol", "latency (s)", "overhead", "complete"});
-  for (const Row& row : rows) {
+  for (const Result& row : rows) {
     const double overhead = 100.0 * (row.latency_s / baseline - 1.0);
     table.add_row({row.name, analysis::Table::num(row.latency_s, 2),
                    row.name == "SimpleTree"

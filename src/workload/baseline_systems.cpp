@@ -9,8 +9,10 @@ namespace brisa::workload {
 // --- SimpleTreeSystem ---------------------------------------------------------
 
 SimpleTreeSystem::SimpleTreeSystem(Config config)
-    : SystemBase(config.seed, config.testbed, config.topology, config.limits,
-                 config.shards),
+    : SystemBase(config, config.limits,
+                 {.grace = sim::Duration::seconds(10),
+                  .completeness = Completeness::kEveryNode,
+                  .fixed_population = true}),
       config_(config) {}
 
 void SimpleTreeSystem::bootstrap() {
@@ -19,64 +21,29 @@ void SimpleTreeSystem::bootstrap() {
   coordinator_ = std::make_unique<baselines::SimpleTreeCoordinator>(
       network_, coordinator_id_);
 
-  root_ = network_.add_host();
+  const net::NodeId root = add_node();
   auto root_node = std::make_unique<baselines::SimpleTreeNode>(
-      network_, transport_, root_, coordinator_id_, config_.num_streams);
+      network_, transport_, root, coordinator_id_, config_.num_streams);
   root_node->start_as_root();
-  coordinator_->register_root(root_);
-  nodes_.emplace(root_, std::move(root_node));
+  coordinator_->register_root(root);
+  nodes_.emplace(root, std::move(root_node));
+  sources_.assign(config_.num_streams, root);
 
   for (std::size_t i = 1; i < config_.num_nodes; ++i) {
-    const net::NodeId id = network_.add_host();
+    const net::NodeId id = add_node();
     auto node_ptr = std::make_unique<baselines::SimpleTreeNode>(
         network_, transport_, id, coordinator_id_, config_.num_streams);
     baselines::SimpleTreeNode* raw = node_ptr.get();
     nodes_.emplace(id, std::move(node_ptr));
-    const auto offset = sim::Duration::microseconds(
-        static_cast<std::int64_t>(static_cast<double>(i) /
-                                  static_cast<double>(config_.num_nodes) *
-                                  static_cast<double>(config_.join_spread.us())));
-    simulator_.after(offset, [raw]() { raw->join(); });
+    simulator_.after(join_offset(i), [raw]() { raw->join(); });
   }
   simulator_.run_until(simulator_.now() + config_.join_spread +
                        config_.stabilization);
 }
 
-void SimpleTreeSystem::run_stream(std::size_t count, double rate_per_s,
-                                  std::size_t payload_bytes,
-                                  sim::Duration grace) {
-  const auto gap = sim::Duration::from_seconds(1.0 / rate_per_s);
-  const sim::TimePoint start = simulator_.now();
-  for (std::size_t i = 0; i < count; ++i) {
-    simulator_.after(gap * static_cast<std::int64_t>(i),
-                     [this, payload_bytes]() {
-                       node(root_).broadcast(payload_bytes);
-                       ++sent_;
-                     });
-  }
-  simulator_.run_until(start + gap * static_cast<std::int64_t>(count) + grace);
-}
-
-bool SimpleTreeSystem::publish(net::StreamId stream,
-                               std::size_t payload_bytes) {
-  if (!network_.alive(root_)) return false;
-  node(root_).broadcast(stream, payload_bytes);
-  return true;
-}
-
-ChurnHooks SimpleTreeSystem::churn_hooks() {
-  ChurnHooks hooks;
-  hooks.spawn = [] {};
-  hooks.kill = [](net::NodeId) {};
-  hooks.population = [this] {
-    std::vector<net::NodeId> alive;
-    for (const auto& [id, rec] : nodes_) {
-      if (network_.alive(id)) alive.push_back(id);
-    }
-    return alive;
-  };
-  fill_fault_hooks(hooks);
-  return hooks;
+void SimpleTreeSystem::inject(net::NodeId source, net::StreamId stream,
+                              std::size_t payload_bytes) {
+  node(source).broadcast(stream, payload_bytes);
 }
 
 baselines::SimpleTreeNode& SimpleTreeSystem::node(net::NodeId id) {
@@ -85,25 +52,12 @@ baselines::SimpleTreeNode& SimpleTreeSystem::node(net::NodeId id) {
   return *it->second;
 }
 
-std::vector<net::NodeId> SimpleTreeSystem::all_ids() const {
-  std::vector<net::NodeId> out;
-  out.reserve(nodes_.size());
-  for (const auto& [id, rec] : nodes_) out.push_back(id);
-  return out;
-}
-
-bool SimpleTreeSystem::complete_delivery() const {
-  for (const auto& [id, rec] : nodes_) {
-    if (rec->stats().delivery_time.size() < sent_) return false;
-  }
-  return true;
-}
-
 // --- SimpleGossipSystem ----------------------------------------------------------
 
 SimpleGossipSystem::SimpleGossipSystem(Config config)
-    : SystemBase(config.seed, config.testbed, config.topology,
-                 config.gossip.limits, config.shards),
+    : SystemBase(config, config.gossip.limits,
+                 {.grace = sim::Duration::seconds(15),
+                  .completeness = Completeness::kAlive}),
       config_(config) {
   if (config_.fanout == 0) {
     config_.fanout = gossip_fanout_for(config_.num_nodes);
@@ -111,7 +65,7 @@ SimpleGossipSystem::SimpleGossipSystem(Config config)
 }
 
 net::NodeId SimpleGossipSystem::create_node() {
-  const net::NodeId id = network_.add_host();
+  const net::NodeId id = add_node();
   baselines::SimpleGossip::Config cfg = config_.gossip;
   cfg.fanout = config_.fanout;
   cfg.num_streams = config_.num_streams;
@@ -160,32 +114,13 @@ void SimpleGossipSystem::bootstrap() {
     }
     node(id).bootstrap(seeds);
   }
-  source_ = boot_rng.pick(population);
+  sources_.assign(config_.num_streams, boot_rng.pick(population));
   simulator_.run_until(simulator_.now() + config_.stabilization);
 }
 
-void SimpleGossipSystem::run_stream(std::size_t count, double rate_per_s,
-                                    std::size_t payload_bytes,
-                                    sim::Duration grace) {
-  stream_started_at_ = simulator_.now();
-  const auto gap = sim::Duration::from_seconds(1.0 / rate_per_s);
-  for (std::size_t i = 0; i < count; ++i) {
-    simulator_.after(gap * static_cast<std::int64_t>(i),
-                     [this, payload_bytes]() {
-                       if (!network_.alive(source_)) return;
-                       node(source_).broadcast(payload_bytes);
-                       ++sent_;
-                     });
-  }
-  simulator_.run_until(stream_started_at_ +
-                       gap * static_cast<std::int64_t>(count) + grace);
-}
-
-bool SimpleGossipSystem::publish(net::StreamId stream,
-                                 std::size_t payload_bytes) {
-  if (!network_.alive(source_)) return false;
-  node(source_).broadcast(stream, payload_bytes);
-  return true;
+void SimpleGossipSystem::inject(net::NodeId source, net::StreamId stream,
+                                std::size_t payload_bytes) {
+  node(source).broadcast(stream, payload_bytes);
 }
 
 net::NodeId SimpleGossipSystem::spawn_node() {
@@ -196,94 +131,40 @@ net::NodeId SimpleGossipSystem::spawn_node() {
   return id;
 }
 
-void SimpleGossipSystem::kill_node(net::NodeId id) {
-  BRISA_ASSERT_MSG(id != source_, "experiments keep the source alive");
-  network_.kill(id);
-}
-
-ChurnHooks SimpleGossipSystem::churn_hooks() {
-  ChurnHooks hooks;
-  hooks.spawn = [this]() { spawn_node(); };
-  hooks.population = [this]() {
-    std::vector<net::NodeId> members = member_ids();
-    members.erase(std::remove(members.begin(), members.end(), source_),
-                  members.end());
-    return members;
-  };
-  hooks.kill = [this](net::NodeId id) { kill_node(id); };
-  fill_fault_hooks(hooks);
-  return hooks;
-}
-
 baselines::SimpleGossip& SimpleGossipSystem::node(net::NodeId id) {
   const auto it = nodes_.find(id);
   BRISA_ASSERT_MSG(it != nodes_.end(), "unknown SimpleGossip node");
   return *it->second;
 }
 
-std::vector<net::NodeId> SimpleGossipSystem::all_ids() const {
-  std::vector<net::NodeId> out;
-  out.reserve(nodes_.size());
-  for (const auto& [id, rec] : nodes_) out.push_back(id);
-  return out;
-}
-
-std::vector<net::NodeId> SimpleGossipSystem::member_ids() const {
-  std::vector<net::NodeId> out;
-  for (const auto& [id, rec] : nodes_) {
-    if (network_.alive(id)) out.push_back(id);
-  }
-  return out;
-}
-
-std::uint64_t SimpleGossipSystem::store_evictions() const {
-  std::uint64_t evictions = 0;
-  for (const net::NodeId id : member_ids()) {
-    for (std::size_t s = 0; s < config_.num_streams; ++s) {
-      evictions += nodes_.at(id)->evictions(static_cast<net::StreamId>(s));
-    }
-  }
-  return evictions;
-}
-
-bool SimpleGossipSystem::complete_delivery() const {
-  for (const auto& [id, rec] : nodes_) {
-    if (!network_.alive(id)) continue;
-    if (rec->stats().delivery_time.size() < sent_) return false;
-  }
-  return true;
-}
-
 // --- TagSystem ----------------------------------------------------------------------
 
 TagSystem::TagSystem(Config config)
-    : SystemBase(config.seed, config.testbed, config.topology,
-                 config.tag.limits, config.shards),
+    : SystemBase(config, config.tag.limits,
+                 {.grace = sim::Duration::seconds(30),
+                  .completeness = Completeness::kAlive}),
       config_(config) {
   config_.tag.num_streams = config_.num_streams;
 }
 
 net::NodeId TagSystem::create_node() {
-  const net::NodeId id = network_.add_host();
+  const net::NodeId id = add_node();
   nodes_.emplace(id, std::make_unique<baselines::TagNode>(
-                         network_, transport_, id, head_, config_.tag));
+                         network_, transport_, id, source_id(), config_.tag));
   return id;
 }
 
 void TagSystem::bootstrap() {
   BRISA_ASSERT(config_.num_nodes >= 2);
-  head_ = network_.add_host();
-  nodes_.emplace(head_, std::make_unique<baselines::TagNode>(
-                            network_, transport_, head_, head_, config_.tag));
-  node(head_).start_as_head();
+  const net::NodeId head = add_node();
+  sources_.assign(config_.num_streams, head);
+  nodes_.emplace(head, std::make_unique<baselines::TagNode>(
+                           network_, transport_, head, head, config_.tag));
+  node(head).start_as_head();
 
   for (std::size_t i = 1; i < config_.num_nodes; ++i) {
     const net::NodeId id = create_node();
-    const auto offset = sim::Duration::microseconds(
-        static_cast<std::int64_t>(static_cast<double>(i) /
-                                  static_cast<double>(config_.num_nodes) *
-                                  static_cast<double>(config_.join_spread.us())));
-    simulator_.after(offset, [this, id]() {
+    simulator_.after(join_offset(i), [this, id]() {
       if (network_.alive(id)) node(id).join();
     });
   }
@@ -291,25 +172,9 @@ void TagSystem::bootstrap() {
                        config_.stabilization);
 }
 
-void TagSystem::run_stream(std::size_t count, double rate_per_s,
-                           std::size_t payload_bytes, sim::Duration grace) {
-  stream_started_at_ = simulator_.now();
-  const auto gap = sim::Duration::from_seconds(1.0 / rate_per_s);
-  for (std::size_t i = 0; i < count; ++i) {
-    simulator_.after(gap * static_cast<std::int64_t>(i),
-                     [this, payload_bytes]() {
-                       node(head_).broadcast(payload_bytes);
-                       ++sent_;
-                     });
-  }
-  simulator_.run_until(stream_started_at_ +
-                       gap * static_cast<std::int64_t>(count) + grace);
-}
-
-bool TagSystem::publish(net::StreamId stream, std::size_t payload_bytes) {
-  if (!network_.alive(head_)) return false;
-  node(head_).broadcast(stream, payload_bytes);
-  return true;
+void TagSystem::inject(net::NodeId source, net::StreamId stream,
+                       std::size_t payload_bytes) {
+  node(source).broadcast(stream, payload_bytes);
 }
 
 net::NodeId TagSystem::spawn_node() {
@@ -318,62 +183,10 @@ net::NodeId TagSystem::spawn_node() {
   return id;
 }
 
-void TagSystem::kill_node(net::NodeId id) {
-  BRISA_ASSERT_MSG(id != head_, "experiments keep the head/source alive");
-  network_.kill(id);
-}
-
-ChurnHooks TagSystem::churn_hooks() {
-  ChurnHooks hooks;
-  hooks.spawn = [this]() { spawn_node(); };
-  hooks.population = [this]() {
-    std::vector<net::NodeId> members = member_ids();
-    members.erase(std::remove(members.begin(), members.end(), head_),
-                  members.end());
-    return members;
-  };
-  hooks.kill = [this](net::NodeId id) { kill_node(id); };
-  fill_fault_hooks(hooks);
-  return hooks;
-}
-
 baselines::TagNode& TagSystem::node(net::NodeId id) {
   const auto it = nodes_.find(id);
   BRISA_ASSERT_MSG(it != nodes_.end(), "unknown TAG node");
   return *it->second;
-}
-
-std::vector<net::NodeId> TagSystem::all_ids() const {
-  std::vector<net::NodeId> out;
-  out.reserve(nodes_.size());
-  for (const auto& [id, rec] : nodes_) out.push_back(id);
-  return out;
-}
-
-std::vector<net::NodeId> TagSystem::member_ids() const {
-  std::vector<net::NodeId> out;
-  for (const auto& [id, rec] : nodes_) {
-    if (network_.alive(id)) out.push_back(id);
-  }
-  return out;
-}
-
-std::uint64_t TagSystem::store_evictions() const {
-  std::uint64_t evictions = 0;
-  for (const net::NodeId id : member_ids()) {
-    for (std::size_t s = 0; s < config_.num_streams; ++s) {
-      evictions += nodes_.at(id)->evictions(static_cast<net::StreamId>(s));
-    }
-  }
-  return evictions;
-}
-
-bool TagSystem::complete_delivery() const {
-  for (const auto& [id, rec] : nodes_) {
-    if (!network_.alive(id)) continue;
-    if (rec->stats().delivery_time.size() < sent_) return false;
-  }
-  return true;
 }
 
 }  // namespace brisa::workload

@@ -3,19 +3,19 @@
 #include <algorithm>
 
 #include "util/assert.h"
-#include "util/logging.h"
 
 namespace brisa::workload {
 
 BrisaSystem::BrisaSystem(Config config)
-    : SystemBase(config.seed, config.testbed, config.topology,
-                 config.brisa.limits, config.shards),
+    : SystemBase(config, config.brisa.limits,
+                 {.grace = sim::Duration::seconds(10),
+                  .completeness = Completeness::kAliveSinceStreamStart}),
       config_(config) {
   BRISA_ASSERT(config_.num_streams >= 1);
 }
 
 net::NodeId BrisaSystem::create_node() {
-  const net::NodeId id = network_.add_host();
+  const net::NodeId id = add_node();
   NodeRec rec;
   rec.hyparview = std::make_unique<membership::HyParView>(
       network_, transport_, id, config_.hyparview);
@@ -24,14 +24,12 @@ net::NodeId BrisaSystem::create_node() {
   for (std::size_t s = 0; s < config_.num_streams; ++s) {
     rec.engine->add_stream(static_cast<net::StreamId>(s));
   }
-  rec.created_at = simulator_.now();
   nodes_.emplace(id, std::move(rec));
   return id;
 }
 
 void BrisaSystem::bootstrap() {
-  BRISA_ASSERT_MSG(!bootstrapped_, "bootstrap() called twice");
-  bootstrapped_ = true;
+  BRISA_ASSERT_MSG(sources_.empty(), "bootstrap() called twice");
   BRISA_ASSERT(config_.num_nodes >= 2);
   BRISA_ASSERT_MSG(config_.num_streams <= config_.num_nodes,
                    "need at least one node per stream source");
@@ -53,10 +51,6 @@ void BrisaSystem::bootstrap() {
   sim::Rng boot_rng = simulator_.rng().split(0xB007);
   std::vector<net::NodeId> contacts;
   for (std::size_t i = 1; i < config_.num_nodes; ++i) {
-    const auto offset = sim::Duration::microseconds(
-        static_cast<std::int64_t>(static_cast<double>(i) /
-                                  static_cast<double>(config_.num_nodes) *
-                                  static_cast<double>(config_.join_spread.us())));
     const net::NodeId id = create_node();
     net::NodeId contact = population.front();
     if (graph != nullptr && i < graph->nodes()) {
@@ -73,13 +67,12 @@ void BrisaSystem::bootstrap() {
       contact = boot_rng.pick(population);
     }
     population.push_back(id);
-    simulator_.after(offset, [this, id, contact]() {
+    simulator_.after(join_offset(i), [this, id, contact]() {
       if (network_.alive(id)) hyparview(id).join(contact);
     });
   }
 
   // Pick the stream-0 source.
-  sources_.clear();
   if (config_.source_index >= 0) {
     BRISA_ASSERT(static_cast<std::size_t>(config_.source_index) <
                  population.size());
@@ -106,29 +99,9 @@ void BrisaSystem::bootstrap() {
                        config_.stabilization);
 }
 
-void BrisaSystem::run_stream(std::size_t count, double rate_per_s,
-                             std::size_t payload_bytes, sim::Duration grace) {
-  BRISA_ASSERT_MSG(bootstrapped_, "run_stream before bootstrap");
-  stream_started_at_ = simulator_.now();
-  const auto gap = sim::Duration::from_seconds(1.0 / rate_per_s);
-  for (std::size_t i = 0; i < count; ++i) {
-    simulator_.after(gap * static_cast<std::int64_t>(i),
-                     [this, payload_bytes]() {
-                       if (!network_.alive(sources_[0])) return;
-                       brisa(sources_[0]).broadcast(payload_bytes);
-                       ++sent_;
-                     });
-  }
-  simulator_.run_until(stream_started_at_ +
-                       gap * static_cast<std::int64_t>(count) + grace);
-}
-
-bool BrisaSystem::publish(net::StreamId stream, std::size_t payload_bytes) {
-  BRISA_ASSERT_MSG(bootstrapped_, "publish before bootstrap");
-  BRISA_ASSERT(stream < sources_.size());
-  if (!network_.alive(sources_[stream])) return false;
-  brisa(sources_[stream], stream).broadcast(payload_bytes);
-  return true;
+void BrisaSystem::inject(net::NodeId source, net::StreamId stream,
+                         std::size_t payload_bytes) {
+  brisa(source, stream).broadcast(payload_bytes);
 }
 
 net::NodeId BrisaSystem::spawn_node() {
@@ -138,32 +111,6 @@ net::NodeId BrisaSystem::spawn_node() {
   const net::NodeId contact = simulator_.rng().split(id.index()).pick(members);
   hyparview(id).join(contact);
   return id;
-}
-
-void BrisaSystem::kill_node(net::NodeId node) {
-  BRISA_ASSERT_MSG(std::find(sources_.begin(), sources_.end(), node) ==
-                       sources_.end(),
-                   "experiments keep the sources alive");
-  network_.kill(node);
-}
-
-ChurnHooks BrisaSystem::churn_hooks() {
-  ChurnHooks hooks;
-  hooks.spawn = [this]() { spawn_node(); };
-  hooks.population = [this]() {
-    std::vector<net::NodeId> members = member_ids();
-    members.erase(
-        std::remove_if(members.begin(), members.end(),
-                       [this](net::NodeId id) {
-                         return std::find(sources_.begin(), sources_.end(),
-                                          id) != sources_.end();
-                       }),
-        members.end());
-    return members;
-  };
-  hooks.kill = [this](net::NodeId node) { kill_node(node); };
-  fill_fault_hooks(hooks);
-  return hooks;
 }
 
 core::Brisa& BrisaSystem::brisa(net::NodeId node) {
@@ -186,34 +133,6 @@ membership::HyParView& BrisaSystem::hyparview(net::NodeId node) {
   return *it->second.hyparview;
 }
 
-std::vector<net::NodeId> BrisaSystem::all_ids() const {
-  std::vector<net::NodeId> out;
-  out.reserve(nodes_.size());
-  for (const auto& [id, rec] : nodes_) out.push_back(id);
-  return out;
-}
-
-std::vector<net::NodeId> BrisaSystem::member_ids() const {
-  std::vector<net::NodeId> out;
-  for (const auto& [id, rec] : nodes_) {
-    if (network_.alive(id)) out.push_back(id);
-  }
-  return out;
-}
-
-std::uint64_t BrisaSystem::store_evictions() const {
-  std::uint64_t evictions = 0;
-  for (const net::NodeId id : member_ids()) {
-    for (std::size_t s = 0; s < config_.num_streams; ++s) {
-      evictions += nodes_.at(id)
-                       .engine->stream(static_cast<net::StreamId>(s))
-                       .stats()
-                       .buffer_evictions;
-    }
-  }
-  return evictions;
-}
-
 std::vector<analysis::StructureEdge> BrisaSystem::structure_edges(
     net::StreamId stream) const {
   std::vector<analysis::StructureEdge> edges;
@@ -224,20 +143,6 @@ std::vector<analysis::StructureEdge> BrisaSystem::structure_edges(
     }
   }
   return edges;
-}
-
-bool BrisaSystem::complete_delivery() const {
-  for (const auto& [id, rec] : nodes_) {
-    if (!network_.alive(id)) continue;
-    // Only nodes present for the entire stream are required to have
-    // everything (late joiners legitimately miss earlier messages).
-    if (rec.created_at > stream_started_at_) continue;
-    if (rec.engine->stream(net::kDefaultStream).stats().delivery_time.size() <
-        sent_) {
-      return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace brisa::workload

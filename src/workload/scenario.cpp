@@ -887,9 +887,8 @@ std::optional<TopologyOverride> scenario_topology(const Scenario& s) {
 
 namespace {
 
-/// Fields shared verbatim by all four system Configs.
-template <typename Config>
-void fill_common(const Scenario& s, Config& config) {
+/// The SystemConfig fields every protocol's Config shares.
+void fill_common(const Scenario& s, SystemConfig& config) {
   config.seed = s.seed_or(1);
   config.num_nodes = s.nodes_or(512);
   config.testbed = scenario_testbed(s);

@@ -252,9 +252,10 @@ class Scenario {
 };
 
 // --- Materialization into system harness configs ---------------------------
-// Used by the generic runner and by reports whose figure does not pin its
-// own layout. Reports that must reproduce a paper figure byte-identically
-// build their Config directly from the scenario's fields instead.
+// Used by the generic runner and by the protocol line-ups (fig12-14, tab2):
+// a report that pins per-cell values writes them into its own copy of the
+// scenario first. The BRISA-only figures still build their Config directly
+// from the scenario's fields.
 
 /// Canonical (hyphenated) spelling of a topology model name: underscores
 /// become hyphens, so `barabasi_albert` and `barabasi-albert` are the same.

@@ -1,6 +1,9 @@
 #include "workload/testbed.h"
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "util/assert.h"
 
 namespace brisa::workload {
 
@@ -83,12 +86,136 @@ void Testbed::install_fault_plan(net::FaultPlan plan) {
   network_.install_fault_plan(fault_plan_.get());
 }
 
-void SystemBase::fill_fault_hooks(ChurnHooks& hooks) {
+SystemBase::SystemBase(const SystemConfig& config, const net::Limits& limits,
+                       const Rules& rules)
+    : Testbed(config.seed, config.testbed, config.topology, limits,
+              config.shards),
+      common_(config),
+      rules_(rules) {}
+
+net::NodeId SystemBase::spawn_node() {
+  BRISA_UNREACHABLE("a fixed population spawns no nodes");
+}
+
+void SystemBase::run_stream(std::size_t count, double rate_per_s,
+                            std::size_t payload_bytes, sim::Duration grace) {
+  BRISA_ASSERT_MSG(!sources_.empty(), "run_stream before bootstrap");
+  stream_started_at_ = simulator_.now();
+  const auto gap = sim::Duration::from_seconds(1.0 / rate_per_s);
+  for (std::size_t i = 0; i < count; ++i) {
+    simulator_.after(gap * static_cast<std::int64_t>(i),
+                     [this, payload_bytes]() {
+                       if (publish(net::kDefaultStream, payload_bytes)) {
+                         ++sent_;
+                       }
+                     });
+  }
+  simulator_.run_until(stream_started_at_ +
+                       gap * static_cast<std::int64_t>(count) + grace);
+}
+
+bool SystemBase::publish(net::StreamId stream, std::size_t payload_bytes) {
+  BRISA_ASSERT_MSG(stream < sources_.size(),
+                   "publish before bootstrap, or on an unknown stream");
+  const net::NodeId source = sources_[stream];
+  if (!network_.alive(source)) return false;
+  inject(source, stream, payload_bytes);
+  return true;
+}
+
+net::NodeId SystemBase::add_node() {
+  const net::NodeId id = network_.add_host();
+  // perfbench intersects member lists with std::set_intersection, which
+  // needs them sorted.
+  BRISA_ASSERT(registry_.empty() || registry_.back().id < id);
+  registry_.push_back({id, simulator_.now()});
+  return id;
+}
+
+sim::Duration SystemBase::join_offset(std::size_t i) const {
+  return sim::Duration::microseconds(static_cast<std::int64_t>(
+      static_cast<double>(i) / static_cast<double>(common_.num_nodes) *
+      static_cast<double>(common_.join_spread.us())));
+}
+
+std::vector<net::NodeId> SystemBase::all_ids() const {
+  std::vector<net::NodeId> out;
+  out.reserve(registry_.size());
+  for (const Member& member : registry_) out.push_back(member.id);
+  return out;
+}
+
+std::vector<net::NodeId> SystemBase::member_ids() const {
+  std::vector<net::NodeId> out;
+  for (const Member& member : registry_) {
+    if (network_.alive(member.id)) out.push_back(member.id);
+  }
+  return out;
+}
+
+std::vector<net::NodeId> SystemBase::receivers() const {
+  return rules_.completeness == Completeness::kEveryNode ? all_ids()
+                                                         : member_ids();
+}
+
+std::uint64_t SystemBase::store_evictions() const {
+  std::uint64_t total = 0;
+  for (const net::NodeId id : member_ids()) {
+    for (std::size_t s = 0; s < common_.num_streams; ++s) {
+      total += evictions(id, static_cast<net::StreamId>(s));
+    }
+  }
+  return total;
+}
+
+bool SystemBase::complete_delivery() const {
+  for (const Member& member : registry_) {
+    if (rules_.completeness != Completeness::kEveryNode &&
+        !network_.alive(member.id)) {
+      continue;
+    }
+    if (rules_.completeness == Completeness::kAliveSinceStreamStart &&
+        member.created_at > stream_started_at_) {
+      continue;
+    }
+    if (delivery_times(member.id, net::kDefaultStream).size() < sent_) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool SystemBase::is_source(net::NodeId id) const {
+  return std::find(sources_.begin(), sources_.end(), id) != sources_.end();
+}
+
+void SystemBase::kill_node(net::NodeId node) {
+  BRISA_ASSERT_MSG(!is_source(node), "experiments keep the sources alive");
+  network_.kill(node);
+}
+
+ChurnHooks SystemBase::churn_hooks() {
+  ChurnHooks hooks;
+  if (rules_.fixed_population) {
+    hooks.spawn = [] {};
+    hooks.kill = [](net::NodeId) {};
+    hooks.population = [this] { return member_ids(); };
+  } else {
+    hooks.spawn = [this] { spawn_node(); };
+    hooks.kill = [this](net::NodeId node) { kill_node(node); };
+    hooks.population = [this] {
+      std::vector<net::NodeId> members = member_ids();
+      std::erase_if(members,
+                    [this](net::NodeId id) { return is_source(id); });
+      return members;
+    };
+  }
   hooks.suspend = [this](net::NodeId node) { network_.suspend(node); };
   hooks.resume = [this](net::NodeId node) { network_.resume(node); };
   hooks.install_fault_plan = [this](net::FaultPlan plan) {
     install_fault_plan(std::move(plan));
   };
+  return hooks;
 }
 
 }  // namespace brisa::workload

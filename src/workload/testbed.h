@@ -93,49 +93,163 @@ class Testbed {
   std::unique_ptr<net::FaultPlan> fault_plan_;
 };
 
+/// The Config fields every protocol harness shares. Each protocol's Config
+/// extends it and names its own stabilization default.
+struct SystemConfig {
+  explicit SystemConfig(sim::Duration stabilization_default)
+      : stabilization(stabilization_default) {}
+
+  std::uint64_t seed = 1;
+  std::size_t num_nodes = 512;
+  TestbedKind testbed = TestbedKind::kCluster;
+  /// When set, replaces the testbed's latency model / network preset
+  /// (scenario-selected topologies: clustered-wan, fat-tree, ...).
+  std::optional<TopologyOverride> topology;
+  /// Concurrent streams (topics) 0..num_streams-1, every node active on
+  /// all of them.
+  std::size_t num_streams = 1;
+  /// Bootstrap joins spread over this window (the paper's trace uses one
+  /// join per second; experiments without churn compress it).
+  sim::Duration join_spread = sim::Duration::seconds(50);
+  /// Settling time after the last join before measurements start.
+  sim::Duration stabilization;
+  /// Event-lane shards (sim/simulator.h); 1 = classic serial loop. Results
+  /// are byte-identical for every value.
+  std::uint32_t shards = 1;
+};
+
 /// Common base of the four protocol harnesses (BRISA and the §III-D
 /// baselines): the one bootstrap / stream / measure / churn surface the
-/// reports drive every protocol through. workload::make_system() builds
-/// one from a scenario.
+/// reports drive every protocol through, and the body behind it — the
+/// stream schedule, the node registry and the churn plumbing. A harness
+/// adds only what its protocol does differently: how it builds and joins
+/// its nodes, how a source injects, and where a node keeps its stats.
+/// workload::make_system() builds one from a scenario.
 class SystemBase : public Testbed {
  public:
-  using Testbed::Testbed;
+  /// Which nodes complete_delivery() requires to hold every message of the
+  /// run_stream() stream. receivers() is every node under kEveryNode and
+  /// the alive members otherwise.
+  enum class Completeness {
+    /// Every node built, dead or alive (the tree).
+    kEveryNode,
+    /// Alive nodes, late joiners included (gossip, TAG).
+    kAlive,
+    /// Alive nodes created before the stream started (BRISA): late
+    /// joiners legitimately miss earlier messages.
+    kAliveSinceStreamStart,
+  };
 
-  // --- Protocol surface ---------------------------------------------------
+  /// What differs between the harnesses inside this shared body
+  /// (DESIGN.md §10). Each harness states its values in its constructor.
+  struct Rules {
+    /// Grace of the three-argument run_stream().
+    sim::Duration grace;
+    Completeness completeness = Completeness::kAlive;
+    /// Churn neither spawns nor kills, and the sources stay in the churn
+    /// population (the tree, built once by its coordinator). Fault scripts
+    /// still suspend nodes.
+    bool fixed_population = false;
+  };
+
+  SystemBase(const SystemConfig& config, const net::Limits& limits,
+             const Rules& rules);
+
+  // --- Protocol surface (each harness) ------------------------------------
   /// Creates the population, lets everyone join, and runs the simulator
   /// until the structure has settled.
   virtual void bootstrap() = 0;
-  /// Injects `count` stream-0 messages at `rate_per_s` from the source and
-  /// runs until `grace` after the last injection. Each harness also offers
-  /// a three-argument overload with its customary grace.
-  virtual void run_stream(std::size_t count, double rate_per_s,
-                          std::size_t payload_bytes, sim::Duration grace) = 0;
-  /// Injects one message on `stream` at its source; false when the source
-  /// host is down.
-  virtual bool publish(net::StreamId stream, std::size_t payload_bytes) = 0;
-  [[nodiscard]] virtual net::NodeId source_id(net::StreamId stream) const = 0;
-  /// The population delivery is measured over (the source included).
-  [[nodiscard]] virtual std::vector<net::NodeId> receivers() const = 0;
   /// Node `id`'s seq -> delivery instant map on `stream`.
   [[nodiscard]] virtual const util::FlatSeqMap<sim::TimePoint>&
   delivery_times(net::NodeId id, net::StreamId stream) const = 0;
   [[nodiscard]] virtual std::uint64_t duplicates(
       net::NodeId id, net::StreamId stream) const = 0;
-  /// Store evictions under a `[limits]` bound, summed over receivers() and
-  /// streams.
-  [[nodiscard]] virtual std::uint64_t store_evictions() const = 0;
-  /// Callbacks for a ChurnDriver.
-  [[nodiscard]] virtual ChurnHooks churn_hooks() = 0;
-  /// True when every receiver present for the whole run_stream() stream
-  /// delivered every message of it.
-  [[nodiscard]] virtual bool complete_delivery() const = 0;
+  /// Store evictions of node `id` on `stream` under a `[limits]` bound; 0
+  /// for a protocol that relays without a store (the tree).
+  [[nodiscard]] virtual std::uint64_t evictions(net::NodeId /*id*/,
+                                                net::StreamId /*stream*/) const {
+    return 0;
+  }
+  /// Churn arrival: builds one more node that joins the running system and
+  /// returns its id. A fixed population (Rules) never spawns, so the tree
+  /// does not override it.
+  virtual net::NodeId spawn_node();
+
+  // --- Shared body ----------------------------------------------------------
+  /// Injects `count` stream-0 messages at `rate_per_s` through publish()
+  /// and runs until `grace` after the last injection. Messages whose
+  /// source host is down are skipped and not counted as sent.
+  void run_stream(std::size_t count, double rate_per_s,
+                  std::size_t payload_bytes, sim::Duration grace);
+  /// run_stream() with the harness's customary grace (Rules::grace).
+  void run_stream(std::size_t count, double rate_per_s,
+                  std::size_t payload_bytes) {
+    run_stream(count, rate_per_s, payload_bytes, rules_.grace);
+  }
+  /// Injects one message on `stream` at its source; false when the source
+  /// host is down.
+  bool publish(net::StreamId stream, std::size_t payload_bytes);
   /// Messages run_stream() injected.
-  [[nodiscard]] virtual std::uint64_t messages_sent() const = 0;
+  [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
+
+  [[nodiscard]] net::NodeId source_id(
+      net::StreamId stream = net::kDefaultStream) const {
+    return sources_.at(stream);
+  }
+  /// Per-stream source nodes, indexed by StreamId (set by bootstrap()).
+  [[nodiscard]] const std::vector<net::NodeId>& source_ids() const {
+    return sources_;
+  }
+  /// Every protocol node ever built, dead ones included (their stats
+  /// survive for post-mortem aggregation), in ascending id order.
+  [[nodiscard]] std::vector<net::NodeId> all_ids() const;
+  /// The alive protocol nodes, in ascending id order.
+  [[nodiscard]] std::vector<net::NodeId> member_ids() const;
+  /// The population delivery is measured over (the source included):
+  /// all_ids() under Completeness::kEveryNode, member_ids() otherwise.
+  [[nodiscard]] std::vector<net::NodeId> receivers() const;
+  /// evictions() summed over member_ids() and streams.
+  [[nodiscard]] std::uint64_t store_evictions() const;
+  /// True when every node the harness's Completeness rule counts delivered
+  /// every message of the run_stream() stream.
+  [[nodiscard]] bool complete_delivery() const;
+
+  /// Crashes `node` for good; experiments keep the sources alive.
+  void kill_node(net::NodeId node);
+  /// Callbacks for a ChurnDriver: spawn_node() / kill_node() over the alive
+  /// members minus the sources, plus suspend/resume and fault-plan
+  /// installation.
+  [[nodiscard]] ChurnHooks churn_hooks();
 
  protected:
-  /// The churn hooks every system shares: suspend/resume and fault-plan
-  /// installation. Derived systems add spawn/population/kill.
-  void fill_fault_hooks(ChurnHooks& hooks);
+  /// Adds a host and registers it as a protocol node; the harness then
+  /// builds the node's protocol objects on it.
+  net::NodeId add_node();
+  /// Bootstrap join instant of the i-th of num_nodes, relative to now:
+  /// i / num_nodes x join_spread.
+  [[nodiscard]] sim::Duration join_offset(std::size_t i) const;
+  /// One message on `stream` at its alive `source`.
+  virtual void inject(net::NodeId source, net::StreamId stream,
+                      std::size_t payload_bytes) = 0;
+
+  /// Per-stream sources; bootstrap() fills one entry per stream.
+  std::vector<net::NodeId> sources_;
+
+ private:
+  struct Member {
+    net::NodeId id;
+    sim::TimePoint created_at;
+  };
+
+  [[nodiscard]] bool is_source(net::NodeId id) const;
+
+  SystemConfig common_;
+  Rules rules_;
+  /// Creation order, which is ascending id order (hosts are numbered as
+  /// they are added).
+  std::vector<Member> registry_;
+  std::uint64_t sent_ = 0;
+  sim::TimePoint stream_started_at_;
 };
 
 }  // namespace brisa::workload

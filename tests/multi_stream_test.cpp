@@ -413,9 +413,13 @@ TEST(MultiStream, ProgressTableTracksNewestDeliveryUnderLoss) {
   run_pubsub(system, 8, 20, 1.0, sim::Duration::seconds(50));
 
   std::size_t out_of_order = 0;
+  std::uint64_t gap_recoveries = 0;
+  std::uint64_t retransmissions_received = 0;
   for (const NodeId id : system.all_ids()) {
     for (StreamId stream = 0; stream < 8; ++stream) {
       const core::BrisaStream& s = system.brisa(id, stream);
+      gap_recoveries += s.stats().gap_recoveries;
+      retransmissions_received += s.stats().retransmissions_received;
       const auto& delivered = s.stats().delivery_time;
       EXPECT_EQ(s.delivered_watermark(),
                 delivered.empty() ? 0 : delivered.max_key() + 1)
@@ -428,6 +432,10 @@ TEST(MultiStream, ProgressTableTracksNewestDeliveryUnderLoss) {
     }
   }
   EXPECT_GT(out_of_order, 0u);
+  // This cell is the one that exercises the gap-probe and retransmit-fill
+  // paths (the other loss cells read 0 for both).
+  EXPECT_GT(gap_recoveries, 0u);
+  EXPECT_GT(retransmissions_received, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

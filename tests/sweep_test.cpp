@@ -375,6 +375,42 @@ TEST(SweepEquivalence, GenericRunnerTopologyCutMatchesGolden) {
             read_file(BRISA_SOURCE_DIR "/tests/data/topology_cut_96.jsonl"));
 }
 
+// The fixed paper line-ups, built through make_system() (fig12, tab2) or
+// from per-cell scenario copies (fig14), keep the stdout they printed when
+// each report built the four harnesses by hand.
+TEST(SweepEquivalence, Fig12LineUpMatchesGolden) {
+  const CommandResult result = run_command(
+      std::string(kRunner) + " --set scenario.nodes=128 " +
+      "--set streams.messages=60 --set params.payloads=0,10240 "
+      BRISA_SOURCE_DIR "/scenarios/fig12_protocol_bandwidth.scn 2>/dev/null");
+  ASSERT_TRUE(WIFEXITED(result.status));
+  EXPECT_EQ(WEXITSTATUS(result.status), 0);
+  EXPECT_EQ(result.out,
+            read_file(BRISA_SOURCE_DIR "/tests/data/fig12_128x60.txt"));
+}
+
+TEST(SweepEquivalence, Tab2LineUpMatchesGolden) {
+  const CommandResult result = run_command(
+      std::string(kRunner) + " --set scenario.nodes=64 " +
+      "--set streams.messages=40 " BRISA_SOURCE_DIR
+      "/scenarios/tab2_latency.scn 2>/dev/null");
+  ASSERT_TRUE(WIFEXITED(result.status));
+  EXPECT_EQ(WEXITSTATUS(result.status), 0);
+  EXPECT_EQ(result.out,
+            read_file(BRISA_SOURCE_DIR "/tests/data/tab2_64x40.txt"));
+}
+
+TEST(SweepEquivalence, Fig14RecoveryMatchesGolden) {
+  const CommandResult result = run_command(
+      std::string(kRunner) + " --set scenario.nodes=96 " +
+      "--set params.churn-seconds=180 " BRISA_SOURCE_DIR
+      "/scenarios/fig14_recovery_delay.scn 2>/dev/null");
+  ASSERT_TRUE(WIFEXITED(result.status));
+  EXPECT_EQ(WEXITSTATUS(result.status), 0);
+  EXPECT_EQ(result.out,
+            read_file(BRISA_SOURCE_DIR "/tests/data/fig14_96_churn180.txt"));
+}
+
 // Total loss delivers nothing: the row must still be valid JSON, with zero
 // (not NaN) latency percentiles.
 TEST(SweepEquivalence, FaultRecoveryTotalLossRowHasNoNan) {

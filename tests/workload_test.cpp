@@ -1,9 +1,16 @@
 // Workload layer tests: churn DSL parsing (Listing 1 of the paper), the
-// churn driver, and testbed presets.
+// churn driver, testbed presets, and the harness contract every protocol
+// built through make_system() keeps.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "workload/brisa_system.h"
 #include "workload/churn.h"
+#include "workload/scenario.h"
 #include "workload/testbed.h"
 
 namespace brisa::workload {
@@ -203,6 +210,46 @@ TEST(BrisaSystem, StructureEdgesMatchParents) {
     EXPECT_EQ(parents[0], edge.parent);
   }
 }
+
+// The SystemBase body holds for all four protocols: one stream schedule,
+// one delivery count, and the per-protocol churn-population rule.
+class HarnessContract : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(HarnessContract, StreamsCompletelyAndKeepsTheChurnPopulationRule) {
+  Scenario scenario;
+  scenario.protocol = GetParam();
+  scenario.nodes = 24;
+  scenario.seed = 5;
+  scenario.join_spread_s = 5;
+  const std::unique_ptr<SystemBase> system = make_system(scenario);
+  system->bootstrap();
+  system->run_stream(20, 5.0, 256);
+
+  EXPECT_EQ(system->messages_sent(), 20u);
+  const net::NodeId source = system->source_id();
+  for (const net::NodeId id : system->receivers()) {
+    if (id == source) continue;
+    EXPECT_EQ(system->delivery_times(id, net::kDefaultStream).size(), 20u)
+        << "node " << id;
+  }
+  EXPECT_TRUE(system->complete_delivery());
+
+  // The tree's population is fixed: its root stays in the churn population.
+  const std::vector<net::NodeId> population =
+      system->churn_hooks().population();
+  const bool has_source =
+      std::find(population.begin(), population.end(), source) !=
+      population.end();
+  EXPECT_EQ(has_source, std::string(GetParam()) == "tree");
+  EXPECT_EQ(population.size(),
+            system->member_ids().size() - (has_source ? 0 : 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, HarnessContract,
+                         ::testing::Values("brisa", "tree", "gossip", "tag"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace
 }  // namespace brisa::workload
