@@ -1,9 +1,12 @@
 #include "workload/scenario.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "core/parent_selection.h"
@@ -39,14 +42,23 @@ std::int64_t to_int(const std::string& context, const std::string& key,
   }
 }
 
-std::size_t to_size(const std::string& context, const std::string& key,
-                    const std::string& value) {
-  const std::int64_t parsed = to_int(context, key, value);
-  if (parsed < 0) {
+/// Unsigned 64-bit parse. std::stoull silently wraps "-1", so a minus sign
+/// is refused here rather than stored as 2^64 - 1.
+std::uint64_t to_unsigned(const std::string& context, const std::string& key,
+                          const std::string& value) {
+  std::uint64_t parsed = 0;
+  try {
+    std::size_t used = 0;
+    parsed = std::stoull(value, &used);
+    if (used != value.size()) throw std::invalid_argument(value);
+  } catch (const std::exception&) {
+    fail(context, "key '" + key + "' expects an integer, got '" + value + "'");
+  }
+  if (value.find('-') != std::string::npos) {
     fail(context, "key '" + key + "' must be non-negative, got '" + value +
                       "'");
   }
-  return static_cast<std::size_t>(parsed);
+  return parsed;
 }
 
 double to_double(const std::string& context, const std::string& key,
@@ -61,16 +73,6 @@ double to_double(const std::string& context, const std::string& key,
   }
 }
 
-double to_fraction(const std::string& context, const std::string& key,
-                   const std::string& value) {
-  const double parsed = to_double(context, key, value);
-  if (parsed < 0.0 || parsed > 1.0) {
-    fail(context, "key '" + key + "' must be a fraction in [0, 1], got '" +
-                      value + "'");
-  }
-  return parsed;
-}
-
 bool to_bool(const std::string& context, const std::string& key,
              const std::string& value) {
   if (value == "true" || value == "1" || value == "yes" || value == "on") {
@@ -82,175 +84,352 @@ bool to_bool(const std::string& context, const std::string& key,
   fail(context, "key '" + key + "' expects a boolean, got '" + value + "'");
 }
 
-/// One typed assignment; `context` prefixes diagnostics ("scenario line N"
-/// from the parser, empty from the builder).
+std::string fmt_double(double value) {
+  char buffer[64];
+  // Shortest representation that still round-trips through stod.
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  double parsed = 0;
+  for (int precision = 1; precision < 17; ++precision) {
+    char candidate[64];
+    std::snprintf(candidate, sizeof candidate, "%.*g", precision, value);
+    std::sscanf(candidate, "%lf", &parsed);
+    if (parsed == value) return candidate;
+  }
+  return buffer;
+}
+
+// --- The key table ----------------------------------------------------------
+
+using enum ScenarioKey::Type;
+using Bounds = ScenarioKey::Bounds;
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr Bounds kNonNegative{0};
+constexpr Bounds kPositive{0, kInf, true};
+constexpr Bounds kUnit{0, 1};
+
+bool numeric(ScenarioKey::Type type) {
+  return type != kString && type != kEnum && type != kBool;
+}
+
+/// "<section> <key> must be <rule>, got <value>" — the one shape of every
+/// per-key diagnostic.
+std::string must_be(const ScenarioKey& row, const std::string& rule,
+                    const std::string& text) {
+  return std::string(row.section) + " " + row.key + " must be " + rule +
+         ", got " + (numeric(row.type) ? text : "'" + text + "'");
+}
+
+/// The row's bounds in words: "positive", ">= 2", "in 1..63", ...
+std::string bound_rule(const ScenarioKey& row) {
+  const Bounds& b = row.bounds;
+  if (row.type == kFraction) return "a fraction in [0, 1]";
+  const auto number = [](double v) {
+    char buffer[32];
+    std::snprintf(buffer, sizeof buffer, "%g", v);
+    return std::string(buffer);
+  };
+  if (b.max == kInf) {
+    if (b.min == 0) return b.open ? "positive" : "non-negative";
+    return (b.open ? "> " : ">= ") + number(b.min);
+  }
+  return b.open ? "in (" + number(b.min) + ", " + number(b.max) + ")"
+                : "in " + number(b.min) + ".." + number(b.max);
+}
+
+bool within(const Bounds& b, double v) {
+  const bool above = b.open ? v > b.min : v >= b.min;
+  const bool below = b.max == kInf || (b.open ? v < b.max : v <= b.max);
+  return above && below;
+}
+
+/// The field's canonical text: what to_text() writes, set_keys() holds and
+/// a diagnostic quotes.
+template <auto Member>
+std::optional<std::string> read_field(const Scenario& s) {
+  const auto& value = s.*Member;
+  using T = typename std::remove_reference_t<decltype(value)>::value_type;
+  if (!value) return std::nullopt;
+  if constexpr (std::is_same_v<T, std::string>) {
+    return *value;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return *value ? "true" : "false";
+  } else if constexpr (std::is_same_v<T, double>) {
+    return fmt_double(*value);
+  } else {
+    return std::to_string(*value);
+  }
+}
+
+template <auto Member>
+void write_field(Scenario& s, const ScenarioKey& row, const std::string& value,
+                 const std::string& context) {
+  using T = typename std::remove_reference_t<decltype(s.*Member)>::value_type;
+  if constexpr (std::is_same_v<T, std::string>) {
+    s.*Member = value;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    s.*Member = to_bool(context, row.key, value);
+  } else if constexpr (std::is_same_v<T, double>) {
+    s.*Member = to_double(context, row.key, value);
+  } else {
+    const std::uint64_t parsed = to_unsigned(context, row.key, value);
+    // Every narrower field is bounded well inside its width, so a value it
+    // cannot hold is out of bounds: say so before narrowing would wrap it.
+    if (parsed > std::numeric_limits<T>::max()) {
+      fail(context, must_be(row, bound_rule(row), value));
+    }
+    s.*Member = static_cast<T>(parsed);
+  }
+}
+
+template <auto Member>
+constexpr ScenarioKey::Field field{&read_field<Member>, &write_field<Member>};
+
+bool known_model(const std::string& value) {
+  return known_topology_model(normalize_topology_model(value));
+}
+
+bool known_strategy(const std::string& value) {
+  try {
+    (void)core::parse_strategy(value);
+    return true;
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+}
+
+bool even(const std::string& value) { return std::stoull(value) % 2 == 0; }
+
+constexpr const char* kTopologyModels =
+    "cluster|planetlab|clustered-wan|fat-tree|random|barabasi-albert|"
+    "watts-strogatz|degree-capped";
+
+constexpr ScenarioKey kKeys[] = {
+    {"scenario", "name", field<&Scenario::name>, kString, {},
+     "label stamped into banners and JSON output"},
+    {"scenario", "report", field<&Scenario::report>, kString, {},
+     "report to execute (brisa_run --list); default run"},
+    {"scenario", "protocol", field<&Scenario::protocol>, kEnum, {},
+     "system harness", "brisa|tree|gossip|tag"},
+    {"scenario", "nodes", field<&Scenario::nodes>, kSize, {2},
+     "bootstrap population"},
+    {"scenario", "seed", field<&Scenario::seed>, kU64, {},
+     "master RNG seed; output is deterministic per seed"},
+
+    {"topology", "model", field<&Scenario::topology_model>, kEnum, {},
+     "latency model and network preset (underscores read as hyphens)",
+     kTopologyModels, known_model},
+    {"topology", "clusters", field<&Scenario::clusters>, kSize, {},
+     "clustered-wan: number of clusters"},
+    {"topology", "intra-rtt-ms", field<&Scenario::intra_rtt_ms>, kDouble,
+     kNonNegative, "clustered-wan: one-way latency inside a cluster"},
+    {"topology", "inter-rtt-min-ms", field<&Scenario::inter_rtt_min_ms>,
+     kDouble, kNonNegative, "clustered-wan: least inter-cluster latency"},
+    {"topology", "inter-rtt-max-ms", field<&Scenario::inter_rtt_max_ms>,
+     kDouble, kNonNegative, "clustered-wan: greatest inter-cluster latency"},
+    {"topology", "jitter-ms", field<&Scenario::wan_jitter_ms>, kDouble,
+     kNonNegative, "clustered-wan and generated: mean exponential jitter"},
+    {"topology", "hosts-per-rack", field<&Scenario::hosts_per_rack>, kSize, {},
+     "fat-tree: hosts per rack"},
+    {"topology", "racks-per-pod", field<&Scenario::racks_per_pod>, kSize, {},
+     "fat-tree: racks per pod"},
+    {"topology", "intra-rack-us", field<&Scenario::intra_rack_us>, kDouble,
+     kNonNegative, "fat-tree: one-way latency inside a rack"},
+    {"topology", "intra-pod-us", field<&Scenario::intra_pod_us>, kDouble,
+     kNonNegative, "fat-tree: one-way latency inside a pod"},
+    {"topology", "inter-pod-us", field<&Scenario::inter_pod_us>, kDouble,
+     kNonNegative, "fat-tree: one-way latency across pods"},
+    {"topology", "jitter-us", field<&Scenario::fat_tree_jitter_us>, kDouble,
+     kNonNegative, "fat-tree: mean exponential jitter"},
+    {"topology", "ba-m", field<&Scenario::ba_m>, kSize, {1},
+     "barabasi-albert: edges each new node attaches"},
+    {"topology", "ws-k", field<&Scenario::ws_k>, kSize, {2},
+     "watts-strogatz: ring-lattice degree", "an even integer", even},
+    {"topology", "ws-beta", field<&Scenario::ws_beta>, kFraction, kUnit,
+     "watts-strogatz: chord rewiring probability"},
+    {"topology", "degree-cap", field<&Scenario::degree_cap>, kSize, {2},
+     "degree-capped: per-node degree bound"},
+    {"topology", "edge-ms", field<&Scenario::edge_ms>, kDouble, kPositive,
+     "generated: one-way latency across a graph edge"},
+    {"topology", "cross-ms", field<&Scenario::cross_ms>, kDouble, kPositive,
+     "generated: one-way latency between non-adjacent nodes"},
+
+    {"overlay", "active-view", field<&Scenario::active_view>, kSize, {1},
+     "HyParView active view size"},
+    {"overlay", "passive-view", field<&Scenario::passive_view>, kSize, {1},
+     "HyParView passive view size (default active-view * 6)"},
+    {"overlay", "expansion-factor", field<&Scenario::expansion_factor>,
+     kDouble, {1}, "HyParView expansion factor"},
+    {"overlay", "mode", field<&Scenario::mode>, kEnum, {},
+     "BRISA structure mode", "tree|dag"},
+    {"overlay", "parents", field<&Scenario::parents>, kSize, {1},
+     "target parent count"},
+    {"overlay", "strategy", field<&Scenario::strategy>, kEnum, {},
+     "parent-selection strategy (core::parse_strategy names)",
+     "first-come|delay|gerontocratic|load", known_strategy},
+    {"overlay", "prune", field<&Scenario::prune>, kBool, {},
+     "false: never deactivate links (pure flooding)"},
+
+    {"streams", "count", field<&Scenario::streams>, kSize, {1},
+     "concurrent streams, each with its own source"},
+    {"streams", "messages", field<&Scenario::messages>, kSize, {},
+     "messages injected per stream"},
+    {"streams", "rate-per-s", field<&Scenario::rate>, kDouble, kPositive,
+     "injection rate per stream"},
+    {"streams", "payload", field<&Scenario::payload>, kSize, {},
+     "payload bytes per message"},
+    {"streams", "subscription-fraction",
+     field<&Scenario::subscription_fraction>, kFraction, kUnit,
+     "probability a node subscribes to a stream"},
+    {"streams", "zipf", field<&Scenario::zipf_exponent>, kDouble,
+     kNonNegative, "subscription-popularity skew; 0 = uniform"},
+    {"streams", "flash-at-s", field<&Scenario::flash_at_s>, kDouble,
+     kNonNegative, "flash crowd: burst start after the steady schedule"},
+    {"streams", "flash-messages", field<&Scenario::flash_messages>, kSize, {},
+     "flash crowd: extra messages per stream; 0 = off"},
+    {"streams", "flash-rate-per-s", field<&Scenario::flash_rate>, kDouble,
+     kPositive, "flash crowd: burst injection rate per stream"},
+
+    {"run", "join-spread-s", field<&Scenario::join_spread_s>, kDouble,
+     kNonNegative, "window over which bootstrap joins are spread"},
+    {"run", "stabilization-s", field<&Scenario::stabilization_s>, kDouble,
+     kNonNegative, "settling time after the last join"},
+    {"run", "grace-s", field<&Scenario::grace_s>, kDouble, kNonNegative,
+     "generic runner: time kept running after the last injection"},
+    {"run", "warmup-messages", field<&Scenario::warmup_messages>, kSize, {},
+     "messages streamed and discounted before measurement"},
+    {"run", "shards", field<&Scenario::shards>, kU32, {1, 63},
+     "event-lane shards; results are identical for every value"},
+
+    {"limits", "store-entries", field<&Scenario::store_entries>, kSize, {},
+     "max entries per (node, stream) store; 0 = unbounded"},
+    {"limits", "store-bytes", field<&Scenario::store_bytes>, kSize, {},
+     "max payload bytes per (node, stream) store; 0 = unbounded"},
+    {"limits", "eviction", field<&Scenario::eviction>, kEnum, {},
+     "what a full store evicts", "oldest-first|delivered-first"},
+    {"limits", "bloom-digests", field<&Scenario::bloom_digests>, kBool, {},
+     "Bloom-filter digests instead of exact seq lists"},
+    {"limits", "bloom-fp", field<&Scenario::bloom_fp>, kDouble,
+     {0, 1, true}, "target false-positive rate per digest"},
+    {"limits", "rate-control", field<&Scenario::rate_control>, kBool, {},
+     "defer optional traffic while the local backlog overuses"},
+    {"limits", "overuse-ms", field<&Scenario::overuse_ms>, kDouble,
+     kPositive, "backlog at or above this is overusing"},
+    {"limits", "underuse-ms", field<&Scenario::underuse_ms>, kDouble,
+     kPositive, "backlog at or below this is underusing"},
+    {"limits", "recovery-ms", field<&Scenario::recovery_ms>, kDouble,
+     kPositive, "AIMD recovery step period"},
+
+    {"output", "json", field<&Scenario::json>, kBool, {},
+     "generic runner: JSON lines after the table"},
+    {"output", "cdf", field<&Scenario::cdf>, kBool, {},
+     "generic runner: delivery-delay CDF"},
+};
+
+/// Every section, in to_text() order; [churn], [sweep] and [params] have
+/// no rows and are written by hand.
+constexpr std::string_view kSections[] = {
+    "scenario", "topology", "overlay", "streams", "run",
+    "limits",   "churn",    "sweep",   "output",  "params"};
+
+bool known_section(std::string_view section) {
+  return std::find(std::begin(kSections), std::end(kSections), section) !=
+         std::end(kSections);
+}
+
+std::string dotted(const ScenarioKey& row) {
+  return std::string(row.section) + "." + row.key;
+}
+
+const ScenarioKey* find_key(std::string_view section, std::string_view key) {
+  for (const ScenarioKey& row : kKeys) {
+    if (row.section == section && row.key == key) return &row;
+  }
+  return nullptr;
+}
+
+bool one_of(std::string_view names, std::string_view value) {
+  for (;;) {
+    const std::size_t bar = names.find('|');
+    if (names.substr(0, bar) == value) return true;
+    if (bar == std::string_view::npos) return false;
+    names.remove_prefix(bar + 1);
+  }
+}
+
+/// The row's diagnostic for the value `s` holds ("" when unset or valid).
+std::string key_error(const Scenario& s, const ScenarioKey& row) {
+  const std::optional<std::string> text = row.field.read(s);
+  if (!text) return "";
+  if (numeric(row.type) && !within(row.bounds, std::stod(*text))) {
+    return must_be(row, bound_rule(row), *text);
+  }
+  const bool ok = row.check != nullptr ? row.check(*text)
+                                       : row.type != kEnum ||
+                                             one_of(row.rule, *text);
+  return ok ? "" : must_be(row, row.rule, *text);
+}
+
+/// The per-key checks, in table order. A failure is anchored at the key's
+/// line when `lines` records one.
+void check_keys(const Scenario& s, const Scenario::KeyLines* lines) {
+  for (const ScenarioKey& row : kKeys) {
+    const std::string error = key_error(s, row);
+    if (error.empty()) continue;
+    std::string context;
+    if (lines != nullptr) {
+      const auto it = lines->find(dotted(row));
+      if (it != lines->end()) {
+        context = "scenario line " + std::to_string(it->second);
+      }
+    }
+    fail(context, error);
+  }
+}
+
+/// The rules that span keys or sections; none has a single line.
+void check_rules(const Scenario& s) {
+  if (s.inter_rtt_min_ms && s.inter_rtt_max_ms &&
+      *s.inter_rtt_min_ms > *s.inter_rtt_max_ms) {
+    fail("", "topology inter-rtt-min-ms exceeds inter-rtt-max-ms");
+  }
+  if (s.nodes && s.streams && *s.streams > *s.nodes) {
+    fail("", "streams count " + std::to_string(*s.streams) +
+                 " exceeds scenario nodes " + std::to_string(*s.nodes) +
+                 " (each stream needs its own source)");
+  }
+  if (s.overuse_ms && s.underuse_ms && *s.underuse_ms >= *s.overuse_ms) {
+    fail("", "limits underuse-ms must be below overuse-ms");
+  }
+  if (!s.churn_dsl.empty()) {
+    std::string diagnostic;
+    if (!ChurnScript::try_parse(s.churn_dsl, &diagnostic)) {
+      fail("", "churn DSL: " + diagnostic);
+    }
+  }
+  if (s.has_sweep()) {
+    const std::string diagnostic = sweep_error(s);
+    if (!diagnostic.empty()) fail("", "sweep: " + diagnostic);
+  }
+}
+
+/// One assignment; `context` prefixes diagnostics ("scenario line N" from
+/// the parser, empty from the builder).
 void apply(Scenario& s, const std::string& section, const std::string& key,
            const std::string& value, const std::string& context) {
-  if (section == "scenario") {
-    if (key == "name") return void(s.name = value);
-    if (key == "report") return void(s.report = value);
-    if (key == "protocol") {
-      if (value != "brisa" && value != "tree" && value != "gossip" &&
-          value != "tag") {
-        fail(context, "protocol must be brisa|tree|gossip|tag, got '" +
-                          value + "'");
-      }
-      return void(s.protocol = value);
-    }
-    if (key == "nodes") return void(s.nodes = to_size(context, key, value));
-    if (key == "seed") {
-      return void(s.seed =
-                      static_cast<std::uint64_t>(to_int(context, key, value)));
-    }
-  } else if (section == "topology") {
-    if (key == "model") return void(s.topology_model = value);
-    if (key == "clusters") {
-      return void(s.clusters = to_size(context, key, value));
-    }
-    if (key == "intra-rtt-ms") {
-      return void(s.intra_rtt_ms = to_double(context, key, value));
-    }
-    if (key == "inter-rtt-min-ms") {
-      return void(s.inter_rtt_min_ms = to_double(context, key, value));
-    }
-    if (key == "inter-rtt-max-ms") {
-      return void(s.inter_rtt_max_ms = to_double(context, key, value));
-    }
-    if (key == "jitter-ms") {
-      return void(s.wan_jitter_ms = to_double(context, key, value));
-    }
-    if (key == "hosts-per-rack") {
-      return void(s.hosts_per_rack = to_size(context, key, value));
-    }
-    if (key == "racks-per-pod") {
-      return void(s.racks_per_pod = to_size(context, key, value));
-    }
-    if (key == "intra-rack-us") {
-      return void(s.intra_rack_us = to_double(context, key, value));
-    }
-    if (key == "intra-pod-us") {
-      return void(s.intra_pod_us = to_double(context, key, value));
-    }
-    if (key == "inter-pod-us") {
-      return void(s.inter_pod_us = to_double(context, key, value));
-    }
-    if (key == "jitter-us") {
-      return void(s.fat_tree_jitter_us = to_double(context, key, value));
-    }
-    if (key == "ba-m") return void(s.ba_m = to_size(context, key, value));
-    if (key == "ws-k") return void(s.ws_k = to_size(context, key, value));
-    if (key == "ws-beta") {
-      return void(s.ws_beta = to_fraction(context, key, value));
-    }
-    if (key == "degree-cap") {
-      return void(s.degree_cap = to_size(context, key, value));
-    }
-    if (key == "edge-ms") {
-      return void(s.edge_ms = to_double(context, key, value));
-    }
-    if (key == "cross-ms") {
-      return void(s.cross_ms = to_double(context, key, value));
-    }
-  } else if (section == "overlay") {
-    if (key == "active-view") {
-      return void(s.active_view = to_size(context, key, value));
-    }
-    if (key == "passive-view") {
-      return void(s.passive_view = to_size(context, key, value));
-    }
-    if (key == "expansion-factor") {
-      return void(s.expansion_factor = to_double(context, key, value));
-    }
-    if (key == "mode") return void(s.mode = value);
-    if (key == "parents") {
-      return void(s.parents = to_size(context, key, value));
-    }
-    if (key == "strategy") return void(s.strategy = value);
-    if (key == "prune") return void(s.prune = to_bool(context, key, value));
-  } else if (section == "streams") {
-    if (key == "count") return void(s.streams = to_size(context, key, value));
-    if (key == "messages") {
-      return void(s.messages = to_size(context, key, value));
-    }
-    if (key == "rate-per-s") {
-      return void(s.rate = to_double(context, key, value));
-    }
-    if (key == "payload") {
-      return void(s.payload = to_size(context, key, value));
-    }
-    if (key == "subscription-fraction") {
-      return void(s.subscription_fraction = to_fraction(context, key, value));
-    }
-    if (key == "zipf") {
-      return void(s.zipf_exponent = to_double(context, key, value));
-    }
-    if (key == "flash-at-s") {
-      return void(s.flash_at_s = to_double(context, key, value));
-    }
-    if (key == "flash-messages") {
-      return void(s.flash_messages = to_size(context, key, value));
-    }
-    if (key == "flash-rate-per-s") {
-      return void(s.flash_rate = to_double(context, key, value));
-    }
-  } else if (section == "run") {
-    if (key == "join-spread-s") {
-      return void(s.join_spread_s = to_double(context, key, value));
-    }
-    if (key == "stabilization-s") {
-      return void(s.stabilization_s = to_double(context, key, value));
-    }
-    if (key == "grace-s") {
-      return void(s.grace_s = to_double(context, key, value));
-    }
-    if (key == "warmup-messages") {
-      return void(s.warmup_messages = to_size(context, key, value));
-    }
-    if (key == "shards") {
-      return void(s.shards =
-                      static_cast<std::uint32_t>(to_size(context, key, value)));
-    }
-    if (key == "queue") {
-      fail(context, "run key 'queue' was removed: the 4-ary heap is now the "
-                    "only pending-event set (DESIGN.md §14); remove the key");
-    }
-  } else if (section == "limits") {
-    if (key == "store-entries") {
-      return void(s.store_entries = to_size(context, key, value));
-    }
-    if (key == "store-bytes") {
-      return void(s.store_bytes = to_size(context, key, value));
-    }
-    if (key == "eviction") return void(s.eviction = value);
-    if (key == "bloom-digests") {
-      return void(s.bloom_digests = to_bool(context, key, value));
-    }
-    if (key == "bloom-fp") {
-      return void(s.bloom_fp = to_double(context, key, value));
-    }
-    if (key == "rate-control") {
-      return void(s.rate_control = to_bool(context, key, value));
-    }
-    if (key == "overuse-ms") {
-      return void(s.overuse_ms = to_double(context, key, value));
-    }
-    if (key == "underuse-ms") {
-      return void(s.underuse_ms = to_double(context, key, value));
-    }
-    if (key == "recovery-ms") {
-      return void(s.recovery_ms = to_double(context, key, value));
-    }
-  } else if (section == "churn") {
+  if (const ScenarioKey* row = find_key(section, key)) {
+    return row->field.write(s, *row, value, context);
+  }
+  if (section == "churn" && key == "dsl") {
     // Only reachable from the builder / --set surface: inside a file the
     // [churn] body is verbatim DSL, parsed before apply() is consulted.
-    if (key == "dsl") {
-      s.churn_dsl = value;
-      if (!s.churn_dsl.empty() && s.churn_dsl.back() != '\n') {
-        s.churn_dsl += '\n';
-      }
-      return;
+    s.churn_dsl = value;
+    if (!s.churn_dsl.empty() && s.churn_dsl.back() != '\n') {
+      s.churn_dsl += '\n';
     }
-  } else if (section == "sweep") {
+    return;
+  }
+  if (section == "sweep") {
     const bool axis = key == "protocol" || key == "nodes" || key == "seeds" ||
                       key == "faulted" || key == "topology" ||
                       (key.rfind("param.", 0) == 0 && key.size() > 6);
@@ -272,42 +451,28 @@ void apply(Scenario& s, const std::string& section, const std::string& key,
     }
     s.sweep.emplace_back(key, value);
     return;
-  } else if (section == "output") {
-    if (key == "json") return void(s.json = to_bool(context, key, value));
-    if (key == "cdf") return void(s.cdf = to_bool(context, key, value));
-  } else if (section == "params") {
+  }
+  if (section == "params") {
     s.params[key] = value;
     return;
-  } else {
+  }
+  if (section == "run" && key == "queue") {
+    fail(context, "run key 'queue' was removed: the 4-ary heap is now the "
+                  "only pending-event set (DESIGN.md §14); remove the key");
+  }
+  if (!known_section(section)) {
     fail(context, "unknown section [" + section + "]");
   }
   fail(context, "unknown key '" + key + "' in section [" + section + "]");
 }
 
-void emit(std::string& out, const char* key, const std::string& value) {
-  out += key;
-  out += " = ";
-  out += value;
-  out += "\n";
+void emit(std::string& out, std::string_view key, const std::string& value) {
+  out.append(key).append(" = ").append(value).append("\n");
 }
-
-std::string fmt_double(double value) {
-  char buffer[64];
-  // Shortest representation that still round-trips through stod.
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  double parsed = 0;
-  for (int precision = 1; precision < 17; ++precision) {
-    char candidate[64];
-    std::snprintf(candidate, sizeof candidate, "%.*g", precision, value);
-    std::sscanf(candidate, "%lf", &parsed);
-    if (parsed == value) return candidate;
-  }
-  return buffer;
-}
-
-std::string fmt_size(std::size_t value) { return std::to_string(value); }
 
 }  // namespace
+
+std::span<const ScenarioKey> scenario_keys() { return kKeys; }
 
 std::string normalize_topology_model(std::string model) {
   for (char& c : model) {
@@ -317,10 +482,7 @@ std::string normalize_topology_model(std::string model) {
 }
 
 bool known_topology_model(const std::string& normalized) {
-  return normalized == "cluster" || normalized == "planetlab" ||
-         normalized == "clustered-wan" || normalized == "fat-tree" ||
-         normalized == "random" || normalized == "barabasi-albert" ||
-         normalized == "watts-strogatz" || normalized == "degree-capped";
+  return one_of(kTopologyModels, normalized);
 }
 
 // --- [params] accessors -----------------------------------------------------
@@ -373,6 +535,8 @@ std::vector<std::int64_t> Scenario::param_int_list(
 
 Scenario Scenario::parse(const std::string& text, KeyLines* lines) {
   Scenario s;
+  KeyLines own_lines;
+  KeyLines& where = lines != nullptr ? *lines : own_lines;
   std::istringstream in(text);
   std::string line;
   std::string section;
@@ -400,12 +564,9 @@ Scenario Scenario::parse(const std::string& text, KeyLines* lines) {
         fail(context, "unterminated section header '" + stripped + "'");
       }
       section = trim(stripped.substr(1, stripped.size() - 2));
-      const bool known =
-          section == "scenario" || section == "topology" ||
-          section == "overlay" || section == "streams" || section == "run" ||
-          section == "limits" || section == "churn" || section == "sweep" ||
-          section == "output" || section == "params";
-      if (!known) fail(context, "unknown section [" + section + "]");
+      if (!known_section(section)) {
+        fail(context, "unknown section [" + section + "]");
+      }
       if (section == "churn") churn_section_line = line_number;
       if (section == "sweep") sweep_section_line = line_number;
       continue;
@@ -421,16 +582,16 @@ Scenario Scenario::parse(const std::string& text, KeyLines* lines) {
     const std::string value = trim(stripped.substr(eq + 1));
     if (key.empty()) fail(context, "empty key");
     apply(s, section, key, value, context);
-    if (lines != nullptr) (*lines)[section + "." + key] = line_number;
+    where[section + "." + key] = line_number;
   }
-  if (lines != nullptr && churn_section_line > 0) {
-    (*lines)["churn"] = churn_section_line;
-  }
+  if (churn_section_line > 0) where["churn"] = churn_section_line;
+  check_keys(s, &where);
   try {
-    s.validate();
+    check_rules(s);
   } catch (const std::invalid_argument& e) {
     // Re-anchor churn and sweep diagnostics at their section header so the
-    // reader knows where to look; other semantic errors have no single line.
+    // reader knows where to look; the other cross-key rules have no single
+    // line.
     const std::string what = e.what();
     const int header = what.rfind("churn", 0) == 0   ? churn_section_line
                        : what.rfind("sweep", 0) == 0 ? sweep_section_line
@@ -469,331 +630,40 @@ Scenario Scenario::load(const std::string& path, KeyLines* lines) {
 }
 
 void Scenario::validate() const {
-  if (topology_model &&
-      !known_topology_model(normalize_topology_model(*topology_model))) {
-    fail("", "topology model must be cluster|planetlab|clustered-wan|"
-             "fat-tree|random|barabasi-albert|watts-strogatz|degree-capped, "
-             "got '" +
-                 *topology_model + "'");
-  }
-  if (mode && *mode != "tree" && *mode != "dag") {
-    fail("", "overlay mode must be tree|dag, got '" + *mode + "'");
-  }
-  if (strategy) {
-    try {
-      (void)core::parse_strategy(*strategy);
-    } catch (const std::exception& e) {
-      fail("", std::string("overlay strategy: ") + e.what());
-    }
-  }
-  if (inter_rtt_min_ms && inter_rtt_max_ms &&
-      *inter_rtt_min_ms > *inter_rtt_max_ms) {
-    fail("", "topology inter-rtt-min-ms exceeds inter-rtt-max-ms");
-  }
-  if (nodes && *nodes < 2) {
-    fail("", "scenario nodes must be >= 2, got " + fmt_size(*nodes));
-  }
-  if (nodes && streams && *streams > *nodes) {
-    fail("", "streams count " + fmt_size(*streams) +
-                 " exceeds scenario nodes " + fmt_size(*nodes) +
-                 " (each stream needs its own source)");
-  }
-  // Latencies and run phases: a negative value aborts the simulator (or,
-  // for grace-s, silently sends nothing).
-  const std::pair<const char*, const std::optional<double>*> non_negative[] = {
-      {"topology intra-rtt-ms", &intra_rtt_ms},
-      {"topology inter-rtt-min-ms", &inter_rtt_min_ms},
-      {"topology inter-rtt-max-ms", &inter_rtt_max_ms},
-      {"topology jitter-ms", &wan_jitter_ms},
-      {"topology intra-rack-us", &intra_rack_us},
-      {"topology intra-pod-us", &intra_pod_us},
-      {"topology inter-pod-us", &inter_pod_us},
-      {"topology jitter-us", &fat_tree_jitter_us},
-      {"run join-spread-s", &join_spread_s},
-      {"run stabilization-s", &stabilization_s},
-      {"run grace-s", &grace_s},
-  };
-  for (const auto& [key, value] : non_negative) {
-    if (*value && **value < 0.0) {
-      fail("", std::string(key) + " must be non-negative, got " +
-                   fmt_double(**value));
-    }
-  }
-  if (ba_m && *ba_m == 0) fail("", "topology ba-m must be >= 1");
-  if (ws_k && (*ws_k < 2 || *ws_k % 2 != 0)) {
-    fail("", "topology ws-k must be an even integer >= 2, got " +
-                 fmt_size(*ws_k));
-  }
-  if (degree_cap && *degree_cap < 2) {
-    fail("", "topology degree-cap must be >= 2, got " + fmt_size(*degree_cap));
-  }
-  if (edge_ms && *edge_ms <= 0.0) {
-    fail("", "topology edge-ms must be positive");
-  }
-  if (cross_ms && *cross_ms <= 0.0) {
-    fail("", "topology cross-ms must be positive");
-  }
-  if (zipf_exponent && *zipf_exponent < 0.0) {
-    fail("", "streams zipf must be non-negative");
-  }
-  if (flash_at_s && *flash_at_s < 0.0) {
-    fail("", "streams flash-at-s must be non-negative");
-  }
-  if (flash_rate && *flash_rate <= 0.0) {
-    fail("", "streams flash-rate-per-s must be positive");
-  }
-  if (rate && *rate <= 0.0) {
-    fail("", "streams rate-per-s must be positive, got " + fmt_double(*rate));
-  }
-  if (active_view && *active_view == 0) {
-    fail("", "overlay active-view must be >= 1");
-  }
-  if (passive_view && *passive_view == 0) {
-    fail("", "overlay passive-view must be >= 1");
-  }
-  if (expansion_factor && *expansion_factor < 1.0) {
-    fail("", "overlay expansion-factor must be >= 1, got " +
-                 fmt_double(*expansion_factor));
-  }
-  if (parents && *parents == 0) fail("", "overlay parents must be >= 1");
-  if (shards && (*shards == 0 || *shards > 63)) {
-    fail("", "run shards must be in 1..63, got " + std::to_string(*shards));
-  }
-  if (streams && *streams == 0) fail("", "streams count must be >= 1");
-  if (eviction && *eviction != "oldest-first" &&
-      *eviction != "delivered-first") {
-    fail("", "limits eviction must be oldest-first|delivered-first, got '" +
-                 *eviction + "'");
-  }
-  if (bloom_fp && (*bloom_fp <= 0.0 || *bloom_fp >= 1.0)) {
-    fail("", "limits bloom-fp must be in (0, 1), got '" +
-                 fmt_double(*bloom_fp) + "'");
-  }
-  if (overuse_ms && *overuse_ms <= 0.0) {
-    fail("", "limits overuse-ms must be positive");
-  }
-  if (underuse_ms && *underuse_ms <= 0.0) {
-    fail("", "limits underuse-ms must be positive");
-  }
-  if (recovery_ms && *recovery_ms <= 0.0) {
-    fail("", "limits recovery-ms must be positive");
-  }
-  if (overuse_ms && underuse_ms && *underuse_ms >= *overuse_ms) {
-    fail("", "limits underuse-ms must be below overuse-ms");
-  }
-  if (!churn_dsl.empty()) {
-    std::string diagnostic;
-    if (!ChurnScript::try_parse(churn_dsl, &diagnostic)) {
-      fail("", "churn DSL: " + diagnostic);
-    }
-  }
-  if (has_sweep()) {
-    const std::string diagnostic = sweep_error(*this);
-    if (!diagnostic.empty()) fail("", "sweep: " + diagnostic);
-  }
+  check_keys(*this, nullptr);
+  check_rules(*this);
 }
 
 // --- Serialization ----------------------------------------------------------
 
 std::string Scenario::to_text() const {
   std::string out;
-  out += "[scenario]\n";
-  if (name) emit(out, "name", *name);
-  if (report) emit(out, "report", *report);
-  if (protocol) emit(out, "protocol", *protocol);
-  if (nodes) emit(out, "nodes", fmt_size(*nodes));
-  if (seed) emit(out, "seed", std::to_string(*seed));
-  const bool any_topology =
-      topology_model || clusters || intra_rtt_ms || inter_rtt_min_ms ||
-      inter_rtt_max_ms || wan_jitter_ms || hosts_per_rack || racks_per_pod ||
-      intra_rack_us || intra_pod_us || inter_pod_us || fat_tree_jitter_us ||
-      ba_m || ws_k || ws_beta || degree_cap || edge_ms || cross_ms;
-  if (any_topology) {
-    out += "\n[topology]\n";
-    if (topology_model) emit(out, "model", *topology_model);
-    if (clusters) emit(out, "clusters", fmt_size(*clusters));
-    if (intra_rtt_ms) emit(out, "intra-rtt-ms", fmt_double(*intra_rtt_ms));
-    if (inter_rtt_min_ms) {
-      emit(out, "inter-rtt-min-ms", fmt_double(*inter_rtt_min_ms));
+  for (const std::string_view section : kSections) {
+    std::string body;
+    if (section == "churn") {
+      body = churn_dsl;
+    } else if (section == "sweep") {
+      for (const auto& [key, value] : sweep) emit(body, key, value);
+    } else if (section == "params") {
+      for (const auto& [key, value] : params) emit(body, key, value);
+    } else {
+      for (const ScenarioKey& row : kKeys) {
+        if (row.section != section) continue;
+        if (const auto text = row.field.read(*this)) emit(body, row.key, *text);
+      }
     }
-    if (inter_rtt_max_ms) {
-      emit(out, "inter-rtt-max-ms", fmt_double(*inter_rtt_max_ms));
-    }
-    if (wan_jitter_ms) emit(out, "jitter-ms", fmt_double(*wan_jitter_ms));
-    if (hosts_per_rack) emit(out, "hosts-per-rack", fmt_size(*hosts_per_rack));
-    if (racks_per_pod) emit(out, "racks-per-pod", fmt_size(*racks_per_pod));
-    if (intra_rack_us) emit(out, "intra-rack-us", fmt_double(*intra_rack_us));
-    if (intra_pod_us) emit(out, "intra-pod-us", fmt_double(*intra_pod_us));
-    if (inter_pod_us) emit(out, "inter-pod-us", fmt_double(*inter_pod_us));
-    if (fat_tree_jitter_us) {
-      emit(out, "jitter-us", fmt_double(*fat_tree_jitter_us));
-    }
-    if (ba_m) emit(out, "ba-m", fmt_size(*ba_m));
-    if (ws_k) emit(out, "ws-k", fmt_size(*ws_k));
-    if (ws_beta) emit(out, "ws-beta", fmt_double(*ws_beta));
-    if (degree_cap) emit(out, "degree-cap", fmt_size(*degree_cap));
-    if (edge_ms) emit(out, "edge-ms", fmt_double(*edge_ms));
-    if (cross_ms) emit(out, "cross-ms", fmt_double(*cross_ms));
-  }
-  const bool any_overlay = active_view || passive_view || expansion_factor ||
-                           mode || parents || strategy || prune;
-  if (any_overlay) {
-    out += "\n[overlay]\n";
-    if (active_view) emit(out, "active-view", fmt_size(*active_view));
-    if (passive_view) emit(out, "passive-view", fmt_size(*passive_view));
-    if (expansion_factor) {
-      emit(out, "expansion-factor", fmt_double(*expansion_factor));
-    }
-    if (mode) emit(out, "mode", *mode);
-    if (parents) emit(out, "parents", fmt_size(*parents));
-    if (strategy) emit(out, "strategy", *strategy);
-    if (prune) emit(out, "prune", *prune ? "true" : "false");
-  }
-  const bool any_streams = streams || messages || rate || payload ||
-                           subscription_fraction || zipf_exponent ||
-                           flash_at_s || flash_messages || flash_rate;
-  if (any_streams) {
-    out += "\n[streams]\n";
-    if (streams) emit(out, "count", fmt_size(*streams));
-    if (messages) emit(out, "messages", fmt_size(*messages));
-    if (rate) emit(out, "rate-per-s", fmt_double(*rate));
-    if (payload) emit(out, "payload", fmt_size(*payload));
-    if (subscription_fraction) {
-      emit(out, "subscription-fraction", fmt_double(*subscription_fraction));
-    }
-    if (zipf_exponent) emit(out, "zipf", fmt_double(*zipf_exponent));
-    if (flash_at_s) emit(out, "flash-at-s", fmt_double(*flash_at_s));
-    if (flash_messages) {
-      emit(out, "flash-messages", fmt_size(*flash_messages));
-    }
-    if (flash_rate) emit(out, "flash-rate-per-s", fmt_double(*flash_rate));
-  }
-  const bool any_run = join_spread_s || stabilization_s || grace_s ||
-                       warmup_messages || shards;
-  if (any_run) {
-    out += "\n[run]\n";
-    if (join_spread_s) emit(out, "join-spread-s", fmt_double(*join_spread_s));
-    if (stabilization_s) {
-      emit(out, "stabilization-s", fmt_double(*stabilization_s));
-    }
-    if (grace_s) emit(out, "grace-s", fmt_double(*grace_s));
-    if (warmup_messages) {
-      emit(out, "warmup-messages", fmt_size(*warmup_messages));
-    }
-    if (shards) emit(out, "shards", fmt_size(*shards));
-  }
-  const bool any_limits = store_entries || store_bytes || eviction ||
-                          bloom_digests || bloom_fp || rate_control ||
-                          overuse_ms || underuse_ms || recovery_ms;
-  if (any_limits) {
-    out += "\n[limits]\n";
-    if (store_entries) emit(out, "store-entries", fmt_size(*store_entries));
-    if (store_bytes) emit(out, "store-bytes", fmt_size(*store_bytes));
-    if (eviction) emit(out, "eviction", *eviction);
-    if (bloom_digests) {
-      emit(out, "bloom-digests", *bloom_digests ? "true" : "false");
-    }
-    if (bloom_fp) emit(out, "bloom-fp", fmt_double(*bloom_fp));
-    if (rate_control) {
-      emit(out, "rate-control", *rate_control ? "true" : "false");
-    }
-    if (overuse_ms) emit(out, "overuse-ms", fmt_double(*overuse_ms));
-    if (underuse_ms) emit(out, "underuse-ms", fmt_double(*underuse_ms));
-    if (recovery_ms) emit(out, "recovery-ms", fmt_double(*recovery_ms));
-  }
-  if (!churn_dsl.empty()) {
-    out += "\n[churn]\n";
-    out += churn_dsl;
-  }
-  if (has_sweep()) {
-    out += "\n[sweep]\n";
-    for (const auto& [key, value] : sweep) emit(out, key.c_str(), value);
-  }
-  if (json || cdf) {
-    out += "\n[output]\n";
-    if (json) emit(out, "json", *json ? "true" : "false");
-    if (cdf) emit(out, "cdf", *cdf ? "true" : "false");
-  }
-  if (!params.empty()) {
-    out += "\n[params]\n";
-    for (const auto& [key, value] : params) emit(out, key.c_str(), value);
+    if (body.empty()) continue;
+    if (!out.empty()) out += "\n";
+    out.append("[").append(section).append("]\n").append(body);
   }
   return out;
 }
 
 std::map<std::string, std::string> Scenario::set_keys() const {
   std::map<std::string, std::string> out;
-  const auto put_str = [&out](const char* key,
-                              const std::optional<std::string>& value) {
-    if (value) out[key] = *value;
-  };
-  const auto put_size = [&out](const char* key,
-                               const std::optional<std::size_t>& value) {
-    if (value) out[key] = fmt_size(*value);
-  };
-  const auto put_double = [&out](const char* key,
-                                 const std::optional<double>& value) {
-    if (value) out[key] = fmt_double(*value);
-  };
-  const auto put_bool = [&out](const char* key,
-                               const std::optional<bool>& value) {
-    if (value) out[key] = *value ? "true" : "false";
-  };
-  put_str("scenario.name", name);
-  put_str("scenario.report", report);
-  put_str("scenario.protocol", protocol);
-  put_size("scenario.nodes", nodes);
-  if (seed) out["scenario.seed"] = std::to_string(*seed);
-  put_str("topology.model", topology_model);
-  put_size("topology.clusters", clusters);
-  put_double("topology.intra-rtt-ms", intra_rtt_ms);
-  put_double("topology.inter-rtt-min-ms", inter_rtt_min_ms);
-  put_double("topology.inter-rtt-max-ms", inter_rtt_max_ms);
-  put_double("topology.jitter-ms", wan_jitter_ms);
-  put_size("topology.hosts-per-rack", hosts_per_rack);
-  put_size("topology.racks-per-pod", racks_per_pod);
-  put_double("topology.intra-rack-us", intra_rack_us);
-  put_double("topology.intra-pod-us", intra_pod_us);
-  put_double("topology.inter-pod-us", inter_pod_us);
-  put_double("topology.jitter-us", fat_tree_jitter_us);
-  put_size("topology.ba-m", ba_m);
-  put_size("topology.ws-k", ws_k);
-  put_double("topology.ws-beta", ws_beta);
-  put_size("topology.degree-cap", degree_cap);
-  put_double("topology.edge-ms", edge_ms);
-  put_double("topology.cross-ms", cross_ms);
-  put_size("overlay.active-view", active_view);
-  put_size("overlay.passive-view", passive_view);
-  put_double("overlay.expansion-factor", expansion_factor);
-  put_str("overlay.mode", mode);
-  put_size("overlay.parents", parents);
-  put_str("overlay.strategy", strategy);
-  put_bool("overlay.prune", prune);
-  put_size("streams.count", streams);
-  put_size("streams.messages", messages);
-  put_double("streams.rate-per-s", rate);
-  put_size("streams.payload", payload);
-  put_double("streams.subscription-fraction", subscription_fraction);
-  put_double("streams.zipf", zipf_exponent);
-  put_double("streams.flash-at-s", flash_at_s);
-  put_size("streams.flash-messages", flash_messages);
-  put_double("streams.flash-rate-per-s", flash_rate);
-  put_double("run.join-spread-s", join_spread_s);
-  put_double("run.stabilization-s", stabilization_s);
-  put_double("run.grace-s", grace_s);
-  put_size("run.warmup-messages", warmup_messages);
-  if (shards) out["run.shards"] = std::to_string(*shards);
-  put_size("limits.store-entries", store_entries);
-  put_size("limits.store-bytes", store_bytes);
-  put_str("limits.eviction", eviction);
-  put_bool("limits.bloom-digests", bloom_digests);
-  put_double("limits.bloom-fp", bloom_fp);
-  put_bool("limits.rate-control", rate_control);
-  put_double("limits.overuse-ms", overuse_ms);
-  put_double("limits.underuse-ms", underuse_ms);
-  put_double("limits.recovery-ms", recovery_ms);
-  put_bool("output.json", json);
-  put_bool("output.cdf", cdf);
+  for (const ScenarioKey& row : kKeys) {
+    if (const auto text = row.field.read(*this)) out[dotted(row)] = *text;
+  }
   if (!churn_dsl.empty()) out["churn"] = churn_dsl;
   for (const auto& [key, value] : sweep) out["sweep." + key] = value;
   return out;

@@ -16,10 +16,11 @@
 //   [params]
 //   views    = 4,6,8,10
 //
-// The same description is buildable in code (Scenario is a value type whose
-// set()/with() mutators share the parser's key table), so the bench wrappers
-// and `brisa_run <file>` drive identical runs through reports::run() — byte
-// for byte.
+// The same description is buildable in code: Scenario is a value type whose
+// set()/set_path() mutators go through the parser's key table
+// (scenario_keys()), so a scenario built by a test or tool and the same
+// scenario read by `brisa_run <file>` drive identical runs through
+// reports::run() — byte for byte.
 //
 // Every typed field is a std::optional that remembers whether the key was
 // given: reports apply their own defaults to absent fields, and to_text()
@@ -29,9 +30,11 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -231,16 +234,20 @@ class Scenario {
   /// Assigns one key through the parser's table, e.g.
   /// set("scenario", "nodes", "512") or set("params", "views", "4,6").
   /// Throws std::invalid_argument (no line prefix) on unknown keys or
-  /// malformed values. Returns *this for chaining.
+  /// values of the wrong type; bounds, names and the other per-key checks
+  /// wait for validate(). Returns *this for chaining.
   Scenario& set(const std::string& section, const std::string& key,
                 const std::string& value);
 
   /// set() with a dotted "section.key" path — the `brisa_run --set` form.
   Scenario& set_path(const std::string& dotted_key, const std::string& value);
 
-  /// Cross-field semantic checks that need no line numbers (enum values,
-  /// ranges, churn DSL parseability). Throws std::invalid_argument.
-  /// parse()/load() call this; builder users call it before running.
+  /// Checks every set key against its row of the key table (bounds, enum
+  /// names, per-key rules), then the cross-key rules (inter-rtt range,
+  /// streams <= nodes, underuse < overuse, churn DSL, [sweep]). Throws
+  /// std::invalid_argument. parse()/load() run the same checks and anchor
+  /// a per-key failure at that key's line; builder users call this before
+  /// running.
   void validate() const;
 
   /// Every *set* typed key (params excluded) as dotted path -> canonical
@@ -250,6 +257,57 @@ class Scenario {
   /// silently carry keys the figure ignores.
   [[nodiscard]] std::map<std::string, std::string> set_keys() const;
 };
+
+// --- The key table ----------------------------------------------------------
+
+/// One typed scenario key: a row of the one table that set(), to_text(),
+/// set_keys() and validate() walk, so each key is declared once. The
+/// special sections ([churn], [sweep], [params]) and the cross-key rules
+/// stay hand-written in scenario.cpp.
+struct ScenarioKey {
+  enum class Type {
+    kString,
+    kEnum,
+    kSize,
+    kU64,
+    kU32,
+    kDouble,
+    kFraction,
+    kBool,
+  };
+  /// Bounds on a numeric value, inclusive unless `open` (which excludes
+  /// both ends); an infinite side is unbounded.
+  struct Bounds {
+    double min = -std::numeric_limits<double>::infinity();
+    double max = std::numeric_limits<double>::infinity();
+    bool open = false;
+  };
+  /// The Scenario field behind the key: read() gives its canonical text
+  /// (std::nullopt when unset); write() parses `value` as the field's type
+  /// and stores it, prefixing `context` to a diagnostic.
+  struct Field {
+    std::optional<std::string> (*read)(const Scenario&);
+    void (*write)(Scenario&, const ScenarioKey&, const std::string& value,
+                  const std::string& context);
+  };
+
+  const char* section;
+  const char* key;
+  Field field;
+  Type type;
+  Bounds bounds;
+  const char* doc;  ///< one line, as docs/scenarios.md explains the key
+  /// kEnum: the accepted names, '|'-separated. With `check`: what the check
+  /// demands, in the words of the diagnostic.
+  const char* rule = nullptr;
+  /// A per-key rule that bounds cannot state, given the value's canonical
+  /// text (nullptr: none).
+  bool (*check)(const std::string& value) = nullptr;
+};
+
+/// Every typed key, sections in to_text() order, keys in to_text() order
+/// within a section.
+[[nodiscard]] std::span<const ScenarioKey> scenario_keys();
 
 // --- Materialization into system harness configs ---------------------------
 // Used by the generic runner and by the protocol line-ups (fig12-14, tab2):

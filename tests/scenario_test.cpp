@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <cmath>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -122,6 +126,20 @@ std::string diagnostic_of(const std::string& text) {
   std::string diagnostic;
   if (Scenario::try_parse(text, &diagnostic)) return "";
   return diagnostic;
+}
+
+/// The diagnostic of setting `path` = `value` through the builder and then
+/// validating (empty when both pass).
+std::string builder_diagnostic(const std::string& path,
+                               const std::string& value) {
+  try {
+    Scenario s;
+    s.set_path(path, value);
+    s.validate();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(Scenario, DiagnosticsCarryLineNumbers) {
@@ -303,6 +321,182 @@ TEST(Scenario, BuilderRejectsUnknownKeys) {
   EXPECT_THROW(s.set_path("no-dot", "1"), std::invalid_argument);
   s.set_path("scenario.nodes", "64");
   EXPECT_EQ(s.nodes_or(0), 64u);
+}
+
+TEST(Scenario, SeedIsAnUnsigned64BitIntegerThatRoundTrips) {
+  // The largest seed prints and re-parses to itself.
+  Scenario s;
+  s.set_path("scenario.seed", "18446744073709551615");
+  EXPECT_EQ(s.set_keys().at("scenario.seed"), "18446744073709551615");
+  EXPECT_EQ(Scenario::parse(s.to_text()), s);
+  // A sign is refused rather than wrapped to 2^64 - 1 (which --print would
+  // then write as a seed --check could not read back).
+  EXPECT_EQ(builder_diagnostic("scenario.seed", "-1"),
+            "key 'seed' must be non-negative, got '-1'");
+  EXPECT_EQ(diagnostic_of("[scenario]\nseed = -1\n"),
+            "scenario line 2: key 'seed' must be non-negative, got '-1'");
+  EXPECT_NE(diagnostic_of("[scenario]\nseed = 18446744073709551616\n")
+                .find("expects an integer"),
+            std::string::npos);
+}
+
+TEST(Scenario, ShardsAreBoundedBeforeNarrowing) {
+  // Both values used to wrap in the 32-bit field (to 1 and 0) before the
+  // 1..63 check ran.
+  for (const std::string value : {"4294967297", "4294967296"}) {
+    EXPECT_EQ(builder_diagnostic("run.shards", value),
+              "run shards must be in 1..63, got " + value);
+    EXPECT_EQ(diagnostic_of("[run]\nshards = " + value + "\n"),
+              "scenario line 2: run shards must be in 1..63, got " + value);
+  }
+}
+
+TEST(Scenario, PerKeyFailuresFromFilesNameTheLine) {
+  EXPECT_EQ(diagnostic_of("[scenario]\nname = x\nnodes = 1\n"),
+            "scenario line 3: scenario nodes must be >= 2, got 1");
+  EXPECT_EQ(diagnostic_of("[overlay]\nprune = true\nmode = forest\n"),
+            "scenario line 3: overlay mode must be tree|dag, got 'forest'");
+  EXPECT_EQ(diagnostic_of("[scenario]\nnodes = 64\n\n[run]\nshards = 99\n"),
+            "scenario line 5: run shards must be in 1..63, got 99");
+  EXPECT_EQ(diagnostic_of("[topology]\nws-k = 3\n"),
+            "scenario line 2: topology ws-k must be an even integer, got 3");
+  // The builder reports the same text, without a line.
+  EXPECT_EQ(builder_diagnostic("scenario.nodes", "1"),
+            "scenario nodes must be >= 2, got 1");
+  // Cross-key rules have no single line and stay unanchored.
+  EXPECT_EQ(diagnostic_of("[scenario]\nnodes = 2\n[streams]\ncount = 4\n"),
+            "streams count 4 exceeds scenario nodes 2 (each stream needs its "
+            "own source)");
+  // From a file on disk, through brisa_run.
+  const std::string path = ::testing::TempDir() + "scenario_test_line.scn";
+  {
+    std::FILE* file = std::fopen(path.c_str(), "w");
+    ASSERT_NE(file, nullptr);
+    std::fputs("[scenario]\nnodes = 1\n", file);
+    std::fclose(file);
+  }
+  const auto [status, out] = run_brisa("--check " + path);
+  EXPECT_NE(status, 0) << out;
+  EXPECT_NE(out.find(path + ": scenario line 2: scenario nodes must be >= 2, "
+                            "got 1"),
+            std::string::npos)
+      << out;
+  std::remove(path.c_str());
+}
+
+// --- The key table ----------------------------------------------------------
+
+using Type = workload::ScenarioKey::Type;
+
+bool numeric(Type type) {
+  return type != Type::kString && type != Type::kEnum && type != Type::kBool;
+}
+
+std::string number_text(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%g", value);
+  return buffer;
+}
+
+/// A value every row accepts, already in canonical form.
+std::string in_range(const workload::ScenarioKey& row) {
+  if (row.type == Type::kBool) return "true";
+  if (row.type == Type::kString) return "x";
+  if (row.type == Type::kEnum) {
+    return std::string(row.rule).substr(0, std::string(row.rule).find('|'));
+  }
+  const auto& b = row.bounds;
+  if (!std::isfinite(b.min)) return "3";
+  if (!b.open) return number_text(b.min);
+  return number_text(std::isfinite(b.max) ? (b.min + b.max) / 2 : b.min + 1);
+}
+
+std::string dotted(const workload::ScenarioKey& row) {
+  return std::string(row.section) + "." + row.key;
+}
+
+TEST(ScenarioKeys, EveryRowRoundTripsAndRejectsValuesOutsideItsBounds) {
+  std::size_t bounded = 0;
+  for (const workload::ScenarioKey& row : workload::scenario_keys()) {
+    SCOPED_TRACE(dotted(row));
+    const std::string value = in_range(row);
+    Scenario s;
+    s.set_path(dotted(row), value);
+    EXPECT_NO_THROW(s.validate());
+    EXPECT_EQ(s.set_keys().at(dotted(row)), value);
+    const std::string text = s.to_text();
+    const Scenario reparsed = Scenario::parse(text);
+    EXPECT_EQ(reparsed, s);
+    EXPECT_EQ(reparsed.to_text(), text);
+
+    const std::string names = std::string(row.section) + " " + row.key;
+    std::vector<std::string> outside;
+    if (numeric(row.type)) {
+      const auto& b = row.bounds;
+      // Just outside: the excluded end itself, or one past the included end.
+      if (std::isfinite(b.min)) {
+        outside.push_back(number_text(b.open ? b.min : b.min - 1));
+      }
+      if (std::isfinite(b.max)) {
+        outside.push_back(number_text(b.open ? b.max : b.max + 1));
+      }
+    } else if (row.type == Type::kEnum) {
+      outside.push_back("bogus");
+    }
+    bounded += outside.empty() ? 0 : 1;
+    for (const std::string& bad : outside) {
+      const std::string built = builder_diagnostic(dotted(row), bad);
+      EXPECT_EQ(built.rfind(names + " must be ", 0), 0u) << bad << ": "
+                                                         << built;
+      const std::string diagnostic = diagnostic_of(
+          "[" + std::string(row.section) + "]\n" + row.key + " = " + bad +
+          "\n");
+      EXPECT_EQ(diagnostic.rfind("scenario line 2: " + names + " must be ", 0),
+                0u)
+          << diagnostic;
+    }
+  }
+  EXPECT_EQ(workload::scenario_keys().size(), 55u);
+  EXPECT_GT(bounded, 30u);
+}
+
+TEST(ScenarioKeys, EveryCheckedInScenarioRoundTrips) {
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(BRISA_SOURCE_DIR) + "/scenarios")) {
+    if (entry.path().extension() != ".scn") continue;
+    SCOPED_TRACE(entry.path().string());
+    const Scenario s = Scenario::load(entry.path().string());
+    EXPECT_EQ(Scenario::parse(s.to_text()), s);
+    ++files;
+  }
+  EXPECT_GT(files, 20u);
+}
+
+TEST(ScenarioKeys, EveryRowIsDocumentedInItsSection) {
+  // Each key must appear as `key` inside the "### `[section]`" block of
+  // docs/scenarios.md, so the reference cannot drift from the table.
+  std::ifstream in(std::string(BRISA_SOURCE_DIR) + "/docs/scenarios.md");
+  ASSERT_TRUE(in);
+  std::map<std::string, std::string> blocks;
+  std::string line;
+  std::string section;
+  while (std::getline(in, line)) {
+    if (line.rfind("## ", 0) == 0 || line.rfind("### ", 0) == 0) {
+      section.clear();
+      if (line.rfind("### `[", 0) == 0) {
+        section = line.substr(6, line.find("]`") - 6);
+      }
+      continue;
+    }
+    if (!section.empty()) blocks[section] += line + "\n";
+  }
+  for (const workload::ScenarioKey& row : workload::scenario_keys()) {
+    EXPECT_NE(blocks[row.section].find("`" + std::string(row.key) + "`"),
+              std::string::npos)
+        << dotted(row) << " is missing from docs/scenarios.md";
+    EXPECT_NE(std::string(row.doc), "") << dotted(row);
+  }
 }
 
 // --- Materialization --------------------------------------------------------
