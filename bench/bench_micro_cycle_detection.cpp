@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/messages.h"
+#include "core/tree_path.h"
 #include "net/node_id.h"
 #include "util/bloom.h"
 
@@ -72,24 +73,45 @@ void BM_BloomFilterInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomFilterInsert)->Arg(100000);
 
-/// Path relay cost: copy + append, the per-hop cost of path embedding.
+/// The same list as a shared TreePath (source first).
+brisa::core::TreePath make_tree_path(std::size_t length) {
+  brisa::core::TreePath path;
+  for (const NodeId id : make_path(length)) path = path.extended(id);
+  return path;
+}
+
+/// Path relay cost, the per-hop cost of path embedding: a relayed message
+/// copies the sender's path (one pointer) and a node adopting a new parent
+/// extends it by one cell.
 void BM_PathRelayAppend(benchmark::State& state) {
-  const auto length = static_cast<std::size_t>(state.range(0));
-  const std::vector<NodeId> path = make_path(length);
+  const brisa::core::TreePath path =
+      make_tree_path(static_cast<std::size_t>(state.range(0)));
   const NodeId self(42);
   for (auto _ : state) {
-    std::vector<NodeId> relayed = path;
-    relayed.push_back(self);
-    benchmark::DoNotOptimize(relayed.data());
+    const brisa::core::TreePath relayed = path;
+    const brisa::core::TreePath adopted = relayed.extended(self);
+    benchmark::DoNotOptimize(adopted.size());
   }
 }
 BENCHMARK(BM_PathRelayAppend)->Arg(7)->Arg(20);
+
+/// The TreePath membership check a reception performs: a walk of the
+/// chain's cells instead of a scan of one contiguous list.
+void BM_TreePathContains(benchmark::State& state) {
+  const brisa::core::TreePath path =
+      make_tree_path(static_cast<std::size_t>(state.range(0)));
+  const NodeId probe(0xdeadbeef);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(path.contains(probe));
+  }
+}
+BENCHMARK(BM_TreePathContains)->Arg(7)->Arg(20);
 
 /// PositionInfo wire-size arithmetic for both structure modes.
 void BM_MetadataWireSize(benchmark::State& state) {
   brisa::core::PositionInfo position;
   position.known = true;
-  position.path = make_path(static_cast<std::size_t>(state.range(0)));
+  position.path = make_tree_path(static_cast<std::size_t>(state.range(0)));
   position.depth = 7;
   std::size_t total = 0;
   for (auto _ : state) {

@@ -147,9 +147,9 @@ int main(int argc, char** argv) {
   for (std::size_t file_index = 0; file_index < files.size(); ++file_index) {
     const std::string& file = files[file_index];
     Scenario scenario;
-    Scenario::KeyLines lines;
+    Scenario::KeyOrigins origins;
     try {
-      scenario = Scenario::load(file, &lines);
+      scenario = Scenario::load(file, &origins);
       // Worker mode: the [sweep] section belongs to the scheduler; strip
       // it before overrides so a faulted=false cell's `churn.dsl=` cannot
       // trip the sweep's faulted-needs-churn check. `sweep.*` overrides
@@ -159,18 +159,17 @@ int main(int argc, char** argv) {
       if (cell_mode) scenario.sweep.clear();
       for (const auto& [key, value] : overrides) {
         if (cell_mode && key.rfind("sweep.", 0) == 0) continue;
-        // The file's line no longer says where the value came from.
-        lines.erase(key);
+        // Anchor diagnostics at the offending override, the way file
+        // diagnostics carry their line: now, and in the checks below.
+        const std::string origin = "--set " + key + "=" + value;
         try {
           scenario.set_path(key, value);
         } catch (const std::invalid_argument& e) {
-          // Anchor the diagnostic at the offending override, the way file
-          // diagnostics carry their line.
-          throw std::invalid_argument("--set " + key + "=" + value + ": " +
-                                      e.what());
+          throw std::invalid_argument(origin + ": " + e.what());
         }
+        origins[key] = origin;
       }
-      scenario.validate();
+      scenario.validate(&origins);
     } catch (const std::invalid_argument& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return 2;
@@ -187,7 +186,7 @@ int main(int argc, char** argv) {
     // them so a --set typo (or stale file) cannot masquerade as a run
     // with the requested parameters.
     const std::string key_error =
-        brisa::reports::scenario_key_error(scenario, *report, &lines);
+        brisa::reports::scenario_key_error(scenario, *report, &origins);
     if (!key_error.empty()) {
       std::fprintf(stderr, "error: %s: %s\n", file.c_str(),
                    key_error.c_str());

@@ -137,7 +137,7 @@ void BrisaStream::check_topup() {
 void BrisaStream::become_source() {
   is_source_ = true;
   position_known_ = true;
-  path_ = {id()};
+  path_ = TreePath().extended(id());
   depth_ = 0;
 }
 
@@ -255,7 +255,7 @@ void BrisaStream::note_keepalive_delay(net::NodeId peer,
 void BrisaStream::handle_data(net::NodeId from, const BrisaData& msg) {
   auto [it, inserted] = links_.try_emplace(from);
   Link& link = it->second;
-  record_position(from, msg.sender_position());
+  record_position(link, msg.sender_position());
   link.seen_data = true;
 
   const bool duplicate = stats_.delivery_time.contains(msg.seq());
@@ -501,8 +501,7 @@ bool BrisaStream::position_eligible(net::NodeId candidate,
                               const PositionInfo& position) const {
   if (!position.known) return false;
   if (config().mode == StructureMode::kTree) {
-    return std::find(position.path.begin(), position.path.end(), id()) ==
-           position.path.end();
+    return !position.path.contains(id());
   }
   // DAG (§II-G): candidates at a depth not greater than ours, with a
   // deterministic id tie-break at equal depth. During the bootstrap flood a
@@ -519,8 +518,10 @@ void BrisaStream::adopt_position_from(net::NodeId parent,
                                 const PositionInfo& parent_pos) {
   if (!parent_pos.known) return;
   if (config().mode == StructureMode::kTree) {
-    path_ = parent_pos.path;
-    path_.push_back(id());
+    // Most refreshes find the parent where it was: keep our cell.
+    if (!path_.extends(parent_pos.path, id())) {
+      path_ = parent_pos.path.extended(id());
+    }
   } else {
     depth_ = std::max(depth_, parent_pos.depth + 1);
   }
@@ -536,10 +537,8 @@ void BrisaStream::adopt_position_from(net::NodeId parent,
   position_known_ = true;
 }
 
-void BrisaStream::record_position(net::NodeId peer, const PositionInfo& position) {
-  Link& link = links_[peer];
-  if (!position.known) return;
-  link.position = position;
+void BrisaStream::record_position(Link& link, const PositionInfo& position) {
+  if (position.known) link.position = position;
 }
 
 PositionInfo BrisaStream::my_position() const {
@@ -583,8 +582,9 @@ void BrisaStream::note_structure_stability() {
 // --- Control path ----------------------------------------------------------------
 
 void BrisaStream::handle_deactivate(net::NodeId from, const BrisaDeactivate& msg) {
-  record_position(from, msg.sender_position());
-  links_[from].outbound_active = false;
+  Link& link = links_[from];
+  record_position(link, msg.sender_position());
+  link.outbound_active = false;
   stats_.deactivations_received += 1;
 }
 
@@ -603,7 +603,7 @@ void BrisaStream::handle_resume(net::NodeId from, const BrisaResume& msg) {
 }
 
 void BrisaStream::handle_resume_ack(net::NodeId from, const BrisaResumeAck& msg) {
-  record_position(from, msg.responder_position());
+  record_position(links_[from], msg.responder_position());
   if (repair_ == nullptr) return;
   // Soft repair awaits one specific candidate; hard repair broadcast resumes
   // to every neighbor and adopts the first eligible responder.

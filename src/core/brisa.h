@@ -171,7 +171,8 @@ class BrisaStream final {
   /// Structure depth: tree = |path|-1, DAG = depth tag; -1 before the first
   /// delivery (Fig 6).
   [[nodiscard]] std::int32_t depth() const;
-  [[nodiscard]] const std::vector<net::NodeId>& path() const { return path_; }
+  /// Tree mode: the source-to-self path, sharing its parent's cell.
+  [[nodiscard]] const TreePath& path() const { return path_; }
   /// Cumulative per-hop RTT from the source (§III-B's routing-delay metric).
   [[nodiscard]] sim::Duration cumulative_path_rtt() const {
     return sim::Duration::microseconds(
@@ -204,7 +205,7 @@ class BrisaStream final {
 
   /// Per-neighbor dissemination link state (distinct from the PSS view
   /// entry; §II-C: deactivation does not remove the HyParView link).
-  /// Declared widest first: 48 bytes, eight of them inline per stream.
+  /// Declared widest first: 32 bytes, eight of them inline per stream.
   struct Link {
     /// Last position metadata seen from this neighbor (data messages,
     /// deactivations, resume acks); drives soft repair and strategies.
@@ -224,6 +225,7 @@ class BrisaStream final {
     /// piggyback), even if the rest of the position is stale or unknown.
     bool ka_cum_fresh = false;
   };
+  static_assert(sizeof(Link) == 32, "Link layout");
 
   /// Cumulative bumps a single parent may cause before being treated as a
   /// cycle. A legitimate upstream reorganization causes one bump; a cycle
@@ -295,7 +297,8 @@ class BrisaStream final {
   [[nodiscard]] bool position_eligible(net::NodeId candidate,
                                        const PositionInfo& position) const;
   void adopt_position_from(net::NodeId parent, const PositionInfo& parent_pos);
-  void record_position(net::NodeId peer, const PositionInfo& position);
+  /// Caches a neighbor's position in its link (when the position is known).
+  static void record_position(Link& link, const PositionInfo& position);
   [[nodiscard]] PositionInfo my_position() const;
   [[nodiscard]] CandidateInfo make_candidate(net::NodeId peer,
                                              bool incumbent) const;
@@ -355,7 +358,7 @@ class BrisaStream final {
   util::FlatSet<net::NodeId, 4> parents_;
 
   // Position in the structure.
-  std::vector<net::NodeId> path_;  ///< tree mode; includes self when known
+  TreePath path_;                  ///< tree mode; includes self when known
   std::int32_t depth_ = -1;        ///< DAG mode
   bool position_known_ = false;
   RepairKind repair_kind_ = RepairKind::kOrphanFailure;  ///< see repair_
@@ -378,6 +381,13 @@ class BrisaStream final {
 
   Stats stats_;
 };
+
+// The per-(node, stream) footprint (perfbench topics runs 32 streams per
+// node). std::function and friends differ in size across standard
+// libraries; the figure is libstdc++'s on a 64-bit target.
+#if defined(__GLIBCXX__) && UINTPTR_MAX == UINT64_MAX
+static_assert(sizeof(BrisaStream) == 928, "BrisaStream layout");
+#endif
 
 /// Single-stream deployments read naturally with the historical name.
 using Brisa = BrisaStream;

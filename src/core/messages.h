@@ -4,14 +4,15 @@
 // (exact cycle prevention, §II-D); DAG mode embeds only the sender's depth
 // (approximate but constant-size, §II-G). wire_size() charges exactly what
 // each variant would carry, so the metadata-cost comparison of §II-D is
-// measurable.
+// measurable. In memory the path is a shared TreePath: a message holds one
+// pointer to the sender's cell, whatever the path's length.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <utility>
-#include <vector>
 
+#include "core/tree_path.h"
 #include "net/message.h"
 #include "net/node_id.h"
 #include "util/bloom.h"
@@ -27,13 +28,13 @@ enum class StructureMode : std::uint8_t {
 /// A node's claim about its position in the dissemination structure, plus
 /// the attributes consumed by the parent-selection strategies (§II-E, §IV).
 ///
-/// Fields are declared widest first so the struct packs to 40 bytes: every
+/// Fields are declared widest first so the struct packs to 24 bytes: every
 /// BrisaStream link caches one, so padding here is paid per (node, stream,
 /// neighbor). The wire size comes from wire_bytes(), not from this layout.
 struct PositionInfo {
   /// Tree mode: identifiers from the stream source up to and including the
-  /// claiming node.
-  std::vector<net::NodeId> path;
+  /// claiming node; a shared cell, so copying a position copies a pointer.
+  TreePath path;
   /// DAG mode: the claiming node's depth (source = 0); -1 when unknown.
   std::int32_t depth = -1;
   /// Uptime in seconds (gerontocratic strategy).
@@ -56,6 +57,7 @@ struct PositionInfo {
     return attrs + 4;  // depth integer
   }
 };
+static_assert(sizeof(PositionInfo) == 24, "PositionInfo layout");
 
 /// A stream payload message. Payload bytes are opaque (only the size is
 /// simulated); `path`/`depth` carry the cycle-prevention metadata of the

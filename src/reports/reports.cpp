@@ -146,16 +146,14 @@ const Report* find(const std::string& name) {
   return nullptr;
 }
 
-std::string scenario_key_error(const workload::Scenario& scenario,
-                               const Report& report,
-                               const workload::Scenario::KeyLines* lines) {
+std::string scenario_key_error(
+    const workload::Scenario& scenario, const Report& report,
+    const workload::Scenario::KeyOrigins* origins) {
   if (report.name == "run") return "";
-  const auto at = [lines](const std::string& key) -> std::string {
-    if (lines == nullptr) return "";
-    const auto it = lines->find(key);
-    return it == lines->end()
-               ? ""
-               : "scenario line " + std::to_string(it->second) + ": ";
+  const auto at = [origins](const std::string& key) -> std::string {
+    if (origins == nullptr) return "";
+    const auto it = origins->find(key);
+    return it == origins->end() ? "" : it->second + ": ";
   };
   const auto consumed = [&report](const std::string& key) {
     // Labels, and the shard count (results are byte-identical for any

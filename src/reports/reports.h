@@ -44,11 +44,12 @@ struct Report {
 /// does not restate the default scenario's value), or whose value fails the
 /// report's `check`: a figure would silently ignore such a key, which is
 /// exactly the fall-back-to-defaults failure this layer exists to prevent.
-/// With `lines` (from Scenario::load) the diagnostic starts with the
-/// offending key's "scenario line N". The generic "run" report accepts
+/// With `origins` (from Scenario::load, plus any `--set` overrides) the
+/// diagnostic starts with the offending key's origin ("scenario line N" or
+/// "--set section.key=value"). The generic "run" report accepts
 /// everything.
 [[nodiscard]] std::string scenario_key_error(
     const workload::Scenario& scenario, const Report& report,
-    const workload::Scenario::KeyLines* lines = nullptr);
+    const workload::Scenario::KeyOrigins* origins = nullptr);
 
 }  // namespace brisa::reports

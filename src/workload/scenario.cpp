@@ -1,6 +1,8 @@
 #include "workload/scenario.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -85,17 +87,17 @@ bool to_bool(const std::string& context, const std::string& key,
 }
 
 std::string fmt_double(double value) {
+  // The fewest digits that still round-trip through stod. Plain notation
+  // (20, not 2e+01) except for tiny or huge magnitudes, where %g would use
+  // an exponent too.
+  const double magnitude = std::fabs(value);
+  const bool plain = value == 0 || (magnitude >= 1e-4 && magnitude < 1e16);
   char buffer[64];
-  // Shortest representation that still round-trips through stod.
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  double parsed = 0;
-  for (int precision = 1; precision < 17; ++precision) {
-    char candidate[64];
-    std::snprintf(candidate, sizeof candidate, "%.*g", precision, value);
-    std::sscanf(candidate, "%lf", &parsed);
-    if (parsed == value) return candidate;
-  }
-  return buffer;
+  const auto end = std::to_chars(buffer, buffer + sizeof buffer, value,
+                                 plain ? std::chars_format::fixed
+                                       : std::chars_format::scientific)
+                       .ptr;
+  return std::string(buffer, end);
 }
 
 // --- The key table ----------------------------------------------------------
@@ -371,17 +373,15 @@ std::string key_error(const Scenario& s, const ScenarioKey& row) {
 }
 
 /// The per-key checks, in table order. A failure is anchored at the key's
-/// line when `lines` records one.
-void check_keys(const Scenario& s, const Scenario::KeyLines* lines) {
+/// origin when `origins` records one.
+void check_keys(const Scenario& s, const Scenario::KeyOrigins* origins) {
   for (const ScenarioKey& row : kKeys) {
     const std::string error = key_error(s, row);
     if (error.empty()) continue;
     std::string context;
-    if (lines != nullptr) {
-      const auto it = lines->find(dotted(row));
-      if (it != lines->end()) {
-        context = "scenario line " + std::to_string(it->second);
-      }
+    if (origins != nullptr) {
+      const auto it = origins->find(dotted(row));
+      if (it != origins->end()) context = it->second;
     }
     fail(context, error);
   }
@@ -433,10 +433,10 @@ void apply(Scenario& s, const std::string& section, const std::string& key,
     const bool axis = key == "protocol" || key == "nodes" || key == "seeds" ||
                       key == "faulted" || key == "topology" ||
                       (key.rfind("param.", 0) == 0 && key.size() > 6);
-    if (!axis && key != "cell-timeout-s") {
+    if (!axis && key != "cell-timeout-s" && key != "jobs") {
       fail(context, "unknown sweep key '" + key +
                         "' (axes: protocol, nodes, seeds, faulted, topology, "
-                        "param.<name>; knobs: cell-timeout-s)");
+                        "param.<name>; knobs: cell-timeout-s, jobs)");
     }
     for (auto& [existing, existing_value] : s.sweep) {
       if (existing == key) {
@@ -533,10 +533,10 @@ std::vector<std::int64_t> Scenario::param_int_list(
 
 // --- Parsing ----------------------------------------------------------------
 
-Scenario Scenario::parse(const std::string& text, KeyLines* lines) {
+Scenario Scenario::parse(const std::string& text, KeyOrigins* origins) {
   Scenario s;
-  KeyLines own_lines;
-  KeyLines& where = lines != nullptr ? *lines : own_lines;
+  KeyOrigins own_origins;
+  KeyOrigins& where = origins != nullptr ? *origins : own_origins;
   std::istringstream in(text);
   std::string line;
   std::string section;
@@ -582,9 +582,11 @@ Scenario Scenario::parse(const std::string& text, KeyLines* lines) {
     const std::string value = trim(stripped.substr(eq + 1));
     if (key.empty()) fail(context, "empty key");
     apply(s, section, key, value, context);
-    where[section + "." + key] = line_number;
+    where[section + "." + key] = context;
   }
-  if (churn_section_line > 0) where["churn"] = churn_section_line;
+  if (churn_section_line > 0) {
+    where["churn"] = "scenario line " + std::to_string(churn_section_line);
+  }
   check_keys(s, &where);
   try {
     check_rules(s);
@@ -615,7 +617,7 @@ std::optional<Scenario> Scenario::try_parse(const std::string& text,
   }
 }
 
-Scenario Scenario::load(const std::string& path, KeyLines* lines) {
+Scenario Scenario::load(const std::string& path, KeyOrigins* origins) {
   std::ifstream in(path);
   if (!in) {
     throw std::invalid_argument(path + ": cannot open scenario file");
@@ -623,14 +625,14 @@ Scenario Scenario::load(const std::string& path, KeyLines* lines) {
   std::ostringstream text;
   text << in.rdbuf();
   try {
-    return parse(text.str(), lines);
+    return parse(text.str(), origins);
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument(path + ": " + e.what());
   }
 }
 
-void Scenario::validate() const {
-  check_keys(*this, nullptr);
+void Scenario::validate(const KeyOrigins* origins) const {
+  check_keys(*this, origins);
   check_rules(*this);
 }
 

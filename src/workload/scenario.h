@@ -138,10 +138,11 @@ class Scenario {
   // --- [sweep] ------------------------------------------------------------
   /// The [sweep] section, in declaration order: each entry is an axis
   /// (`protocol`, `nodes`, `seeds`, `faulted`, `param.<name>` -> verbatim
-  /// comma list, with `a..b` integer ranges on nodes/seeds) or the
-  /// executor knob `cell-timeout-s`. Expansion, semantic validation and
-  /// the multi-process executor live in workload/sweep.h; a scenario with
-  /// axes describes a grid of runs, one per axis-value combination.
+  /// comma list, with `a..b` integer ranges on nodes/seeds) or one of the
+  /// executor knobs `cell-timeout-s` and `jobs`. Expansion, semantic
+  /// validation and the multi-process executor live in workload/sweep.h;
+  /// a scenario with axes describes a grid of runs, one per axis-value
+  /// combination.
   std::vector<std::pair<std::string, std::string>> sweep;
   [[nodiscard]] bool has_sweep() const { return !sweep.empty(); }
 
@@ -206,16 +207,18 @@ class Scenario {
 
   // --- Parsing / serialization --------------------------------------------
   /// Dotted key (the set_keys() spelling: "scenario.nodes",
-  /// "params.regime", "sweep.protocol", "churn") -> the 1-based line that
-  /// set it, so checks that run after parsing — a report's key surface —
-  /// can still point at the offending line.
-  using KeyLines = std::map<std::string, int>;
+  /// "params.regime", "sweep.protocol", "churn") -> where its value came
+  /// from, as the prefix a diagnostic carries: "scenario line N" for a file
+  /// line, "--set section.key=value" for a command-line override. Checks
+  /// that run after parsing — validate(), a report's key surface — can
+  /// then still point at the offending input.
+  using KeyOrigins = std::map<std::string, std::string>;
 
   /// Parses the `.scn` text. Throws std::invalid_argument with a
   /// line-numbered diagnostic ("scenario line N: ...") on malformed input.
-  /// Records where each key was written in `*lines` when non-null.
+  /// Records the line of each key in `*origins` when non-null.
   [[nodiscard]] static Scenario parse(const std::string& text,
-                                      KeyLines* lines = nullptr);
+                                      KeyOrigins* origins = nullptr);
 
   /// Non-throwing variant: std::nullopt on malformed input, with the
   /// diagnostic written to `*diagnostic` when non-null.
@@ -224,7 +227,7 @@ class Scenario {
 
   /// Reads and parses a file; the file name is prefixed to diagnostics.
   [[nodiscard]] static Scenario load(const std::string& path,
-                                     KeyLines* lines = nullptr);
+                                     KeyOrigins* origins = nullptr);
 
   /// Canonical text form: exactly the set keys, sections in schema order,
   /// churn DSL verbatim. parse(to_text()) reproduces *this.
@@ -247,8 +250,9 @@ class Scenario {
   /// streams <= nodes, underuse < overuse, churn DSL, [sweep]). Throws
   /// std::invalid_argument. parse()/load() run the same checks and anchor
   /// a per-key failure at that key's line; builder users call this before
-  /// running.
-  void validate() const;
+  /// running, with `origins` (when non-null) anchoring a per-key failure
+  /// the same way.
+  void validate(const KeyOrigins* origins = nullptr) const;
 
   /// Every *set* typed key (params excluded) as dotted path -> canonical
   /// value string, e.g. {"scenario.nodes": "512", "overlay.prune":

@@ -89,6 +89,45 @@ TEST(BrisaRepair, RepairedTreeRemainsAcyclic) {
   EXPECT_TRUE(system.complete_delivery());
 }
 
+TEST(BrisaRepair, ReparentedPathsDropTheOldPrefix) {
+  workload::BrisaSystem system(repair_config(33));
+  system.bootstrap();
+  system.run_stream(20, 5.0, 256);
+  const net::NodeId victim = find_interior_node(system);
+  ASSERT_TRUE(victim.valid());
+  std::vector<net::NodeId> below;  // every node whose path ran through it
+  for (const net::NodeId id : system.member_ids()) {
+    if (id != victim && system.brisa(id).path().contains(victim)) {
+      below.push_back(id);
+    }
+  }
+  ASSERT_FALSE(below.empty());
+  system.kill_node(victim);
+  system.run_for(sim::Duration::seconds(10));
+  system.run_stream(30, 5.0, 256);
+
+  // Each path is the node's parent chain, read from the source down: the
+  // repaired nodes (and their subtrees) rebuilt their cells instead of
+  // keeping a prefix through the dead parent.
+  for (const net::NodeId id : system.member_ids()) {
+    std::vector<net::NodeId> chain{id};
+    for (net::NodeId at = id; at != system.source_id();) {
+      const auto parents = system.brisa(at).parents();
+      ASSERT_EQ(parents.size(), 1u) << "at " << at;
+      at = parents[0];
+      chain.insert(chain.begin(), at);
+      ASSERT_LE(chain.size(), system.member_ids().size())
+          << "cycle from " << id;
+    }
+    EXPECT_EQ(system.brisa(id).path().nodes(), chain) << id;
+  }
+  for (const net::NodeId id : below) {
+    if (!system.network().alive(id)) continue;
+    EXPECT_FALSE(system.brisa(id).path().contains(victim)) << id;
+  }
+  EXPECT_TRUE(system.complete_delivery());
+}
+
 TEST(BrisaRepair, MissedMessagesAreRecovered) {
   workload::BrisaSystem system(repair_config(35));
   system.bootstrap();

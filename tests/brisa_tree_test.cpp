@@ -1,11 +1,14 @@
 // BRISA tree-mode tests (§II-C/D/E): structure emergence, zero duplicates
-// after stabilization, path-embedding cycle prevention, parent-selection
-// strategies, and the symmetric-deactivation optimization.
+// after stabilization, path-embedding cycle prevention (and the shared
+// TreePath that carries it), parent-selection strategies, and the
+// symmetric-deactivation optimization.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <vector>
 
+#include "core/tree_path.h"
 #include "workload/brisa_system.h"
 
 namespace brisa::core {
@@ -78,7 +81,7 @@ TEST(BrisaTree, PathsMatchParentChain) {
   for (const net::NodeId id : system.member_ids()) {
     if (id == system.source_id()) continue;
     const Brisa& node = system.brisa(id);
-    const std::vector<net::NodeId>& path = node.path();
+    const std::vector<net::NodeId> path = node.path().nodes();
     ASSERT_GE(path.size(), 2u) << id;
     EXPECT_EQ(path.front(), system.source_id());
     EXPECT_EQ(path.back(), id);
@@ -87,6 +90,28 @@ TEST(BrisaTree, PathsMatchParentChain) {
     const std::set<net::NodeId> unique(path.begin(), path.end());
     EXPECT_EQ(unique.size(), path.size());
   }
+}
+
+TEST(BrisaTree, SiblingsShareTheirParentsCell) {
+  workload::BrisaSystem system(small_config());
+  system.bootstrap();
+  system.run_stream(30, 5.0, 256);
+  std::size_t shared = 0;
+  for (const net::NodeId id : system.member_ids()) {
+    if (id == system.source_id()) continue;
+    const Brisa& node = system.brisa(id);
+    const Brisa& parent = system.brisa(node.parents()[0]);
+    const TreePath& parent_path = parent.path();
+    // The node's cell is its parent's cell plus itself: no copied prefix.
+    EXPECT_TRUE(node.path().extends(parent_path, id)) << id;
+    for (const net::NodeId sibling : parent.children()) {
+      if (sibling == id) continue;
+      EXPECT_TRUE(system.brisa(sibling).path().extends(parent_path, sibling))
+          << sibling << " beside " << id;
+      ++shared;
+    }
+  }
+  EXPECT_GT(shared, 0u) << "no node has a sibling";
 }
 
 TEST(BrisaTree, DepthMatchesPathLength) {
@@ -316,6 +341,100 @@ TEST(BrisaTree, LateJoinerIntegratesAndReceives) {
   EXPECT_GT(system.brisa(late).stats().delivered, before);
   // The late joiner settles on exactly one parent.
   EXPECT_EQ(system.brisa(late).parents().size(), 1u);
+}
+
+// --- TreePath ---------------------------------------------------------------
+
+/// The list a vector-embedded path held: ids 0..depth-1, source first.
+TreePath chain(std::uint32_t depth) {
+  TreePath path;
+  for (std::uint32_t i = 0; i < depth; ++i) {
+    path = path.extended(net::NodeId(i));
+  }
+  return path;
+}
+
+TEST(TreePath, ExtendedAppendsOneNodeAndSharesThePrefix) {
+  const TreePath empty;
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_TRUE(empty.nodes().empty());
+  const TreePath root = empty.extended(net::NodeId(5));
+  const TreePath child = root.extended(net::NodeId(9));
+  EXPECT_EQ(root.size(), 1u);
+  EXPECT_EQ(child.size(), 2u);
+  EXPECT_EQ(child.nodes(),
+            (std::vector<net::NodeId>{net::NodeId(5), net::NodeId(9)}));
+  EXPECT_TRUE(child.contains(net::NodeId(5)));
+  EXPECT_TRUE(child.contains(net::NodeId(9)));
+  EXPECT_FALSE(child.contains(net::NodeId(7)));
+  EXPECT_FALSE(empty.contains(net::NodeId(5)));
+  // Extending never touches the prefix.
+  EXPECT_EQ(root.nodes(), std::vector<net::NodeId>{net::NodeId(5)});
+}
+
+TEST(TreePath, WireBytesMatchTheEmbeddedList) {
+  for (std::uint32_t depth = 1; depth <= 32; ++depth) {
+    PositionInfo position;
+    position.known = true;
+    position.path = chain(depth);
+    ASSERT_EQ(position.path.size(), depth);
+    // attrs (uptime + degree + cum delay) + length byte + one id per hop.
+    EXPECT_EQ(position.wire_bytes(StructureMode::kTree),
+              4 + 2 + 4 + 1 + depth * net::kWireIdBytes)
+        << depth;
+    EXPECT_EQ(position.wire_bytes(StructureMode::kDag), 4 + 2 + 4 + 4u);
+  }
+}
+
+TEST(TreePath, IdentityCheckIsPerCellNotPerList) {
+  const TreePath parent = chain(4);
+  const net::NodeId self(99);
+  const TreePath mine = parent.extended(self);
+  EXPECT_TRUE(mine.extends(parent, self));
+  const TreePath copy = parent;  // a relayed copy: the same cell
+  EXPECT_TRUE(mine.extends(copy, self));
+  EXPECT_FALSE(mine.extends(parent, net::NodeId(98)));
+  // An equal list built again is another cell: the check does not match it,
+  // so adoption rebuilds (correctly, if needlessly) instead of comparing
+  // the lists.
+  const TreePath rebuilt = chain(4);
+  EXPECT_EQ(rebuilt.nodes(), parent.nodes());
+  EXPECT_FALSE(mine.extends(rebuilt, self));
+  EXPECT_FALSE(TreePath().extends(TreePath(), self));
+  EXPECT_TRUE(TreePath().extended(self).extends(TreePath(), self));
+}
+
+TEST(TreePath, CopiesAndAssignmentsKeepCellsAlive) {
+  TreePath a = chain(3);
+  TreePath b = a.extended(net::NodeId(10));
+  a = TreePath();  // b still owns the prefix
+  EXPECT_EQ(b.nodes(),
+            (std::vector<net::NodeId>{net::NodeId(0), net::NodeId(1),
+                                      net::NodeId(2), net::NodeId(10)}));
+  const net::NodeId next(11);
+  const TreePath b_next = b.extended(next);
+  TreePath c = b;
+  const TreePath& alias = c;
+  c = alias;  // assigning the cell it already holds: a no-op
+  EXPECT_TRUE(b_next.extends(c, next));
+  TreePath d = std::move(c);
+  EXPECT_EQ(c.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(b_next.extends(d, next));
+  b.clear();
+  EXPECT_EQ(d.size(), 4u);
+  EXPECT_TRUE(d.contains(net::NodeId(0)));
+}
+
+TEST(TreePath, DeepChainIsReleasedWithoutRecursion) {
+  // A recursive release would need ~100k stack frames here.
+  TreePath deep = chain(100'000);
+  EXPECT_EQ(deep.size(), 100'000u);
+  EXPECT_TRUE(deep.contains(net::NodeId(0)));
+  TreePath branch = deep.extended(net::NodeId(1'000'000));
+  deep.clear();  // branch keeps the whole chain alive
+  EXPECT_EQ(branch.size(), 100'001u);
+  branch.clear();  // now every cell goes, tail first
+  EXPECT_EQ(branch.size(), 0u);
 }
 
 }  // namespace

@@ -292,6 +292,102 @@ TEST(Scenario, AbortingValueIsAUsageErrorOnTheCommandLine) {
   EXPECT_NE(out.find("overlay active-view"), std::string::npos) << out;
 }
 
+TEST(Scenario, ValidateFailuresNameTheSetOverride) {
+  // A value that passes the parser but fails its row check in validate()
+  // carries the override as its origin, the way a file line does.
+  const std::string file = BRISA_SOURCE_DIR "/scenarios/clustered_wan_feed.scn";
+  {
+    const auto [status, out] = run_brisa(
+        "--check --set scenario.nodes=40 --set overlay.active-view=0 " + file);
+    EXPECT_NE(status, 0) << out;
+    EXPECT_NE(out.find("error: --set overlay.active-view=0: overlay "
+                       "active-view must be >= 1, got 0"),
+              std::string::npos)
+        << out;
+  }
+  {
+    const auto [status, out] =
+        run_brisa("--check --set scenario.protocol=brsia " + file);
+    EXPECT_NE(status, 0) << out;
+    EXPECT_NE(out.find("error: --set scenario.protocol=brsia: scenario "
+                       "protocol must be"),
+              std::string::npos)
+        << out;
+  }
+  // The same through the API: an origin per key.
+  Scenario s;
+  s.set_path("overlay.active-view", "0");
+  const Scenario::KeyOrigins origins = {
+      {"overlay.active-view", "--set overlay.active-view=0"}};
+  try {
+    s.validate(&origins);
+    ADD_FAILURE() << "active-view 0 validated";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "--set overlay.active-view=0: overlay active-view must be >= 1, "
+              "got 0");
+  }
+}
+
+TEST(Scenario, RoundNumbersPrintWithoutExponents) {
+  Scenario s;
+  s.set("topology", "inter-rtt-min-ms", "20")
+      .set("topology", "inter-rtt-max-ms", "160");
+  EXPECT_EQ(s.set_keys().at("topology.inter-rtt-min-ms"), "20");
+  EXPECT_EQ(s.set_keys().at("topology.inter-rtt-max-ms"), "160");
+  // Shortest round-trip text; an exponent only where %g would use one.
+  for (const std::string text :
+       {"0", "0.1", "2.5", "0.0001", "100000", "123456789", "1e-05", "1e-06",
+        "1e+20", "0.30000000000000004"}) {
+    Scenario v;
+    v.set("run", "grace-s", text);
+    EXPECT_EQ(v.set_keys().at("run.grace-s"), text);
+    EXPECT_EQ(Scenario::parse(v.to_text()), v) << text;
+  }
+  const auto [status, out] = run_brisa(
+      "--print " BRISA_SOURCE_DIR "/scenarios/clustered_wan_feed.scn");
+  EXPECT_EQ(status, 0) << out;
+  EXPECT_NE(out.find("inter-rtt-min-ms = 20\n"), std::string::npos) << out;
+  EXPECT_NE(out.find("inter-rtt-max-ms = 160\n"), std::string::npos) << out;
+  EXPECT_EQ(out.find("e+0"), std::string::npos) << out;
+}
+
+TEST(Scenario, SweepJobsKnobIsCheckedNotRejected) {
+  struct Case {
+    std::string jobs;
+    bool ok;
+  };
+  const std::string path = ::testing::TempDir() + "scenario_test_jobs.scn";
+  for (const Case& c : {Case{"2", true}, Case{"auto", true},
+                        Case{"0", false}, Case{"x", false}}) {
+    SCOPED_TRACE("jobs = " + c.jobs);
+    {
+      std::FILE* file = std::fopen(path.c_str(), "w");
+      ASSERT_NE(file, nullptr);
+      std::fprintf(file, "[scenario]\nname = j\n[sweep]\njobs = %s\n"
+                         "seeds = 1, 2\n",
+                   c.jobs.c_str());
+      std::fclose(file);
+    }
+    const auto [status, out] = run_brisa("--check " + path);
+    if (c.ok) {
+      EXPECT_EQ(status, 0) << out;
+      EXPECT_NE(out.find("OK " + path + " (report run, sweep 2 cells)"),
+                std::string::npos)
+          << out;
+    } else {
+      EXPECT_NE(status, 0) << out;
+      // Anchored at the [sweep] header, like every sweep diagnostic.
+      EXPECT_NE(out.find(path + ": scenario line 3: sweep: jobs expects a "
+                                "positive integer or 'auto', got '" +
+                         c.jobs + "'"),
+                std::string::npos)
+          << out;
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(Scenario, ChurnDslErrorsAnchorAtTheSection) {
   const std::string diagnostic = diagnostic_of(
       "[scenario]\n"

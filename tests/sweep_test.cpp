@@ -133,6 +133,19 @@ TEST(SweepGrammar, ValidateRejectsMalformedAxes) {
   EXPECT_NE(diagnostic("cell-timeout-s = soon\nseeds = 1\n")
                 .find("cell-timeout-s"),
             std::string::npos);
+  EXPECT_NE(diagnostic("unknown = 1\nseeds = 1\n")
+                .find("knobs: cell-timeout-s, jobs"),
+            std::string::npos);
+}
+
+TEST(SweepGrammar, JobsKnobSetsTheDefaultWorkerCount) {
+  const auto jobs_of = [](const std::string& knob) {
+    return workload::sweep_jobs(Scenario::parse(
+        "[scenario]\nnodes = 10\n[sweep]\n" + knob + "seeds = 1\n"));
+  };
+  EXPECT_EQ(jobs_of("jobs = 3\n"), 3);
+  EXPECT_EQ(jobs_of("jobs = auto\n"), workload::auto_jobs());
+  EXPECT_EQ(jobs_of(""), 0);  // not set: the CLI default applies
 }
 
 // --- Expansion --------------------------------------------------------------
