@@ -6,7 +6,7 @@
 #
 # Examples:
 #   scripts/profile_hotpath.sh                         # BM_SimEventRate
-#   scripts/profile_hotpath.sh 'SimEventRate/heap/100000'
+#   scripts/profile_hotpath.sh 'BM_SimEventRate/100000'
 #   scripts/profile_hotpath.sh 'EventQueueTimerChurn' -- --benchmark_min_time=1
 #
 # Output: perf.data + a trimmed `perf report` summary on stdout. The bench

@@ -63,7 +63,7 @@ void SimpleGossip::on_datagram(net::NodeId from, net::MessagePtr message) {
       const auto& rumor = static_cast<const GossipRumor&>(*message);
       if (rumor.stream() >= streams_.size()) return;
       StreamState& state = streams_[rumor.stream()];
-      if (state.stats.delivery_time.contains(rumor.seq())) {
+      if (state.stats.seen(rumor.seq())) {
         state.stats.duplicates += 1;
         return;  // infect-and-die: duplicates are dropped silently
       }
@@ -80,7 +80,7 @@ void SimpleGossip::on_datagram(net::NodeId from, net::MessagePtr message) {
       if (reply.stream() >= streams_.size()) return;
       StreamState& state = streams_[reply.stream()];
       for (const auto& [seq, payload_bytes] : reply.updates()) {
-        if (state.stats.delivery_time.contains(seq)) continue;
+        if (state.stats.seen(seq)) continue;
         state.stats.anti_entropy_recoveries += 1;
         // Anti-entropy recoveries are not re-pushed: rumor mongering already
         // saturated; re-pushing old updates would only add duplicates.
@@ -96,12 +96,8 @@ void SimpleGossip::on_datagram(net::NodeId from, net::MessagePtr message) {
 void SimpleGossip::deliver(net::StreamId stream, std::uint64_t seq,
                            std::size_t payload_bytes, bool push) {
   StreamState& state = streams_[stream];
-  state.stats.delivery_time[seq] = now();
-  while (state.stats.delivery_time.contains(state.contiguous_upto)) {
-    ++state.contiguous_upto;
-  }
-  state.store.insert(seq, payload_bytes, state.contiguous_upto);
-  state.stats.delivered += 1;
+  state.stats.record(seq, now());
+  state.store.insert(seq, payload_bytes, state.stats.contiguous_upto());
   if (push) push_rumor(stream, seq, payload_bytes);
 }
 
@@ -126,14 +122,14 @@ void SimpleGossip::on_anti_entropy_timer() {
   for (net::StreamId stream = 0; stream < streams_.size(); ++stream) {
     StreamState& state = streams_[stream];
     state.stats.anti_entropy_rounds += 1;
-    // Digest: everything below contiguous_upto plus out-of-order seqs held
-    // above the watermark. Walk the *present* entries above the watermark —
+    // Digest: everything below the contiguous watermark plus out-of-order
+    // seqs held above it. Walk the *present* entries above the watermark —
     // O(stored entries), where a per-integer reverse scan would degrade to
     // O(max_seq) on a store that is sparse above the watermark (fresh
     // rejoiner).
     std::vector<std::uint64_t> extras;
     if (config_.digest_extras > 0 || config_.limits.bloom_digests) {
-      for (auto it = state.store.lower_bound(state.contiguous_upto);
+      for (auto it = state.store.lower_bound(state.stats.contiguous_upto());
            it != state.store.end(); ++it) {
         extras.push_back(it->first);
       }
@@ -151,7 +147,7 @@ void SimpleGossip::on_anti_entropy_timer() {
       network().send_datagram(
           id(), peers.front(),
           net::make_message<GossipAntiEntropyRequest>(
-              stream, state.contiguous_upto, std::move(digest)),
+              stream, state.stats.contiguous_upto(), std::move(digest)),
           kCtl);
       continue;
     }
@@ -171,7 +167,7 @@ void SimpleGossip::on_anti_entropy_timer() {
     network().send_datagram(
         id(), peers.front(),
         net::make_message<GossipAntiEntropyRequest>(
-            stream, state.contiguous_upto, std::move(extras)),
+            stream, state.stats.contiguous_upto(), std::move(extras)),
         kCtl);
   }
 }

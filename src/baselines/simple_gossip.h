@@ -19,11 +19,11 @@
 #include "baselines/messages.h"
 #include "membership/cyclon.h"
 #include "net/bounded_store.h"
+#include "net/delivery_log.h"
 #include "net/network.h"
 #include "net/process.h"
 #include "sim/rng.h"
 #include "util/assert.h"
-#include "util/flat_seq_map.h"
 
 namespace brisa::baselines {
 
@@ -47,16 +47,15 @@ class SimpleGossip final : public net::Process,
     net::Limits limits;
   };
 
-  struct Stats {
-    std::uint64_t delivered = 0;
-    std::uint64_t duplicates = 0;
+  /// `duplicates` counts rumor copies only: an anti-entropy reply that
+  /// carries a held seq is not a reception the epidemic wasted.
+  struct Stats : net::DeliveryLog {
     std::uint64_t rumors_sent = 0;
     std::uint64_t anti_entropy_rounds = 0;
     std::uint64_t anti_entropy_recoveries = 0;
     /// Anti-entropy rounds skipped while the local NIC/CPU was overusing
     /// ([limits] rate_control); counted on stream 0.
     std::uint64_t rate_deferrals = 0;
-    util::FlatSeqMap<sim::TimePoint> delivery_time;
   };
 
   SimpleGossip(net::Network& network, net::NodeId id, Config config);
@@ -79,11 +78,6 @@ class SimpleGossip final : public net::Process,
     return stats(net::kDefaultStream);
   }
   [[nodiscard]] membership::Cyclon& cyclon() { return cyclon_; }
-  [[nodiscard]] std::uint64_t contiguous_upto(
-      net::StreamId stream = net::kDefaultStream) const {
-    BRISA_ASSERT(stream < streams_.size());
-    return streams_[stream].contiguous_upto;
-  }
   /// Store evictions under a `[limits]` bound (0 when unbounded).
   [[nodiscard]] std::uint64_t evictions(
       net::StreamId stream = net::kDefaultStream) const {
@@ -95,15 +89,12 @@ class SimpleGossip final : public net::Process,
 
  private:
   /// Per-stream sequence space: payload sizes by sequence (the anti-entropy
-  /// serving store — ordered, lower_bound-driven), delivery watermark, and
-  /// statistics. The keys of stats.delivery_time (not the store) are the
-  /// duplicate-suppression set: under a `[limits]` bound the store evicts,
-  /// and an evicted seq must not re-deliver when a rumor or reply carries it
-  /// again.
+  /// serving store — ordered, lower_bound-driven) and statistics, whose
+  /// delivery log (not the store, which evicts under `[limits]`) is the
+  /// duplicate-suppression set.
   struct StreamState {
     std::uint64_t next_seq = 0;
     net::BoundedSeqStore store;
-    std::uint64_t contiguous_upto = 0;
     /// Rotation cursor for the truncated exact digest: successive rounds
     /// advertise successive slices of the out-of-order set instead of
     /// pinning the newest window forever.

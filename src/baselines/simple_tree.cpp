@@ -53,8 +53,10 @@ std::uint64_t SimpleTreeNode::broadcast(net::StreamId stream,
                                         std::size_t payload_bytes) {
   BRISA_ASSERT_MSG(is_root_, "broadcast requires the root");
   BRISA_ASSERT(stream < streams_.size());
-  const std::uint64_t seq = streams_[stream].next_seq++;
-  deliver(stream, seq, payload_bytes);
+  StreamState& state = streams_[stream];
+  const std::uint64_t seq = state.next_seq++;
+  state.stats.record(seq, now());
+  forward_to_children(stream, seq, payload_bytes);
   return seq;
 }
 
@@ -94,25 +96,13 @@ void SimpleTreeNode::on_message(net::ConnectionId conn, net::NodeId /*from*/,
     case net::MessageKind::kTreeData: {
       const auto& data = static_cast<const TreeData&>(*message);
       if (data.stream() >= streams_.size()) return;
-      StreamState& state = streams_[data.stream()];
-      if (state.stats.delivery_time.contains(data.seq())) {
-        state.stats.duplicates += 1;
-        return;
-      }
-      deliver(data.stream(), data.seq(), data.payload_bytes());
+      if (!streams_[data.stream()].stats.receive(data.seq(), now())) return;
+      forward_to_children(data.stream(), data.seq(), data.payload_bytes());
       return;
     }
     default:
       return;
   }
-}
-
-void SimpleTreeNode::deliver(net::StreamId stream, std::uint64_t seq,
-                             std::size_t payload_bytes) {
-  StreamState& state = streams_[stream];
-  state.stats.delivered += 1;
-  state.stats.delivery_time[seq] = now();
-  forward_to_children(stream, seq, payload_bytes);
 }
 
 void SimpleTreeNode::forward_to_children(net::StreamId stream,

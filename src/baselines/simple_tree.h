@@ -11,13 +11,13 @@
 #include <vector>
 
 #include "baselines/messages.h"
+#include "net/delivery_log.h"
 #include "net/network.h"
 #include "net/process.h"
 #include "net/transport.h"
 #include "sim/rng.h"
 #include "util/assert.h"
 #include "util/flat_map.h"
-#include "util/flat_seq_map.h"
 
 namespace brisa::baselines {
 
@@ -44,10 +44,7 @@ class SimpleTreeCoordinator final : public net::Process,
 class SimpleTreeNode final : public net::Process, public net::TransportHandler,
                              public net::Network::DatagramHandler {
  public:
-  struct Stats {
-    std::uint64_t delivered = 0;
-    std::uint64_t duplicates = 0;
-    util::FlatSeqMap<sim::TimePoint> delivery_time;
+  struct Stats : net::DeliveryLog {
     bool parent_lost = false;
   };
 
@@ -93,15 +90,12 @@ class SimpleTreeNode final : public net::Process, public net::TransportHandler,
 
  private:
   /// Per-stream sequence space; the tree topology itself is shared by every
-  /// stream (one set of child connections). The keys of
-  /// stats.delivery_time are the dedup set.
+  /// stream (one set of child connections).
   struct StreamState {
     std::uint64_t next_seq = 0;
     Stats stats;
   };
 
-  void deliver(net::StreamId stream, std::uint64_t seq,
-               std::size_t payload_bytes);
   void forward_to_children(net::StreamId stream, std::uint64_t seq,
                            std::size_t payload_bytes);
 

@@ -296,7 +296,7 @@ void TagNode::send_pull_one(net::ConnectionId conn, net::NodeId datagram_peer,
                             net::StreamId stream) {
   ++node_stats().pulls_sent;
   auto request = net::make_message<TagPullRequest>(
-      stream, streams_[stream].contiguous_upto);
+      stream, streams_[stream].stats.contiguous_upto());
   if (datagram_peer.valid()) {
     network().send_datagram(id(), datagram_peer, std::move(request), kCtl);
   } else {
@@ -307,7 +307,8 @@ void TagNode::send_pull_one(net::ConnectionId conn, net::NodeId datagram_peer,
 void TagNode::handle_pull_reply(net::ConnectionId conn, net::NodeId from,
                                 const TagPullReply& reply) {
   if (reply.stream() >= streams_.size()) return;
-  const std::uint64_t watermark_before = streams_[reply.stream()].contiguous_upto;
+  const net::DeliveryLog& log = streams_[reply.stream()].stats;
+  const std::uint64_t watermark_before = log.contiguous_upto();
   for (const auto& [seq, bytes] : reply.updates()) {
     deliver(reply.stream(), seq, bytes);
   }
@@ -317,12 +318,12 @@ void TagNode::handle_pull_reply(net::ConnectionId conn, net::NodeId from,
   // state keeps the periodic cadence; only a lagging node tightens its loop,
   // draining at round-trip speed until it catches up.
   if (reply.updates().size() < config_.pull_batch) return;
-  // ...but only while the watermark moves. Pulls re-request from
-  // contiguous_upto; when the responder evicted that seq ([limits] bound), a
-  // full reply of higher seqs advances nothing and the identical follow-up
-  // request would fetch the identical reply — a duplicate livelock at
-  // round-trip speed. Stuck gaps wait out the poll period instead.
-  if (streams_[reply.stream()].contiguous_upto == watermark_before) return;
+  // ...but only while the watermark moves. Pulls re-request from the
+  // contiguous watermark; when the responder evicted that seq ([limits]
+  // bound), a full reply of higher seqs advances nothing and the identical
+  // follow-up request would fetch the identical reply — a duplicate livelock
+  // at round-trip speed. Stuck gaps wait out the poll period instead.
+  if (log.contiguous_upto() == watermark_before) return;
   if (network().tx_defer(id())) {
     ++node_stats().rate_deferrals;  // next timer tick retries
     return;
@@ -357,16 +358,8 @@ void TagNode::handle_pull_request(net::ConnectionId conn, net::NodeId from,
 void TagNode::deliver(net::StreamId stream, std::uint64_t seq,
                       std::size_t payload_bytes) {
   StreamState& state = streams_[stream];
-  if (state.stats.delivery_time.contains(seq)) {
-    state.stats.duplicates += 1;
-    return;
-  }
-  state.stats.delivery_time[seq] = now();
-  while (state.stats.delivery_time.contains(state.contiguous_upto)) {
-    ++state.contiguous_upto;
-  }
-  state.store.insert(seq, payload_bytes, state.contiguous_upto);
-  state.stats.delivered += 1;
+  if (!state.stats.receive(seq, now())) return;
+  state.store.insert(seq, payload_bytes, state.stats.contiguous_upto());
 }
 
 void TagNode::record_parent_recovery() {

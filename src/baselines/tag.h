@@ -24,13 +24,13 @@
 
 #include "baselines/messages.h"
 #include "net/bounded_store.h"
+#include "net/delivery_log.h"
 #include "net/network.h"
 #include "net/process.h"
 #include "net/transport.h"
 #include "sim/rng.h"
 #include "util/assert.h"
 #include "util/flat_map.h"
-#include "util/flat_seq_map.h"
 
 namespace brisa::baselines {
 
@@ -64,9 +64,7 @@ class TagNode final : public net::Process,
     net::Limits limits;
   };
 
-  struct Stats {
-    std::uint64_t delivered = 0;
-    std::uint64_t duplicates = 0;
+  struct Stats : net::DeliveryLog {
     std::uint64_t pulls_sent = 0;
     std::uint64_t probes_sent = 0;
     /// Largest number of simultaneously outstanding dials (join/probe/bridge
@@ -84,7 +82,6 @@ class TagNode final : public net::Process,
     /// Join start -> parent selected (Fig 13 construction time).
     std::optional<sim::TimePoint> join_started_at;
     std::optional<sim::TimePoint> parent_acquired_at;
-    util::FlatSeqMap<sim::TimePoint> delivery_time;
   };
 
   TagNode(net::Network& network, net::Transport& transport, net::NodeId id,
@@ -118,11 +115,6 @@ class TagNode final : public net::Process,
   [[nodiscard]] net::NodeId list_succ() const { return succ_; }
   [[nodiscard]] std::size_t child_count() const { return child_conns_.size(); }
   [[nodiscard]] bool joined() const { return is_head_ || parent_.valid(); }
-  [[nodiscard]] std::uint64_t contiguous_upto(
-      net::StreamId stream = net::kDefaultStream) const {
-    BRISA_ASSERT(stream < streams_.size());
-    return streams_[stream].contiguous_upto;
-  }
   [[nodiscard]] const std::vector<net::NodeId>& gossip_view() const {
     return gossip_peers_;
   }
@@ -201,15 +193,12 @@ class TagNode final : public net::Process,
   void start_timers();
 
   /// Per-stream sequence space: the pull store (ordered, lower_bound-driven)
-  /// and delivery stats. The list/tree structure is shared by every stream.
-  /// The keys of stats.delivery_time (not the store) are the
-  /// duplicate-suppression set: under a `[limits]` bound the store evicts,
-  /// and an evicted seq must not re-deliver when a pull reply carries it
-  /// again.
+  /// and delivery stats, whose delivery log (not the store, which evicts
+  /// under `[limits]`) is the duplicate-suppression set. The list/tree
+  /// structure is shared by every stream.
   struct StreamState {
     std::uint64_t next_seq = 0;
     net::BoundedSeqStore store;
-    std::uint64_t contiguous_upto = 0;
     Stats stats;
   };
 

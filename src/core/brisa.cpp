@@ -144,7 +144,8 @@ void BrisaStream::become_source() {
 std::uint64_t BrisaStream::broadcast(std::size_t payload_bytes) {
   BRISA_ASSERT_MSG(is_source_, "broadcast() requires become_source()");
   const std::uint64_t seq = next_seq_++;
-  record_delivery(seq);
+  stats_.record(seq, now());
+  engine_.note_delivered(stream_, seq);
   store_payload(seq, payload_bytes);
   const BrisaData msg(stream_, seq, payload_bytes, config().mode,
                       my_position(), /*retransmission=*/false);
@@ -187,8 +188,6 @@ std::int32_t BrisaStream::depth() const {
   }
   return depth_;
 }
-
-std::uint64_t BrisaStream::max_contiguous_seq() const { return contiguous_upto_; }
 
 std::vector<std::uint64_t> BrisaStream::buffered_seqs() const {
   std::vector<std::uint64_t> seqs;
@@ -258,7 +257,7 @@ void BrisaStream::handle_data(net::NodeId from, const BrisaData& msg) {
   record_position(link, msg.sender_position());
   link.seen_data = true;
 
-  const bool duplicate = stats_.delivery_time.contains(msg.seq());
+  const bool duplicate = stats_.seen(msg.seq());
 
   if (msg.retransmission()) {
     stats_.retransmissions_received += 1;
@@ -354,7 +353,8 @@ void BrisaStream::deliver_and_relay(net::NodeId from, const BrisaData& msg) {
     engine_.note_cum_delay(stream_,
                            msg.sender_position().cum_delay_us + hop_us);
   }
-  record_delivery(msg.seq());
+  stats_.record(msg.seq(), now());
+  engine_.note_delivered(stream_, msg.seq());
   last_delivery_at_ = now();
   buffer_payload(msg);
   if (delivery_handler_) delivery_handler_(msg.seq(), msg.payload_bytes());
@@ -368,14 +368,9 @@ void BrisaStream::deliver_and_relay(net::NodeId from, const BrisaData& msg) {
   // was lost in a deactivation/swap race. Give in-flight copies a moment,
   // then pull the hole from a parent's buffer (§II-F recovery, generalized
   // beyond repairs).
-  if (contiguous_upto_ <= msg.seq() && !gap_probe_armed_) arm_gap_probe();
-}
-
-void BrisaStream::record_delivery(std::uint64_t seq) {
-  stats_.delivery_time[seq] = now();
-  while (stats_.delivery_time.contains(contiguous_upto_)) ++contiguous_upto_;
-  stats_.delivered += 1;
-  engine_.note_delivered(stream_, seq);
+  if (stats_.contiguous_upto() <= msg.seq() && !gap_probe_armed_) {
+    arm_gap_probe();
+  }
 }
 
 void BrisaStream::arm_gap_probe() {
@@ -391,8 +386,8 @@ void BrisaStream::arm_gap_probe() {
     const std::uint64_t watermark = delivered_watermark();
     if (watermark == 0) return;
     const std::uint64_t newest = watermark - 1;
-    if (contiguous_upto_ > newest) return;  // gap healed meanwhile
-    if (parents_.empty()) return;           // repair flow handles it
+    if (stats_.contiguous_upto() > newest) return;  // gap healed meanwhile
+    if (parents_.empty()) return;  // repair flow handles it
     // Sequences more than one retention window below the newest delivery
     // are unrecoverable by design: no parent's bounded retransmit buffer
     // still holds them (a late joiner's pre-join prefix). Pursue only the
@@ -403,10 +398,8 @@ void BrisaStream::arm_gap_probe() {
         newest + 1 >= config().retransmit_buffer
             ? newest + 1 - config().retransmit_buffer
             : 0;
-    std::uint64_t target = std::max(contiguous_upto_, floor);
-    while (target <= newest && stats_.delivery_time.contains(target)) {
-      ++target;
-    }
+    std::uint64_t target = std::max(stats_.contiguous_upto(), floor);
+    while (target <= newest && stats_.seen(target)) ++target;
     if (target > newest) return;  // in-window hole closed
     if (network().tx_defer(id())) {
       // Send side is backlogged: pulling a window of retransmissions now
@@ -857,7 +850,7 @@ void BrisaStream::finish_repair(net::NodeId new_parent) {
 }
 
 void BrisaStream::request_missing(net::NodeId parent) {
-  send_to(parent, make_retransmit_request(contiguous_upto_), kCtl);
+  send_to(parent, make_retransmit_request(stats_.contiguous_upto()), kCtl);
 }
 
 std::vector<net::NodeId> BrisaStream::soft_repair_candidates() const {
@@ -973,7 +966,7 @@ void BrisaStream::store_payload(std::uint64_t seq, std::size_t payload_bytes) {
     }
     std::size_t victim = lowest;
     if (limits.eviction == net::EvictionPolicy::kDeliveredFirst &&
-        payload_buffer_[lowest].seq() >= contiguous_upto_) {
+        payload_buffer_[lowest].seq() >= stats_.contiguous_upto()) {
       victim = highest;
     }
     payload_buffer_bytes_ -= payload_buffer_[victim].bytes;
@@ -992,7 +985,7 @@ net::MessagePtr BrisaStream::make_retransmit_request(std::uint64_t from_seq) {
   // retransmissions down to the actual holes plus Bloom false positives.
   std::vector<std::uint64_t> held;
   for (std::uint64_t seq = from_seq; seq < watermark; ++seq) {
-    if (stats_.delivery_time.contains(seq)) held.push_back(seq);
+    if (stats_.seen(seq)) held.push_back(seq);
   }
   if (held.empty()) {
     return net::make_message<BrisaRetransmitRequest>(stream_, from_seq);

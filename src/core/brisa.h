@@ -47,6 +47,7 @@
 #include "core/messages.h"
 #include "core/parent_selection.h"
 #include "membership/peer_sampling.h"
+#include "net/delivery_log.h"
 #include "net/network.h"
 #include "net/process.h"
 #include "sim/rng.h"
@@ -105,9 +106,9 @@ class BrisaStream final {
 
   /// Per-(node, stream) protocol statistics; the experiment harnesses
   /// aggregate these across nodes into the paper's tables and figures.
-  struct Stats {
-    std::uint64_t delivered = 0;
-    std::uint64_t duplicates = 0;
+  /// `duplicates` counts live-dissemination copies only; retransmission
+  /// copies count in retransmissions_received.
+  struct Stats : net::DeliveryLog {
     std::uint64_t deactivations_sent = 0;
     std::uint64_t deactivations_received = 0;
     std::uint64_t cycle_rejections = 0;  ///< senders rejected by cycle check
@@ -138,12 +139,11 @@ class BrisaStream final {
     /// deactivation, and when its inbound links first reached the target.
     std::optional<sim::TimePoint> first_deactivation_at;
     std::optional<sim::TimePoint> structure_stable_at;
-    /// Per-sequence reception counts (Fig 2) and delivery instants (Fig 9,
-    /// Table II). Flat vectors indexed by sequence: these two are written on
-    /// every delivery, and a tree walk per stream message is measurable at
-    /// sweep sizes. The keys of delivery_time are the stream's dedup set.
+    /// Per-sequence reception counts (Fig 2). A flat vector indexed by
+    /// sequence, like the log's delivery instants: it is written on every
+    /// reception, and a tree walk per stream message is measurable at sweep
+    /// sizes.
     util::FlatSeqMap<std::uint32_t> receptions_per_seq;
-    util::FlatSeqMap<sim::TimePoint> delivery_time;
   };
 
   using DeliveryHandler =
@@ -181,7 +181,6 @@ class BrisaStream final {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   /// The engine's Config, shared by all of its streams.
   [[nodiscard]] const Config& config() const;
-  [[nodiscard]] std::uint64_t max_contiguous_seq() const;
   /// Largest delivered seq + 1; 0 before the first delivery. Read from the
   /// engine's progress table, which keeps it current on every delivery.
   [[nodiscard]] std::uint64_t delivered_watermark() const;
@@ -331,9 +330,6 @@ class BrisaStream final {
   /// retransmit_buffer count cap, then any `[limits]` entry/byte bound with
   /// its eviction policy.
   void store_payload(std::uint64_t seq, std::size_t payload_bytes);
-  /// Records a first delivery of `seq`: delivery instant, contiguity and the
-  /// progress table's watermark.
-  void record_delivery(std::uint64_t seq);
   /// A retransmit request for holes >= from_seq, carrying a Bloom digest of
   /// the seqs we already hold above from_seq when [limits] bloom_digests is
   /// on (so the parent skips them instead of resending the whole window).
@@ -364,9 +360,6 @@ class BrisaStream final {
   RepairKind repair_kind_ = RepairKind::kOrphanFailure;  ///< see repair_
   bool gap_probe_armed_ = false;
 
-  // Delivery bookkeeping. The dedup set is the key set of
-  // stats_.delivery_time: both were always written together.
-  std::uint64_t contiguous_upto_ = 0;  ///< all seqs < this are delivered
   /// Retransmit buffer in arrival order (see util/seq_ring.h for why not
   /// seq order).
   util::SeqRing payload_buffer_;

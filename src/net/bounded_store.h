@@ -9,10 +9,10 @@
 // always-false bound check — behavior and iteration order are identical to
 // the unwrapped map, which is what the zero-cost-when-off golden tests pin.
 //
-// IMPORTANT: the store must no longer double as the duplicate-suppression
-// set once eviction exists (a re-arriving evicted seq would re-deliver).
-// Callers dedup against the keys of their stats.delivery_time map, which
-// never evicts.
+// IMPORTANT: the store never doubles as the duplicate-suppression set (a
+// re-arriving evicted seq would re-deliver). Callers dedup through their
+// stream's net::DeliveryLog, which never evicts, and pass its contiguous
+// watermark to insert().
 #pragma once
 
 #include <cstddef>

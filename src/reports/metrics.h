@@ -57,8 +57,8 @@ inline void append_delays_ms(const workload::SystemBase& system,
                              net::NodeId id, net::StreamId stream,
                              std::vector<double>& delays_ms) {
   const auto& source_times =
-      system.delivery_times(system.source_id(stream), stream);
-  for (const auto& [seq, at] : system.delivery_times(id, stream)) {
+      system.delivery_log(system.source_id(stream), stream).delivery_time;
+  for (const auto& [seq, at] : system.delivery_log(id, stream).delivery_time) {
     const auto it = source_times.find(seq);
     if (it == source_times.end()) continue;
     delays_ms.push_back((at - it->second).to_milliseconds());
@@ -81,8 +81,9 @@ inline analysis::StreamRow measure_stream(
     if (id == source) continue;
     if (driver != nullptr && !driver->subscribed(stream, id)) continue;
     ++row.subscribers;
-    row.delivered += system.delivery_times(id, stream).size();
-    row.duplicates += system.duplicates(id, stream);
+    const net::DeliveryLog& log = system.delivery_log(id, stream);
+    row.delivered += log.delivered;
+    row.duplicates += log.duplicates;
     append_delays_ms(system, id, stream, delays_ms);
   }
   const std::uint64_t expected =

@@ -186,9 +186,9 @@ int buffer_tradeoff_run(const workload::Scenario& scenario) {
       r.p50_ms = row.p50_ms;
       r.evictions = system->store_evictions();
       // The recorded schema counts the source's own duplicates too.
-      r.duplicates = row.duplicates +
-                     system->duplicates(system->source_id(net::kDefaultStream),
-                                        net::kDefaultStream);
+      const net::DeliveryLog& source_log =
+          system->delivery_log(system->source_id(), net::kDefaultStream);
+      r.duplicates = row.duplicates + source_log.duplicates;
       r.messages_sent = system->network().messages_sent();
       r.wall_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -

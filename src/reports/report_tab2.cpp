@@ -19,7 +19,8 @@ namespace {
 std::vector<double> delivery_windows_s(const workload::SystemBase& system) {
   std::vector<double> windows;
   for (const net::NodeId id : system.receivers()) {
-    const auto& times = system.delivery_times(id, net::kDefaultStream);
+    const auto& times =
+        system.delivery_log(id, net::kDefaultStream).delivery_time;
     if (times.size() < 2) continue;
     windows.push_back(
         (std::prev(times.end())->second - times.begin()->second).to_seconds());

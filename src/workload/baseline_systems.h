@@ -32,13 +32,9 @@ class SimpleTreeSystem final : public SystemBase {
   void bootstrap() override;
 
   [[nodiscard]] baselines::SimpleTreeNode& node(net::NodeId id);
-  [[nodiscard]] const util::FlatSeqMap<sim::TimePoint>& delivery_times(
+  [[nodiscard]] const net::DeliveryLog& delivery_log(
       net::NodeId id, net::StreamId stream) const override {
-    return nodes_.at(id)->stats(stream).delivery_time;
-  }
-  [[nodiscard]] std::uint64_t duplicates(
-      net::NodeId id, net::StreamId stream) const override {
-    return nodes_.at(id)->stats(stream).duplicates;
+    return nodes_.at(id)->stats(stream);
   }
 
  private:
@@ -68,13 +64,9 @@ class SimpleGossipSystem final : public SystemBase {
   net::NodeId spawn_node() override;
 
   [[nodiscard]] baselines::SimpleGossip& node(net::NodeId id);
-  [[nodiscard]] const util::FlatSeqMap<sim::TimePoint>& delivery_times(
+  [[nodiscard]] const net::DeliveryLog& delivery_log(
       net::NodeId id, net::StreamId stream) const override {
-    return nodes_.at(id)->stats(stream).delivery_time;
-  }
-  [[nodiscard]] std::uint64_t duplicates(
-      net::NodeId id, net::StreamId stream) const override {
-    return nodes_.at(id)->stats(stream).duplicates;
+    return nodes_.at(id)->stats(stream);
   }
   [[nodiscard]] std::uint64_t evictions(
       net::NodeId id, net::StreamId stream) const override {
@@ -103,13 +95,9 @@ class TagSystem final : public SystemBase {
   net::NodeId spawn_node() override;
 
   [[nodiscard]] baselines::TagNode& node(net::NodeId id);
-  [[nodiscard]] const util::FlatSeqMap<sim::TimePoint>& delivery_times(
+  [[nodiscard]] const net::DeliveryLog& delivery_log(
       net::NodeId id, net::StreamId stream) const override {
-    return nodes_.at(id)->stats(stream).delivery_time;
-  }
-  [[nodiscard]] std::uint64_t duplicates(
-      net::NodeId id, net::StreamId stream) const override {
-    return nodes_.at(id)->stats(stream).duplicates;
+    return nodes_.at(id)->stats(stream);
   }
   [[nodiscard]] std::uint64_t evictions(
       net::NodeId id, net::StreamId stream) const override {

@@ -44,13 +44,9 @@ class BrisaSystem final : public SystemBase {
   [[nodiscard]] core::Brisa& brisa(net::NodeId node, net::StreamId stream);
   [[nodiscard]] core::BrisaEngine& engine(net::NodeId node);
   [[nodiscard]] membership::HyParView& hyparview(net::NodeId node);
-  [[nodiscard]] const util::FlatSeqMap<sim::TimePoint>& delivery_times(
+  [[nodiscard]] const net::DeliveryLog& delivery_log(
       net::NodeId id, net::StreamId stream) const override {
-    return nodes_.at(id).engine->stream(stream).stats().delivery_time;
-  }
-  [[nodiscard]] std::uint64_t duplicates(
-      net::NodeId id, net::StreamId stream) const override {
-    return nodes_.at(id).engine->stream(stream).stats().duplicates;
+    return nodes_.at(id).engine->stream(stream).stats();
   }
   [[nodiscard]] std::uint64_t evictions(
       net::NodeId id, net::StreamId stream) const override {

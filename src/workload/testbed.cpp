@@ -178,7 +178,7 @@ bool SystemBase::complete_delivery() const {
         member.created_at > stream_started_at_) {
       continue;
     }
-    if (delivery_times(member.id, net::kDefaultStream).size() < sent_) {
+    if (delivery_log(member.id, net::kDefaultStream).delivered < sent_) {
       return false;
     }
   }

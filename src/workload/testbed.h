@@ -10,11 +10,11 @@
 #include <string>
 #include <vector>
 
+#include "net/delivery_log.h"
 #include "net/fault.h"
 #include "net/latency.h"
 #include "net/network.h"
 #include "net/transport.h"
-#include "util/flat_seq_map.h"
 #include "workload/churn.h"
 #include "workload/topology_gen.h"
 
@@ -159,10 +159,8 @@ class SystemBase : public Testbed {
   /// Creates the population, lets everyone join, and runs the simulator
   /// until the structure has settled.
   virtual void bootstrap() = 0;
-  /// Node `id`'s seq -> delivery instant map on `stream`.
-  [[nodiscard]] virtual const util::FlatSeqMap<sim::TimePoint>&
-  delivery_times(net::NodeId id, net::StreamId stream) const = 0;
-  [[nodiscard]] virtual std::uint64_t duplicates(
+  /// Node `id`'s deliveries and duplicates on `stream`.
+  [[nodiscard]] virtual const net::DeliveryLog& delivery_log(
       net::NodeId id, net::StreamId stream) const = 0;
   /// Store evictions of node `id` on `stream` under a `[limits]` bound; 0
   /// for a protocol that relays without a store (the tree).

@@ -1,11 +1,13 @@
 // BRISA tree-mode tests (§II-C/D/E): structure emergence, zero duplicates
 // after stabilization, path-embedding cycle prevention (and the shared
-// TreePath that carries it), parent-selection strategies, and the
-// symmetric-deactivation optimization.
+// TreePath that carries it), parent-selection strategies, the
+// symmetric-deactivation optimization, and the flood-mode duplicate oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/tree_path.h"
@@ -190,6 +192,78 @@ TEST(BrisaTree, FloodModeNeverDeactivates) {
   }
   EXPECT_GT(total_dups, 0u);
 }
+
+// Flooding oracle (Fig 2). Over a stable overlay, flood mode relays every
+// first copy to each neighbor except its sender, so one message costs
+// exactly sum(deg) - 2(N - 1) duplicates summed over all nodes: sum(deg) -
+// (N - 1) copies travel, and N - 1 of them are first deliveries.
+struct FloodCell {
+  std::size_t nodes;
+  std::size_t view;
+  std::uint64_t seed;
+};
+
+class FloodDuplicateOracle : public ::testing::TestWithParam<FloodCell> {};
+
+TEST_P(FloodDuplicateOracle, DuplicatesPerMessageMatchTheDegreeSum) {
+  const FloodCell cell = GetParam();
+  workload::BrisaSystem::Config config;
+  config.seed = cell.seed;
+  config.num_nodes = cell.nodes;
+  config.hyparview.active_size = cell.view;
+  config.brisa.prune = false;
+  workload::BrisaSystem system(config);
+  system.bootstrap();
+  system.run_stream(5, 5.0, 256);  // warm-up
+
+  const auto views = [&system]() {
+    std::map<net::NodeId, std::vector<net::NodeId>> out;
+    for (const net::NodeId id : system.member_ids()) {
+      std::vector<net::NodeId> view = system.hyparview(id).view_ref();
+      std::sort(view.begin(), view.end());
+      out.emplace(id, std::move(view));
+    }
+    return out;
+  };
+  const auto total_duplicates = [&system]() {
+    std::uint64_t total = 0;
+    for (const net::NodeId id : system.member_ids()) {
+      total += system.delivery_log(id, net::kDefaultStream).duplicates;
+    }
+    return total;
+  };
+
+  const auto before = views();
+  ASSERT_EQ(before.size(), cell.nodes);
+  std::uint64_t degree_sum = 0;
+  for (const auto& [id, view] : before) {
+    degree_sum += view.size();
+    for (const net::NodeId peer : view) {
+      const auto& back = before.at(peer);
+      EXPECT_TRUE(std::binary_search(back.begin(), back.end(), id))
+          << id << " -> " << peer << " is one-way";
+    }
+  }
+  const std::uint64_t dups_before = total_duplicates();
+
+  constexpr std::uint64_t kMessages = 50;
+  system.run_stream(kMessages, 5.0, 256);
+  ASSERT_TRUE(system.complete_delivery());
+  EXPECT_EQ(views(), before) << "the overlay moved during the oracle run";
+  EXPECT_EQ(total_duplicates() - dups_before,
+            kMessages * (degree_sum - 2 * (cell.nodes - 1)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cells, FloodDuplicateOracle,
+    ::testing::Values(FloodCell{128, 4, 1}, FloodCell{128, 4, 7},
+                      FloodCell{256, 6, 3}, FloodCell{512, 4, 1},
+                      FloodCell{512, 10, 2}),
+    [](const ::testing::TestParamInfo<FloodCell>& info) {
+      return "n" + std::to_string(info.param.nodes) + "_v" +
+             std::to_string(info.param.view) + "_s" +
+             std::to_string(info.param.seed);
+    });
 
 TEST(BrisaTree, PruningBeatsFloodingOnDuplicates) {
   auto flood_config = small_config(11);

@@ -1,11 +1,13 @@
 // Unit tests for the network substrate: latency models, NIC serialization,
 // bandwidth accounting, datagrams, and the reliable transport (connection
-// lifecycle, FIFO delivery, failure detection).
+// lifecycle, FIFO delivery, failure detection), and the per-stream
+// delivery log every protocol records into.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <vector>
 
+#include "net/delivery_log.h"
 #include "net/latency.h"
 #include "net/message.h"
 #include "net/message_pool.h"
@@ -377,6 +379,47 @@ TEST_F(TransportFixture, CloseReasonStrings) {
   EXPECT_STREQ(to_string(CloseReason::kRemoteClose), "remote-close");
   EXPECT_STREQ(to_string(CloseReason::kPeerFailure), "peer-failure");
   EXPECT_STREQ(to_string(CloseReason::kRefused), "refused");
+}
+
+// --- Delivery log ------------------------------------------------------------
+
+TEST(DeliveryLog, WatermarkWaitsAtTheHoleThenJumpsTheFilledRun) {
+  DeliveryLog log;
+  const sim::TimePoint t = sim::TimePoint::from_us(7);
+  log.record(0, t);
+  EXPECT_EQ(log.contiguous_upto(), 1u);
+  for (const std::uint64_t seq : {2u, 3u, 5u}) log.record(seq, t);
+  EXPECT_EQ(log.contiguous_upto(), 1u);  // hole at 1
+  log.record(1, t);
+  EXPECT_EQ(log.contiguous_upto(), 4u);  // 1..3 at once; hole at 4
+  log.record(4, t);
+  EXPECT_EQ(log.contiguous_upto(), 6u);
+}
+
+TEST(DeliveryLog, SeenAndCountsFollowTheDeliveryTimeKeys) {
+  DeliveryLog log;
+  const std::uint64_t order[] = {9, 3, 0, 4, 12, 1};
+  std::uint64_t step = 0;
+  for (const std::uint64_t seq : order) {
+    EXPECT_FALSE(log.seen(seq));
+    EXPECT_TRUE(log.receive(seq, sim::TimePoint::from_us(++step)));
+    // A second copy is a duplicate and changes no instant.
+    EXPECT_FALSE(log.receive(seq, sim::TimePoint::from_us(1000)));
+    EXPECT_EQ(log.delivered, log.delivery_time.size());
+    EXPECT_EQ(log.duplicates, step);
+  }
+  for (std::uint64_t seq = 0; seq < 16; ++seq) {
+    EXPECT_EQ(log.seen(seq), log.delivery_time.contains(seq)) << seq;
+  }
+  EXPECT_EQ(log.delivery_time.find(12)->second, sim::TimePoint::from_us(5));
+  EXPECT_EQ(log.contiguous_upto(), 2u);
+}
+
+TEST(DeliveryLogDeathTest, SecondRecordOfOneSeqAborts) {
+  DeliveryLog log;
+  log.record(3, sim::TimePoint::from_us(1));
+  EXPECT_DEATH(log.record(3, sim::TimePoint::from_us(2)),
+               "seq delivered twice");
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 // leaves no orphaned workers. The fault_recovery and scale_sweep grids
 // reproduce the rows of the serial reports they replaced, and the reports
 // that build systems through make_system() reproduce their pinned rows.
+// Run relations: scenario variants that cannot change what a run does
+// (dead fault statements) print byte-identical stdout.
 #include "workload/sweep.h"
 
 #include <gtest/gtest.h>
@@ -583,6 +585,54 @@ TEST(SweepExecutor, SigtermStopsSchedulerAndReapsWorkers) {
   }
   std::remove(scn.c_str());
 }
+
+// --- Run relations ----------------------------------------------------------
+
+/// A two-stream generic `run` report with `faults` as its fault statements.
+std::string dead_faults_scenario(const std::string& protocol,
+                                 const std::string& faults) {
+  return "[scenario]\n"
+         "name = dead_faults\n"
+         "protocol = " + protocol + "\n"
+         "nodes = 120\n"
+         "seed = 3\n"
+         "[streams]\n"
+         "count = 2\n"
+         "messages = 40\n"
+         "[churn]\n" + faults + "at 60 s stop\n";
+}
+
+class DeadFaults : public ::testing::TestWithParam<const char*> {};
+
+// A loss rule of probability 0, or one whose window opens after the last
+// event, must neither drop anything nor draw from the run's random streams.
+TEST_P(DeadFaults, EqualNoFaults) {
+  const std::string protocol = GetParam();
+  const auto run = [&protocol](const char* tag, const std::string& faults) {
+    const std::string scn = write_temp_scenario(
+        (protocol + "_" + tag).c_str(),
+        dead_faults_scenario(protocol, faults));
+    CommandResult result =
+        run_command(std::string(kRunner) + " " + scn + " 2>/dev/null");
+    std::remove(scn.c_str());
+    return result;
+  };
+  const CommandResult plain = run("plain", "");
+  ASSERT_EQ(plain.status, 0) << plain.out;
+  ASSERT_NE(plain.out.find("reliability"), std::string::npos) << plain.out;
+  for (const char* faults :
+       {"from 0 s to 30 s drop 0%\n", "from 500 s to 600 s drop 50%\n"}) {
+    const CommandResult dead = run("dead", faults);
+    EXPECT_EQ(dead.status, 0) << faults;
+    EXPECT_EQ(dead.out, plain.out) << faults;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, DeadFaults, ::testing::Values("brisa", "gossip", "tag", "tree"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return std::string(info.param);
+    });
 
 }  // namespace
 }  // namespace brisa

@@ -229,7 +229,7 @@ TEST_P(HarnessContract, StreamsCompletelyAndKeepsTheChurnPopulationRule) {
   const net::NodeId source = system->source_id();
   for (const net::NodeId id : system->receivers()) {
     if (id == source) continue;
-    EXPECT_EQ(system->delivery_times(id, net::kDefaultStream).size(), 20u)
+    EXPECT_EQ(system->delivery_log(id, net::kDefaultStream).delivered, 20u)
         << "node " << id;
   }
   EXPECT_TRUE(system->complete_delivery());
