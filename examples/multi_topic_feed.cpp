@@ -31,9 +31,7 @@ int main(int argc, char** argv) {
         "                 [--subscription-fraction=0.5]\n");
     return 0;
   }
-  std::vector<std::string> known = reports::multi_stream_flag_names();
-  known.insert(known.end(), {"nodes", "items"});
-  if (!flags.validate(known,
+  if (!flags.validate({"nodes", "streams", "items", "subscription-fraction"},
                       "multi_topic_feed [--nodes=96] [--streams=4] "
                       "[--items=40]\n"
                       "                 [--subscription-fraction=0.5]\n")) {
@@ -41,37 +39,34 @@ int main(int argc, char** argv) {
   }
   const auto nodes = static_cast<std::size_t>(flags.get_int("nodes", 96));
   const auto items = static_cast<std::size_t>(flags.get_int("items", 40));
-  reports::MultiStreamOptions options =
-      reports::parse_multi_stream_options(flags);
-  if (!flags.has("streams")) options.streams = 4;
-  if (!flags.has("subscription-fraction")) options.subscription_fraction = 0.5;
+  const auto streams = static_cast<std::size_t>(flags.get_int("streams", 4));
+  const double fraction = flags.get_fraction("subscription-fraction", 0.5);
 
   std::printf("=== multi-topic feed: %zu nodes, %zu topics, %zu items each, "
               "%.0f%% subscribers per topic ===\n",
-              nodes, options.streams, items,
-              options.subscription_fraction * 100.0);
+              nodes, streams, items, fraction * 100.0);
 
   workload::BrisaSystem::Config config;
   config.seed = 7;
   config.num_nodes = nodes;
-  config.num_streams = options.streams;
+  config.num_streams = streams;
   config.join_spread = sim::Duration::seconds(10);
   config.stabilization = sim::Duration::seconds(20);
   workload::BrisaSystem system(config);
   system.bootstrap();
 
-  for (std::size_t s = 0; s < options.streams; ++s) {
+  for (std::size_t s = 0; s < streams; ++s) {
     std::printf("topic %zu publishes from node %u\n", s,
                 system.source_id(static_cast<net::StreamId>(s)).index());
   }
 
   // Topics run at slightly different rates — feeds are not phase-aligned.
   workload::PubSubDriver::Config pubsub;
-  for (std::size_t s = 0; s < options.streams; ++s) {
+  for (std::size_t s = 0; s < streams; ++s) {
     pubsub.streams.push_back({static_cast<net::StreamId>(s), items,
                               4.0 + 0.5 * static_cast<double>(s), 1024});
   }
-  pubsub.subscription_fraction = options.subscription_fraction;
+  pubsub.subscription_fraction = fraction;
   workload::PubSubDriver driver(
       system.simulator(), pubsub,
       [&system](net::StreamId stream, std::size_t bytes) {
@@ -86,7 +81,7 @@ int main(int argc, char** argv) {
   // The forwarder role: nodes relaying a topic they do not subscribe to.
   std::size_t forwarder_roles = 0;
   for (const net::NodeId id : system.member_ids()) {
-    for (std::size_t s = 0; s < options.streams; ++s) {
+    for (std::size_t s = 0; s < streams; ++s) {
       const auto stream = static_cast<net::StreamId>(s);
       if (id == system.source_id(stream)) continue;  // roots are not forwarders
       if (driver.subscribed(stream, id)) continue;

@@ -14,7 +14,6 @@
 
 #include "analysis/stats.h"
 #include "analysis/stream_report.h"
-#include "util/flags.h"
 #include "workload/baseline_systems.h"
 #include "workload/brisa_system.h"
 #include "workload/churn.h"
@@ -22,32 +21,6 @@
 #include "workload/scenario.h"
 
 namespace brisa::reports {
-
-// --- Multi-stream options ----------------------------------------------------
-
-/// The multi-stream CLI surface the examples parse identically:
-/// `--streams=K` concurrent topics and `--subscription-fraction=F` partial
-/// audiences (see workload::PubSubDriver).
-struct MultiStreamOptions {
-  std::size_t streams = 1;
-  double subscription_fraction = 1.0;
-};
-
-inline MultiStreamOptions parse_multi_stream_options(
-    const util::Flags& flags) {
-  MultiStreamOptions options;
-  options.streams =
-      static_cast<std::size_t>(flags.get_int("streams", 1));
-  options.subscription_fraction =
-      flags.get_fraction("subscription-fraction", 1.0);
-  return options;
-}
-
-/// The flag names parse_multi_stream_options consumes — callers append
-/// these to their known-flag list for util::Flags::validate.
-inline std::vector<std::string> multi_stream_flag_names() {
-  return {"streams", "subscription-fraction"};
-}
 
 // --- Delivery measurement (every protocol) ---------------------------------
 

@@ -90,14 +90,6 @@ std::vector<Report> build_registry() {
        fault_recovery_defaults,
        fault_recovery_run,
        fault_recovery_check},
-      {"multi_stream",
-       "Multi-stream sweep: per-stream reliability as the forest grows",
-       {"scenario.nodes", "scenario.seed", "streams.messages",
-        "streams.rate-per-s", "streams.payload",
-        "streams.subscription-fraction", "params.streams", "params.churn",
-        "params.quick"},
-       multi_stream_defaults,
-       multi_stream_run},
       {"scale_sweep",
        "Scale sweep: reliability/cost of one broadcast at one width "
        "(1k to 100k nodes)",

@@ -26,7 +26,6 @@ BRISA_DECLARE_REPORT(tab1);
 BRISA_DECLARE_REPORT(tab2);
 BRISA_DECLARE_REPORT(ablation);
 BRISA_DECLARE_REPORT(fault_recovery);
-BRISA_DECLARE_REPORT(multi_stream);
 BRISA_DECLARE_REPORT(scale_sweep);
 BRISA_DECLARE_REPORT(buffer_tradeoff);
 BRISA_DECLARE_REPORT(generic);

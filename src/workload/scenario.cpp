@@ -140,6 +140,9 @@ std::string bound_rule(const ScenarioKey& row) {
 }
 
 bool within(const Bounds& b, double v) {
+  // An infinite side is unbounded, not a value: inf would overflow the
+  // Durations built from these keys and is no JSON number.
+  if (!std::isfinite(v)) return false;
   const bool above = b.open ? v > b.min : v >= b.min;
   const bool below = b.max == kInf || (b.open ? v < b.max : v <= b.max);
   return above && below;
@@ -187,10 +190,6 @@ void write_field(Scenario& s, const ScenarioKey& row, const std::string& value,
 template <auto Member>
 constexpr ScenarioKey::Field field{&read_field<Member>, &write_field<Member>};
 
-bool known_model(const std::string& value) {
-  return known_topology_model(normalize_topology_model(value));
-}
-
 bool known_strategy(const std::string& value) {
   try {
     (void)core::parse_strategy(value);
@@ -205,6 +204,19 @@ bool even(const std::string& value) { return std::stoull(value) % 2 == 0; }
 constexpr const char* kTopologyModels =
     "cluster|planetlab|clustered-wan|fat-tree|random|barabasi-albert|"
     "watts-strogatz|degree-capped";
+
+bool one_of(std::string_view names, std::string_view value) {
+  for (;;) {
+    const std::size_t bar = names.find('|');
+    if (names.substr(0, bar) == value) return true;
+    if (bar == std::string_view::npos) return false;
+    names.remove_prefix(bar + 1);
+  }
+}
+
+bool known_model(const std::string& value) {
+  return one_of(kTopologyModels, normalize_topology_model(value));
+}
 
 constexpr ScenarioKey kKeys[] = {
     {"scenario", "name", field<&Scenario::name>, kString, {},
@@ -350,15 +362,6 @@ const ScenarioKey* find_key(std::string_view section, std::string_view key) {
   return nullptr;
 }
 
-bool one_of(std::string_view names, std::string_view value) {
-  for (;;) {
-    const std::size_t bar = names.find('|');
-    if (names.substr(0, bar) == value) return true;
-    if (bar == std::string_view::npos) return false;
-    names.remove_prefix(bar + 1);
-  }
-}
-
 /// The row's diagnostic for the value `s` holds ("" when unset or valid).
 std::string key_error(const Scenario& s, const ScenarioKey& row) {
   const std::optional<std::string> text = row.field.read(s);
@@ -430,13 +433,8 @@ void apply(Scenario& s, const std::string& section, const std::string& key,
     return;
   }
   if (section == "sweep") {
-    const bool axis = key == "protocol" || key == "nodes" || key == "seeds" ||
-                      key == "faulted" || key == "topology" ||
-                      (key.rfind("param.", 0) == 0 && key.size() > 6);
-    if (!axis && key != "cell-timeout-s" && key != "jobs") {
-      fail(context, "unknown sweep key '" + key +
-                        "' (axes: protocol, nodes, seeds, faulted, topology, "
-                        "param.<name>; knobs: cell-timeout-s, jobs)");
+    if (const std::string error = sweep_key_error(key); !error.empty()) {
+      fail(context, error);
     }
     for (auto& [existing, existing_value] : s.sweep) {
       if (existing == key) {
@@ -474,15 +472,20 @@ void emit(std::string& out, std::string_view key, const std::string& value) {
 
 std::span<const ScenarioKey> scenario_keys() { return kKeys; }
 
+std::string canonical_value(const ScenarioKey& row, const std::string& value) {
+  Scenario scratch;
+  row.field.write(scratch, row, value, "");
+  if (const std::string error = key_error(scratch, row); !error.empty()) {
+    fail("", error);
+  }
+  return *row.field.read(scratch);
+}
+
 std::string normalize_topology_model(std::string model) {
   for (char& c : model) {
     if (c == '_') c = '-';
   }
   return model;
-}
-
-bool known_topology_model(const std::string& normalized) {
-  return one_of(kTopologyModels, normalized);
 }
 
 // --- [params] accessors -----------------------------------------------------

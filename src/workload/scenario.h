@@ -137,8 +137,9 @@ class Scenario {
 
   // --- [sweep] ------------------------------------------------------------
   /// The [sweep] section, in declaration order: each entry is an axis
-  /// (`protocol`, `nodes`, `seeds`, `faulted`, `param.<name>` -> verbatim
-  /// comma list, with `a..b` integer ranges on nodes/seeds) or one of the
+  /// (a typed key as `<section>.<key>` or one of its aliases `protocol`,
+  /// `nodes`, `seeds`, `topology`; `faulted`; `param.<name>` -> verbatim
+  /// comma list, with `a..b` ranges on integer keys) or one of the
   /// executor knobs `cell-timeout-s` and `jobs`. Expansion, semantic
   /// validation and the multi-process executor live in workload/sweep.h;
   /// a scenario with axes describes a grid of runs, one per axis-value
@@ -313,6 +314,13 @@ struct ScenarioKey {
 /// within a section.
 [[nodiscard]] std::span<const ScenarioKey> scenario_keys();
 
+/// `value` parsed as `row`'s field and read back: its canonical text, what
+/// to_text() would write. Throws std::invalid_argument with the row's
+/// diagnostic when the value is not of the row's type or breaks its
+/// bounds, enum names or check.
+[[nodiscard]] std::string canonical_value(const ScenarioKey& row,
+                                          const std::string& value);
+
 // --- Materialization into system harness configs ---------------------------
 // Used by the generic runner and by the protocol line-ups (fig12-14, tab2):
 // a report that pins per-cell values writes them into its own copy of the
@@ -322,9 +330,6 @@ struct ScenarioKey {
 /// Canonical (hyphenated) spelling of a topology model name: underscores
 /// become hyphens, so `barabasi_albert` and `barabasi-albert` are the same.
 [[nodiscard]] std::string normalize_topology_model(std::string model);
-
-/// True iff `normalized` (canonical spelling) names a known topology model.
-[[nodiscard]] bool known_topology_model(const std::string& normalized);
 
 /// The network-resource testbed implied by the topology model (planetlab ->
 /// kPlanetLab, everything else the cluster preset).

@@ -4,7 +4,10 @@
 #include <stdlib.h>
 #include <time.h>
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -23,15 +26,63 @@ namespace {
 
 // --- Axis model -------------------------------------------------------------
 
-enum class AxisKind { kProtocol, kNodes, kSeeds, kFaulted, kTopology, kParam };
+/// The axis names older than the key table, kept as aliases of their rows
+/// so checked-in grids keep their labels and header keys.
+struct Alias {
+  const char* key;    ///< the [sweep] key
+  const char* label;  ///< its header/label key
+  const char* path;   ///< the row it assigns
+};
+constexpr Alias kAliases[] = {{"protocol", "protocol", "scenario.protocol"},
+                              {"nodes", "nodes", "scenario.nodes"},
+                              {"seeds", "seed", "scenario.seed"},
+                              {"topology", "topology", "topology.model"}};
+
+constexpr const char* kAxisNames =
+    "<section>.<key> of a typed key, protocol, nodes, seeds, topology, "
+    "faulted, param.<name>";
 
 struct Axis {
-  AxisKind kind;
-  std::string json_key;  ///< header/label key ("protocol", "seed", ...)
-  std::string path;      ///< dotted scenario key each cell assigns
+  std::string key;    ///< the [sweep] key that declared the axis
+  std::string label;  ///< header/label key ("protocol", "seed", ...)
+  std::string path;   ///< dotted scenario key each cell assigns
+  /// The key table row the axis assigns; nullptr for faulted and
+  /// param.<name>.
+  const ScenarioKey* row = nullptr;
   std::vector<std::string> values;
-  std::string key;  ///< the [sweep] key that declared the axis
 };
+
+/// The row a [sweep] key assigns, through an alias or as its dotted
+/// `<section>.<key>`, with its header key in `*label` and its dotted key in
+/// `*path`; nullptr when the key names no row.
+const ScenarioKey* axis_row(const std::string& key, std::string* label,
+                            std::string* path) {
+  *label = key;
+  *path = key;
+  for (const Alias& alias : kAliases) {
+    if (key == alias.key) {
+      *label = alias.label;
+      *path = alias.path;
+    }
+  }
+  for (const ScenarioKey& row : scenario_keys()) {
+    if (*path == std::string(row.section) + "." + row.key) return &row;
+  }
+  return nullptr;
+}
+
+bool integral(ScenarioKey::Type type) {
+  using enum ScenarioKey::Type;
+  return type == kSize || type == kU64 || type == kU32;
+}
+
+/// A header value is a bare JSON number or boolean unless the row holds
+/// text; faulted is a boolean and a param is verbatim text.
+bool bare_json(const Axis& axis) {
+  using enum ScenarioKey::Type;
+  if (axis.row == nullptr) return axis.key == "faulted";
+  return axis.row->type != kString && axis.row->type != kEnum;
+}
 
 std::string trim(const std::string& s) {
   const std::size_t begin = s.find_first_not_of(" \t");
@@ -40,14 +91,12 @@ std::string trim(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
-bool parse_int(const std::string& text, long long* out) {
-  try {
-    std::size_t used = 0;
-    *out = std::stoll(text, &used);
-    return used == text.size();
-  } catch (const std::exception&) {
-    return false;
-  }
+/// Every integer row is unsigned, so ranges are read as the rows read them:
+/// no sign, and the full 64-bit width.
+bool parse_u64(const std::string& text, std::uint64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 /// Splits a comma list; integer axes additionally expand `a..b` inclusive
@@ -69,33 +118,54 @@ std::string split_values(const std::string& axis, const std::string& raw,
   for (const std::string& value : tokens) {
     const std::size_t dots = value.find("..");
     if (integers && dots != std::string::npos) {
-      long long lo = 0;
-      long long hi = 0;
-      if (!parse_int(value.substr(0, dots), &lo) ||
-          !parse_int(value.substr(dots + 2), &hi) || lo > hi) {
+      std::uint64_t lo = 0;
+      std::uint64_t hi = 0;
+      if (!parse_u64(value.substr(0, dots), &lo) ||
+          !parse_u64(value.substr(dots + 2), &hi) || lo > hi) {
         return "axis '" + axis + "': malformed range '" + value + "'";
       }
       if (hi - lo >= 10000) {
         return "axis '" + axis + "': range '" + value +
                "' expands to more than 10000 values";
       }
-      for (long long v = lo; v <= hi; ++v) out->push_back(std::to_string(v));
+      // Counted from lo, so a range ending at 2^64 - 1 cannot wrap.
+      for (std::uint64_t i = 0; i <= hi - lo; ++i) {
+        out->push_back(std::to_string(lo + i));
+      }
       continue;
     }
-    if (integers) {
-      long long parsed = 0;
-      if (!parse_int(value, &parsed)) {
-        return "axis '" + axis + "' expects integers, got '" + value + "'";
-      }
-      out->push_back(std::to_string(parsed));
-      continue;
+    std::uint64_t parsed = 0;
+    if (integers && !parse_u64(value, &parsed)) {
+      return "axis '" + axis + "' expects integers, got '" + value + "'";
     }
     out->push_back(value);
   }
-  for (std::size_t i = 0; i < out->size(); ++i) {
-    for (std::size_t j = i + 1; j < out->size(); ++j) {
-      if ((*out)[i] == (*out)[j]) {
-        return "axis '" + axis + "' repeats value '" + (*out)[i] + "'";
+  return "";
+}
+
+/// Checks and canonicalizes one axis's values. Returns a diagnostic
+/// ("" = ok).
+std::string check_values(Axis& axis) {
+  for (std::string& value : axis.values) {
+    if (axis.row != nullptr) {
+      try {
+        value = canonical_value(*axis.row, value);
+      } catch (const std::invalid_argument& e) {
+        if (axis.row->type != ScenarioKey::Type::kEnum) {
+          return "axis '" + axis.key + "': " + e.what();
+        }
+        return "axis '" + axis.key + "': unknown " + axis.row->key + " '" +
+               value + "' (" + e.what() + ")";
+      }
+    } else if (axis.key == "faulted" && value != "true" && value != "false") {
+      return "axis 'faulted' expects true/false values, got '" + value + "'";
+    }
+  }
+  for (std::size_t i = 0; i < axis.values.size(); ++i) {
+    for (std::size_t j = i + 1; j < axis.values.size(); ++j) {
+      if (axis.values[i] == axis.values[j]) {
+        return "axis '" + axis.key + "' repeats value '" + axis.values[i] +
+               "'";
       }
     }
   }
@@ -105,7 +175,6 @@ std::string split_values(const std::string& axis, const std::string& raw,
 /// Parses the [sweep] section into ordered axes. Returns a diagnostic
 /// ("" = ok).
 std::string parse_axes(const Scenario& s, std::vector<Axis>* axes) {
-  bool has_faulted_true = false;
   for (const auto& [key, raw] : s.sweep) {
     if (key == "cell-timeout-s") {
       try {
@@ -131,74 +200,38 @@ std::string parse_axes(const Scenario& s, std::vector<Axis>* axes) {
       }
       continue;
     }
-    Axis axis;
-    if (key == "protocol") {
-      axis = {AxisKind::kProtocol, "protocol", "scenario.protocol", {}, key};
-      if (const std::string e = split_values(key, raw, false, &axis.values);
-          !e.empty()) {
-        return e;
-      }
-      for (const std::string& value : axis.values) {
-        if (value != "brisa" && value != "tree" && value != "gossip" &&
-            value != "tag") {
-          return "axis 'protocol': unknown protocol '" + value + "'";
-        }
-      }
-    } else if (key == "nodes") {
-      axis = {AxisKind::kNodes, "nodes", "scenario.nodes", {}, key};
-      if (const std::string e = split_values(key, raw, true, &axis.values);
-          !e.empty()) {
-        return e;
-      }
-    } else if (key == "seeds") {
-      axis = {AxisKind::kSeeds, "seed", "scenario.seed", {}, key};
-      if (const std::string e = split_values(key, raw, true, &axis.values);
-          !e.empty()) {
-        return e;
-      }
-    } else if (key == "faulted") {
-      axis = {AxisKind::kFaulted, "faulted", "churn.dsl", {}, key};
-      if (const std::string e = split_values(key, raw, false, &axis.values);
-          !e.empty()) {
-        return e;
-      }
-      for (const std::string& value : axis.values) {
-        if (value != "true" && value != "false") {
-          return "axis 'faulted' expects true/false values, got '" + value +
-                 "'";
-        }
-        if (value == "true") has_faulted_true = true;
-      }
-    } else if (key == "topology") {
-      axis = {AxisKind::kTopology, "topology", "topology.model", {}, key};
-      if (const std::string e = split_values(key, raw, false, &axis.values);
-          !e.empty()) {
-        return e;
-      }
-      for (const std::string& value : axis.values) {
-        if (!known_topology_model(normalize_topology_model(value))) {
-          return "axis 'topology': unknown topology model '" + value + "'";
-        }
-      }
+    Axis axis{key, key, "", nullptr, {}};
+    if (key == "faulted") {
+      axis.path = "churn.dsl";
     } else if (key.rfind("param.", 0) == 0) {
-      const std::string name = key.substr(6);
-      axis = {AxisKind::kParam, name, "params." + name, {}, key};
-      if (const std::string e = split_values(key, raw, false, &axis.values);
-          !e.empty()) {
-        return e;
-      }
+      axis.label = key.substr(6);
+      axis.path = "params." + axis.label;
     } else {
-      return "unknown sweep key '" + key + "'";  // apply() already rejects
+      axis.row = axis_row(key, &axis.label, &axis.path);
+      if (axis.row == nullptr) return sweep_key_error(key);
+    }
+    const bool integers = axis.row != nullptr && integral(axis.row->type);
+    if (std::string e = split_values(key, raw, integers, &axis.values);
+        !e.empty()) {
+      return e;
+    }
+    if (std::string e = check_values(axis); !e.empty()) return e;
+    if (key == "faulted" && s.churn_dsl.empty() &&
+        std::count(axis.values.begin(), axis.values.end(), "true") > 0) {
+      return "axis 'faulted' includes true but the scenario has no [churn] "
+             "trace to keep";
+    }
+    for (const Axis& earlier : *axes) {
+      if (earlier.path == axis.path) {
+        return "axes '" + earlier.key + "' and '" + key + "' both set " +
+               axis.path;
+      }
     }
     axes->push_back(std::move(axis));
   }
   if (axes->empty()) {
-    return "a [sweep] section needs at least one axis "
-           "(protocol, nodes, seeds, faulted, topology, param.<name>)";
-  }
-  if (has_faulted_true && s.churn_dsl.empty()) {
-    return "axis 'faulted' includes true but the scenario has no [churn] "
-           "trace to keep";
+    return std::string("a [sweep] section needs at least one axis (") +
+           kAxisNames + ")";
   }
   std::size_t cells = 1;
   for (const Axis& axis : *axes) {
@@ -219,6 +252,18 @@ std::string json_quote(const std::string& raw) {
 }
 
 }  // namespace
+
+std::string sweep_key_error(const std::string& key) {
+  std::string label;
+  std::string path;
+  if (key == "cell-timeout-s" || key == "jobs" || key == "faulted" ||
+      (key.rfind("param.", 0) == 0 && key.size() > 6) ||
+      axis_row(key, &label, &path) != nullptr) {
+    return "";
+  }
+  return "unknown sweep key '" + key + "' (axes: " + kAxisNames +
+         "; knobs: cell-timeout-s, jobs)";
+}
 
 std::string sweep_error(const Scenario& s) {
   std::vector<Axis> axes;
@@ -278,14 +323,11 @@ std::vector<SweepCell> expand_sweep(const Scenario& s) {
       const Axis& axis = axes[a];
       const std::string& value = axis.values[cursor[a]];
       if (!cell.label.empty()) cell.label += ' ';
-      cell.label += axis.json_key + "=" + value;
+      cell.label += axis.label + "=" + value;
       if (!cell.axes_json.empty()) cell.axes_json += ',';
-      cell.axes_json += "\"" + axis.json_key + "\":";
-      const bool bare = axis.kind == AxisKind::kNodes ||
-                        axis.kind == AxisKind::kSeeds ||
-                        axis.kind == AxisKind::kFaulted;
-      cell.axes_json += bare ? value : json_quote(value);
-      if (axis.kind == AxisKind::kFaulted) {
+      cell.axes_json += "\"" + axis.label + "\":";
+      cell.axes_json += bare_json(axis) ? value : json_quote(value);
+      if (axis.key == "faulted") {
         // true keeps the scenario's [churn] trace; false clears it.
         if (value == "false") cell.overrides.emplace_back("churn.dsl", "");
       } else {

@@ -7,9 +7,16 @@
 //   protocol = brisa, gossip        # -> scenario.protocol per cell
 //   nodes    = 1000, 10000          # -> scenario.nodes   per cell
 //   seeds    = 1..4                 # -> scenario.seed    per cell
+//   streams.count = 1, 8            # any typed key, as <section>.<key>
 //   faulted  = false, true          # true keeps [churn], false clears it
 //   param.sizes = 1000, 10000       # -> params.<name>    per cell
 //   cell-timeout-s = 600            # executor knob, not an axis
+//
+// An axis that assigns a typed key is one lookup in the key table
+// (scenario_keys()): `protocol`, `nodes`, `seeds` and `topology` are
+// aliases of their rows, and the row's type, bounds, enum names or check
+// decide whether `a..b` ranges expand, whether the header value is a bare
+// JSON number or a string, and which values the file may name.
 //
 // Expansion is row-major with axes in declaration order (first axis
 // outermost, values in written order), so a grid has one canonical cell
@@ -46,9 +53,9 @@ struct SweepCell {
 };
 
 /// One [sweep] axis as declared: the section key (`protocol`,
-/// `param.regime`, ...), the dotted scenario key every cell assigns
-/// (`scenario.protocol`, `params.regime`; `churn.dsl` for `faulted`), and
-/// the expanded values in written order.
+/// `streams.count`, `param.regime`, ...), the dotted scenario key every
+/// cell assigns (`scenario.protocol`, `streams.count`, `params.regime`;
+/// `churn.dsl` for `faulted`), and the expanded values in written order.
 struct SweepAxis {
   std::string key;
   std::string path;
@@ -59,10 +66,15 @@ struct SweepAxis {
 /// sweep_error() diagnostic on malformed sections.
 [[nodiscard]] std::vector<SweepAxis> sweep_axes(const Scenario& s);
 
+/// The diagnostic for a [sweep] key that is neither an axis nor a knob
+/// ("" = known); Scenario::set() asks it for every key of the section.
+[[nodiscard]] std::string sweep_key_error(const std::string& key);
+
 /// Semantic check of the [sweep] section ("" = well-formed); called by
-/// Scenario::validate(). Catches unknown protocols, malformed value lists,
-/// empty axes, a `faulted` axis without a [churn] trace, and a section
-/// with knobs but no axis.
+/// Scenario::validate(). Catches values their key's row refuses,
+/// malformed value lists and ranges, empty axes, two axes that assign one
+/// key, a `faulted` axis without a [churn] trace, and a section with knobs
+/// but no axis.
 [[nodiscard]] std::string sweep_error(const Scenario& s);
 
 /// Expands the grid (row-major, declaration order). Throws

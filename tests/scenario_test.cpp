@@ -536,6 +536,10 @@ TEST(ScenarioKeys, EveryRowRoundTripsAndRejectsValuesOutsideItsBounds) {
       if (std::isfinite(b.max)) {
         outside.push_back(number_text(b.open ? b.max : b.max + 1));
       }
+      // An unbounded side still takes finite values only.
+      if (row.type == Type::kDouble || row.type == Type::kFraction) {
+        outside.push_back("inf");
+      }
     } else if (row.type == Type::kEnum) {
       outside.push_back("bogus");
     }

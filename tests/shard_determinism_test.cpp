@@ -211,7 +211,8 @@ TEST(ShardGolden, FaultedMultiStream) {
   // the repair traffic they force — all under parallel windows.
   expect_byte_identical_across_shards(
       "multi_stream.scn",
-      "--set params.quick=true --set scenario.nodes=96");
+      "--set sweep.streams.count=1,8 --set streams.messages=10 "
+      "--set scenario.nodes=96");
 }
 
 }  // namespace

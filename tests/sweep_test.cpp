@@ -4,9 +4,10 @@
 // brisa_run binary — the merged stdout must be byte-identical for --jobs 1
 // and --jobs 4 (including a deterministically failing cell), a timed-out
 // cell is killed and retried exactly once, and SIGTERM to the scheduler
-// leaves no orphaned workers. The fault_recovery and scale_sweep grids
-// reproduce the rows of the serial reports they replaced, and the reports
-// that build systems through make_system() reproduce their pinned rows.
+// leaves no orphaned workers. The fault_recovery, scale_sweep and
+// multi-stream grids reproduce the rows of the reports they replaced, and
+// the reports that build systems through make_system() reproduce their
+// pinned rows.
 // Run relations: scenario variants that cannot change what a run does
 // (dead fault statements) print byte-identical stdout.
 #include "workload/sweep.h"
@@ -140,6 +141,66 @@ TEST(SweepGrammar, ValidateRejectsMalformedAxes) {
             std::string::npos);
 }
 
+// Range edges are read in the row's own type: every integer row is an
+// unsigned 64-bit value, so a signed range cannot overflow past the size
+// cap, and the largest seed is a seed.
+TEST(SweepGrammar, RangeEdgesAreReadInTheRowsType) {
+  try {
+    (void)Scenario::parse(
+        "[scenario]\nnodes = 10\n[sweep]\n"
+        "nodes = -9223372036854775808..9223372036854775807\n");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "scenario line 3: sweep: axis 'nodes': malformed range"),
+              std::string::npos)
+        << e.what();
+  }
+  const auto cells = [](const std::string& axis) {
+    return workload::expand_sweep(
+        Scenario::parse("[scenario]\nnodes = 10\n[sweep]\n" + axis + "\n"));
+  };
+  const std::vector<SweepCell> top = cells("seeds = 18446744073709551615");
+  ASSERT_EQ(top.size(), 1u);
+  EXPECT_EQ(top[0].label, "seed=18446744073709551615");
+  EXPECT_EQ(top[0].overrides[0].second, "18446744073709551615");
+  // A range ending at 2^64 - 1 stops there instead of wrapping to 0.
+  const std::vector<SweepCell> tail =
+      cells("seeds = 18446744073709551613..18446744073709551615");
+  ASSERT_EQ(tail.size(), 3u);
+  EXPECT_EQ(tail[2].label, "seed=18446744073709551615");
+  EXPECT_THROW((void)cells("seeds = 0..18446744073709551615"),
+               std::invalid_argument);
+}
+
+// An alias and its dotted row, or two spellings of one row, would let the
+// later axis overwrite the earlier one in every cell.
+TEST(SweepGrammar, RejectsTwoAxesAssigningOneKey) {
+  for (const auto& [body, what] :
+       {std::pair<std::string, std::string>{
+            "protocol = brisa\nscenario.protocol = tag\n",
+            "axes 'protocol' and 'scenario.protocol' both set "
+            "scenario.protocol"},
+        {"topology.model = random\ntopology = cluster\n",
+         "axes 'topology.model' and 'topology' both set topology.model"},
+        {"seeds = 1\nscenario.seed = 2\n",
+         "axes 'seeds' and 'scenario.seed' both set scenario.seed"}}) {
+    try {
+      (void)Scenario::parse("[scenario]\nnodes = 10\n[sweep]\n" + body);
+      FAIL() << "expected std::invalid_argument for " << body;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("scenario line 3: sweep: " + what),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // --set adds the second spelling to a file's axis the same way.
+  Scenario s = Scenario::parse(
+      "[scenario]\nnodes = 10\n[sweep]\nprotocol = brisa, tag\n");
+  s.set_path("sweep.scenario.protocol", "gossip");
+  EXPECT_THROW(s.validate(), std::invalid_argument);
+}
+
 TEST(SweepGrammar, JobsKnobSetsTheDefaultWorkerCount) {
   const auto jobs_of = [](const std::string& knob) {
     return workload::sweep_jobs(Scenario::parse(
@@ -202,6 +263,57 @@ TEST(SweepExpansion, SeedRangesAndParamAxes) {
   EXPECT_EQ(cells[0].overrides[1].first, "params.sizes");
 }
 
+// Any typed key is an axis as <section>.<key>: its row decides ranges,
+// bare or quoted header values, and which values the file may name.
+TEST(SweepExpansion, RowAxesFollowTheirRow) {
+  const std::vector<SweepCell> cells = workload::expand_sweep(Scenario::parse(
+      "[scenario]\nnodes = 10\n[sweep]\nstreams.count = 1..3\n"
+      "topology.model = random\n"));
+  ASSERT_EQ(cells.size(), 3u);
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const std::string count = std::to_string(i + 1);
+    EXPECT_EQ(cells[i].label,
+              "streams.count=" + count + " topology.model=random");
+    EXPECT_EQ(cells[i].axes_json, "\"streams.count\":" + count +
+                                      ",\"topology.model\":\"random\"");
+    ASSERT_EQ(cells[i].overrides.size(), 2u);
+    EXPECT_EQ(cells[i].overrides[0],
+              (std::pair<std::string, std::string>{"streams.count", count}));
+  }
+  // Values are canonicalized the way to_text() writes the key.
+  EXPECT_EQ(workload::expand_sweep(
+                Scenario::parse("[scenario]\nnodes = 10\n[sweep]\n"
+                                "streams.subscription-fraction = 0.50\n"))[0]
+                .axes_json,
+            "\"streams.subscription-fraction\":0.5");
+  const auto diagnostic = [](const std::string& axis) {
+    try {
+      (void)Scenario::parse("[scenario]\nnodes = 10\n[sweep]\n" + axis);
+      return std::string();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+  };
+  EXPECT_NE(diagnostic("limits.eviction = oldest-first, lifo\n")
+                .find("scenario line 3: sweep: axis 'limits.eviction': "
+                      "unknown eviction 'lifo' (limits eviction must be "
+                      "oldest-first|delivered-first"),
+            std::string::npos)
+      << diagnostic("limits.eviction = oldest-first, lifo\n");
+  EXPECT_NE(diagnostic("streams.count = 0..2\n")
+                .find("axis 'streams.count': streams count must be >= 1, "
+                      "got 0"),
+            std::string::npos);
+  EXPECT_NE(diagnostic("topology.ws-k = 4, 5\n").find("an even integer"),
+            std::string::npos);
+  EXPECT_NE(diagnostic("streams.rate-per-s = 1..3\n")
+                .find("expects a number, got '1..3'"),
+            std::string::npos);
+  EXPECT_NE(diagnostic("streams.bogus = 1\n")
+                .find("unknown sweep key 'streams.bogus'"),
+            std::string::npos);
+}
+
 TEST(SweepExpansion, CellTimeoutKnob) {
   const Scenario s = Scenario::parse(
       "[scenario]\nnodes = 10\n[sweep]\nseeds = 1\ncell-timeout-s = 2.5\n");
@@ -215,7 +327,8 @@ TEST(SweepExpansion, CheckedInGridsExpandClean) {
   for (const auto& [name, cells] :
        {std::pair<const char*, std::size_t>{"scale_sweep.scn", 24},
         {"fault_recovery.scn", 18},
-        {"sweep_smoke.scn", 4}}) {
+        {"sweep_smoke.scn", 4},
+        {"multi_stream.scn", 7}}) {
     const Scenario s = Scenario::load(std::string(BRISA_SOURCE_DIR) +
                                       "/scenarios/" + name);
     ASSERT_TRUE(s.has_sweep()) << name;
@@ -424,6 +537,20 @@ TEST(SweepEquivalence, Fig14RecoveryMatchesGolden) {
   EXPECT_EQ(WEXITSTATUS(result.status), 0);
   EXPECT_EQ(result.out,
             read_file(BRISA_SOURCE_DIR "/tests/data/fig14_96_churn180.txt"));
+}
+
+// The multi-stream grid at its quick shape. Its rows equal, from "scope"
+// onward, the ones the bespoke multi_stream report printed when it looped
+// over the stream counts itself.
+TEST(SweepEquivalence, MultiStreamRowsMatchGolden) {
+  const CommandResult result = run_command(
+      std::string(kRunner) + " --jobs 2 --set scenario.nodes=200 " +
+      "--set streams.messages=10 --set sweep.streams.count=1,8 "
+      BRISA_SOURCE_DIR "/scenarios/multi_stream.scn 2>/dev/null");
+  ASSERT_TRUE(WIFEXITED(result.status));
+  EXPECT_EQ(WEXITSTATUS(result.status), 0);
+  EXPECT_EQ(result.out,
+            read_file(BRISA_SOURCE_DIR "/tests/data/multi_stream_200x10.jsonl"));
 }
 
 // Total loss delivers nothing: the row must still be valid JSON, with zero
