@@ -265,7 +265,7 @@ void BrisaStream::handle_data(net::NodeId from, const BrisaData& msg) {
     return;
   }
 
-  stats_.receptions_per_seq[msg.seq()] += 1;
+  if (!config().prune) stats_.receptions_per_seq[msg.seq()] += 1;
 
   // DAG depth maintenance (§II-G): receiving from a node at our own depth or
   // deeper pushes us one level down. A parent that keeps forcing bumps is in

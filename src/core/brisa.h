@@ -139,10 +139,12 @@ class BrisaStream final {
     /// deactivation, and when its inbound links first reached the target.
     std::optional<sim::TimePoint> first_deactivation_at;
     std::optional<sim::TimePoint> structure_stable_at;
-    /// Per-sequence reception counts (Fig 2). A flat vector indexed by
-    /// sequence, like the log's delivery instants: it is written on every
-    /// reception, and a tree walk per stream message is measurable at sweep
-    /// sizes.
+    /// Per-sequence reception counts (Fig 2), kept in flood mode only
+    /// (`prune = false`); a pruned run leaves it empty, and its duplicates
+    /// show in the log's `duplicates` count. Retransmissions are not
+    /// counted. A flat vector indexed by sequence: in flood mode it is
+    /// written on every reception, and a tree walk per stream message is
+    /// measurable at sweep sizes.
     util::FlatSeqMap<std::uint32_t> receptions_per_seq;
   };
 

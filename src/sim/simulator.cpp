@@ -5,7 +5,6 @@
 #include <iterator>
 
 #include "util/assert.h"
-#include "util/logging.h"
 
 namespace brisa::sim {
 
@@ -188,18 +187,6 @@ EventId Simulator::after(Duration delay, Callback fn) {
   return post_callback(0, now() + delay, std::move(fn), nullptr, nullptr, 0);
 }
 
-EventId Simulator::at_gated(TimePoint when, GatePredicate gate,
-                            const void* ctx, std::uint32_t arg, Callback fn) {
-  return post_callback(0, when, std::move(fn), gate, ctx, arg);
-}
-
-EventId Simulator::after_gated(Duration delay, GatePredicate gate,
-                               const void* ctx, std::uint32_t arg,
-                               Callback fn) {
-  BRISA_ASSERT_MSG(delay >= Duration::zero(), "negative delay");
-  return post_callback(0, now() + delay, std::move(fn), gate, ctx, arg);
-}
-
 EventId Simulator::at_host(std::uint32_t host, TimePoint when, Callback fn) {
   return post_callback(host + 1, when, std::move(fn), nullptr, nullptr, 0);
 }
@@ -209,12 +196,6 @@ EventId Simulator::after_host(std::uint32_t host, Duration delay,
   BRISA_ASSERT_MSG(delay >= Duration::zero(), "negative delay");
   return post_callback(host + 1, now() + delay, std::move(fn), nullptr,
                        nullptr, 0);
-}
-
-EventId Simulator::at_host_gated(std::uint32_t host, TimePoint when,
-                                 GatePredicate gate, const void* ctx,
-                                 std::uint32_t arg, Callback fn) {
-  return post_callback(host + 1, when, std::move(fn), gate, ctx, arg);
 }
 
 EventId Simulator::after_host_gated(std::uint32_t host, Duration delay,
@@ -308,12 +289,6 @@ PeriodicId Simulator::start_periodic(std::uint32_t lane, Duration period,
 
 PeriodicId Simulator::every(Duration period, Callback fn) {
   return start_periodic(0, period, nullptr, nullptr, 0, std::move(fn));
-}
-
-PeriodicId Simulator::every_gated(Duration period, GatePredicate gate,
-                                  const void* ctx, std::uint32_t arg,
-                                  Callback fn) {
-  return start_periodic(0, period, gate, ctx, arg, std::move(fn));
 }
 
 PeriodicId Simulator::every_host(std::uint32_t host, Duration period,
@@ -812,15 +787,6 @@ Simulator::Stats Simulator::stats() const {
     }
   }
   return s;
-}
-
-ScopedLogClock::ScopedLogClock(const Simulator& simulator) {
-  util::Logger::instance().set_time_source(
-      [&simulator]() { return simulator.now().us(); });
-}
-
-ScopedLogClock::~ScopedLogClock() {
-  util::Logger::instance().clear_time_source();
 }
 
 }  // namespace brisa::sim

@@ -122,23 +122,10 @@ class Simulator {
   /// Schedules a callback `delay` after the current time.
   EventId after(Duration delay, Callback fn);
 
-  /// Gated variants: `gate` is evaluated at fire time and a false result
-  /// skips the callback. Protocol timers use this for "host still alive?"
-  /// without wrapping the closure (see net::Process).
-  EventId at_gated(TimePoint when, GatePredicate gate, const void* ctx,
-                   std::uint32_t arg, Callback fn);
-  EventId after_gated(Duration delay, GatePredicate gate, const void* ctx,
-                      std::uint32_t arg, Callback fn);
-
   /// Schedules a repeating callback every `period`, first firing at
   /// now + period. The returned handle cancels the whole timer when passed
   /// to `cancel_periodic` (including from inside the callback itself).
   PeriodicId every(Duration period, Callback fn);
-
-  /// Gated periodic timer: a failing gate permanently retires the timer
-  /// (a dead host's timers disappear rather than ticking forever).
-  PeriodicId every_gated(Duration period, GatePredicate gate, const void* ctx,
-                         std::uint32_t arg, Callback fn);
 
   // --- Host-lane scheduling --------------------------------------------------
   // The event runs on host `host`'s lane. From a parallel window, targeting
@@ -149,8 +136,10 @@ class Simulator {
 
   EventId at_host(std::uint32_t host, TimePoint when, Callback fn);
   EventId after_host(std::uint32_t host, Duration delay, Callback fn);
-  EventId at_host_gated(std::uint32_t host, TimePoint when, GatePredicate gate,
-                        const void* ctx, std::uint32_t arg, Callback fn);
+  /// Gated variants: `gate` is evaluated at fire time and a false result
+  /// skips the callback; for a periodic timer it retires the timer. Protocol
+  /// timers use this for "host still alive?" without wrapping the closure
+  /// (see net::Process).
   EventId after_host_gated(std::uint32_t host, Duration delay,
                            GatePredicate gate, const void* ctx,
                            std::uint32_t arg, Callback fn);
@@ -450,15 +439,6 @@ class Simulator {
   std::atomic<bool> stop_{false};
   TimePoint window_start_ = TimePoint::origin();
   TimePoint window_end_ = TimePoint::origin();
-};
-
-/// RAII guard that points the global logger at a simulator's clock.
-class ScopedLogClock {
- public:
-  explicit ScopedLogClock(const Simulator& simulator);
-  ~ScopedLogClock();
-  ScopedLogClock(const ScopedLogClock&) = delete;
-  ScopedLogClock& operator=(const ScopedLogClock&) = delete;
 };
 
 }  // namespace brisa::sim

@@ -10,12 +10,18 @@
 // one presence bit each and are skipped during iteration. Presence bits live
 // in 64-bit words, so the iteration walks and the largest-key lookup skip a
 // word of holes per step.
+//
+// A codec may store each value narrower than V (Codec::Stored, with static
+// encode/decode). Such a map hands values out by copy: iteration yields
+// (seq, V) and writes go through insert_or_assign(). The default codec
+// stores V itself and keeps operator[] and (seq, V&) iteration.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -23,8 +29,17 @@
 
 namespace brisa::util {
 
+/// The default FlatSeqMap codec: a slot is the value itself.
 template <typename V>
+struct StoreAsIs {
+  using Stored = V;
+};
+
+template <typename V, typename Codec = StoreAsIs<V>>
 class FlatSeqMap {
+  static constexpr bool kPacked = !std::is_same_v<Codec, StoreAsIs<V>>;
+  using Stored = typename Codec::Stored;
+
  public:
   using key_type = std::uint64_t;
   using mapped_type = V;
@@ -34,7 +49,8 @@ class FlatSeqMap {
    public:
     using Container =
         std::conditional_t<Const, const FlatSeqMap, FlatSeqMap>;
-    using Ref = std::conditional_t<Const, const V&, V&>;
+    using Ref = std::conditional_t<kPacked, V,
+                                   std::conditional_t<Const, const V&, V&>>;
     using iterator_category = std::bidirectional_iterator_tag;
     using value_type = std::pair<std::uint64_t, V>;
     using difference_type = std::ptrdiff_t;
@@ -50,7 +66,12 @@ class FlatSeqMap {
     }
 
     [[nodiscard]] std::pair<std::uint64_t, Ref> operator*() const {
-      return {static_cast<std::uint64_t>(index_), map_->values_[index_]};
+      if constexpr (kPacked) {
+        return {static_cast<std::uint64_t>(index_),
+                Codec::decode(map_->values_[index_])};
+      } else {
+        return {static_cast<std::uint64_t>(index_), map_->values_[index_]};
+      }
     }
 
     /// operator-> support for `it->first` / `it->second`: the arrow-proxy
@@ -96,19 +117,19 @@ class FlatSeqMap {
   using const_iterator = Iterator<true>;
 
   /// Returns the slot for `seq`, default-constructing it on first touch.
-  V& operator[](std::uint64_t seq) {
-    const auto index = static_cast<std::size_t>(seq);
-    if (index >= values_.size()) {
-      values_.resize(index + 1);
-      words_.resize(index / kWordBits + 1, 0);
+  V& operator[](std::uint64_t seq)
+    requires(!kPacked)
+  {
+    return slot(seq);
+  }
+
+  /// Stores `value` at `seq`, inserting the key if absent.
+  void insert_or_assign(std::uint64_t seq, const V& value) {
+    if constexpr (kPacked) {
+      slot(seq) = Codec::encode(value);
+    } else {
+      slot(seq) = value;
     }
-    std::uint64_t& word = words_[index / kWordBits];
-    const std::uint64_t bit = std::uint64_t{1} << (index % kWordBits);
-    if ((word & bit) == 0) {
-      word |= bit;
-      ++size_;
-    }
-    return values_[index];
   }
 
   [[nodiscard]] bool contains(std::uint64_t seq) const {
@@ -121,15 +142,15 @@ class FlatSeqMap {
   }
 
   /// Removes `seq` if present; returns the number of entries removed (0/1,
-  /// std::map::erase analogue). The value slot is reset so a later
-  /// re-insertion through operator[] sees a default-constructed V. The
+  /// std::map::erase analogue). The slot is value-initialised again, so a
+  /// later re-insertion through operator[] sees a default-constructed V. The
   /// slot vectors keep their length: sequence keys are dense and
   /// monotonically growing, so shrinking would only be undone.
   std::size_t erase(std::uint64_t seq) {
     if (!contains(seq)) return 0;
     const auto index = static_cast<std::size_t>(seq);
     words_[index / kWordBits] &= ~(std::uint64_t{1} << (index % kWordBits));
-    values_[index] = V{};
+    values_[index] = Stored{};
     --size_;
     return 1;
   }
@@ -184,6 +205,23 @@ class FlatSeqMap {
 
   static constexpr std::size_t kWordBits = 64;
 
+  /// The stored slot for `seq`, marked present (value-initialised on first
+  /// touch).
+  Stored& slot(std::uint64_t seq) {
+    const auto index = static_cast<std::size_t>(seq);
+    if (index >= values_.size()) {
+      values_.resize(index + 1);
+      words_.resize(index / kWordBits + 1, 0);
+    }
+    std::uint64_t& word = words_[index / kWordBits];
+    const std::uint64_t bit = std::uint64_t{1} << (index % kWordBits);
+    if ((word & bit) == 0) {
+      word |= bit;
+      ++size_;
+    }
+    return values_[index];
+  }
+
   [[nodiscard]] bool present(std::size_t index) const {
     return ((words_[index / kWordBits] >> (index % kWordBits)) & 1) != 0;
   }
@@ -221,7 +259,7 @@ class FlatSeqMap {
            static_cast<std::size_t>(std::countl_zero(bits));
   }
 
-  std::vector<V> values_;
+  std::vector<Stored> values_;
   /// Presence bit per slot of values_, 64 to a word.
   std::vector<std::uint64_t> words_;
   std::size_t size_ = 0;

@@ -34,15 +34,8 @@ Logger& Logger::instance() {
 void Logger::write(LogLevel level, const char* component,
                    const std::string& text) {
   if (!enabled(level)) return;
-  if (time_source_) {
-    const std::int64_t us = time_source_();
-    std::fprintf(stderr, "[%9.3fs] %s %-12s %s\n",
-                 static_cast<double>(us) / 1e6, level_name(level), component,
-                 text.c_str());
-  } else {
-    std::fprintf(stderr, "[        -] %s %-12s %s\n", level_name(level),
-                 component, text.c_str());
-  }
+  std::fprintf(stderr, "[        -] %s %-12s %s\n", level_name(level),
+               component, text.c_str());
 }
 
 }  // namespace brisa::util

@@ -1,12 +1,9 @@
 // Minimal leveled logger.
 //
-// The simulator installs a time source so that log lines carry virtual time
-// rather than wall-clock time; experiments normally run with level `kWarn` to
-// keep benchmark output clean, tests raise it when debugging.
+// Experiments normally run with level `kWarn` to keep benchmark output
+// clean; tests raise it when debugging.
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <sstream>
 #include <string>
 
@@ -24,20 +21,12 @@ class Logger {
   [[nodiscard]] LogLevel level() const { return level_; }
   [[nodiscard]] bool enabled(LogLevel level) const { return level >= level_; }
 
-  /// Virtual-time source; installed by the simulator so messages are stamped
-  /// with simulated microseconds.
-  void set_time_source(std::function<std::int64_t()> source) {
-    time_source_ = std::move(source);
-  }
-  void clear_time_source() { time_source_ = nullptr; }
-
   void write(LogLevel level, const char* component, const std::string& text);
 
  private:
   Logger() = default;
 
   LogLevel level_ = LogLevel::kWarn;
-  std::function<std::int64_t()> time_source_;
 };
 
 namespace detail {

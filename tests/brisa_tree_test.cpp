@@ -1,7 +1,8 @@
 // BRISA tree-mode tests (§II-C/D/E): structure emergence, zero duplicates
 // after stabilization, path-embedding cycle prevention (and the shared
 // TreePath that carries it), parent-selection strategies, the
-// symmetric-deactivation optimization, and the flood-mode duplicate oracle.
+// symmetric-deactivation optimization, the flood-mode duplicate oracle, and
+// the flood-only reception counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -191,6 +192,38 @@ TEST(BrisaTree, FloodModeNeverDeactivates) {
     total_dups += stats.duplicates;
   }
   EXPECT_GT(total_dups, 0u);
+}
+
+// Reception counts (Fig 2's input) are kept in flood mode only. On a clean
+// flood run a non-source node counts every copy it received: its first
+// deliveries plus its duplicates. A pruned run keeps no counts, while its
+// log still counts the duplicates that drove the pruning.
+TEST(BrisaTree, ReceptionCountsAreKeptInFloodModeOnly) {
+  for (const bool prune : {false, true}) {
+    auto config = small_config();
+    config.brisa.prune = prune;
+    workload::BrisaSystem system(config);
+    system.bootstrap();
+    system.run_stream(20, 5.0, 256);
+    ASSERT_TRUE(system.complete_delivery()) << "prune=" << prune;
+    std::uint64_t total_dups = 0;
+    for (const net::NodeId id : system.member_ids()) {
+      const auto& stats = system.brisa(id).stats();
+      total_dups += stats.duplicates;
+      if (prune) {
+        EXPECT_TRUE(stats.receptions_per_seq.empty()) << "node " << id;
+        continue;
+      }
+      if (id == system.source_id()) continue;
+      std::uint64_t receptions = 0;
+      for (const auto& [seq, count] : stats.receptions_per_seq) {
+        receptions += count;
+      }
+      EXPECT_EQ(receptions, stats.delivered + stats.duplicates)
+          << "node " << id;
+    }
+    EXPECT_GT(total_dups, 0u) << "prune=" << prune;
+  }
 }
 
 // Flooding oracle (Fig 2). Over a stable overlay, flood mode relays every

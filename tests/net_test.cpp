@@ -4,6 +4,8 @@
 // delivery log every protocol records into.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <map>
 #include <vector>
 
@@ -415,11 +417,49 @@ TEST(DeliveryLog, SeenAndCountsFollowTheDeliveryTimeKeys) {
   EXPECT_EQ(log.contiguous_upto(), 2u);
 }
 
+TEST(DeliveryLog, InstantsRoundTripThroughTheirSixBytes) {
+  // 2^32 + 5 us breaks a 32-bit encoding; 2^48 - 1 us is the last instant
+  // that fits. The seqs leave holes and straddle a presence word.
+  const std::map<std::uint64_t, std::int64_t> instants = {
+      {0, 0},
+      {3, 1},
+      {64, (std::int64_t{1} << 32) + 5},
+      {130, (std::int64_t{1} << 48) - 1}};
+  DeliveryLog log;
+  for (const auto& [seq, us] : instants) {
+    log.record(seq, sim::TimePoint::from_us(us));
+  }
+  ASSERT_EQ(log.delivery_time.size(), instants.size());
+  for (const auto& [seq, us] : instants) {
+    const auto it = log.delivery_time.find(seq);
+    ASSERT_NE(it, log.delivery_time.end()) << seq;
+    EXPECT_EQ(it->second, sim::TimePoint::from_us(us)) << seq;
+  }
+  auto expected = instants.begin();
+  for (const auto& [seq, at] : log.delivery_time) {
+    ASSERT_NE(expected, instants.end());
+    EXPECT_EQ(seq, expected->first);
+    EXPECT_EQ(at, sim::TimePoint::from_us(expected->second)) << seq;
+    ++expected;
+  }
+  EXPECT_EQ(expected, instants.end());
+  EXPECT_EQ(std::prev(log.delivery_time.end())->second,
+            sim::TimePoint::from_us((std::int64_t{1} << 48) - 1));
+}
+
 TEST(DeliveryLogDeathTest, SecondRecordOfOneSeqAborts) {
   DeliveryLog log;
   log.record(3, sim::TimePoint::from_us(1));
   EXPECT_DEATH(log.record(3, sim::TimePoint::from_us(2)),
                "seq delivered twice");
+}
+
+TEST(DeliveryLogDeathTest, InstantOutsideFortyEightBitsAborts) {
+  DeliveryLog log;
+  EXPECT_DEATH(log.record(0, sim::TimePoint::from_us(std::int64_t{1} << 48)),
+               "outside 48-bit microseconds");
+  EXPECT_DEATH(log.record(0, sim::TimePoint::from_us(-1)),
+               "outside 48-bit microseconds");
 }
 
 }  // namespace

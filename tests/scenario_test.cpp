@@ -1,8 +1,8 @@
 // Scenario-engine coverage: grammar round-trips, defaulting, line-numbered
 // diagnostics on malformed files, materialization into system configs, the
 // two scenario-selectable topology models, and the fig02 golden — the
-// checked-in scenario file must describe exactly the registry's default run
-// and reproduce its output byte-identically.
+// checked-in scenario file must describe exactly the registry's default run,
+// reproduce its output byte-identically, and match the recorded output.
 #include "workload/scenario.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -802,9 +803,10 @@ TEST(ScenarioGolden, FigureReportsRejectUnconsumedKeys) {
 }
 
 /// The checked-in fig02 scenario reproduces the fig02 report output byte for
-/// byte. Scaled-down overrides (applied identically to both runs) keep the
-/// test fast; the parameters that remain — payload, prune, view list
-/// semantics — all come from the file.
+/// byte, and that output equals the recorded tests/data/fig02_48x20.txt.
+/// Scaled-down overrides (applied identically to both runs) keep the test
+/// fast; the parameters that remain — payload, prune, view list semantics —
+/// all come from the file.
 TEST(ScenarioGolden, Fig02ScenarioFileReproducesReportOutput) {
   const reports::Report* report = reports::find("fig02_flood_duplicates");
   ASSERT_NE(report, nullptr);
@@ -829,6 +831,13 @@ TEST(ScenarioGolden, Fig02ScenarioFileReproducesReportOutput) {
   EXPECT_NE(file_output.find("=== Fig 2"), std::string::npos);
   EXPECT_NE(file_output.find("paper check"), std::string::npos);
   EXPECT_EQ(file_output, defaults_output);
+
+  std::ifstream golden(std::string(BRISA_SOURCE_DIR) +
+                       "/tests/data/fig02_48x20.txt");
+  ASSERT_TRUE(golden);
+  std::stringstream expected;
+  expected << golden.rdbuf();
+  EXPECT_EQ(file_output, expected.str());
 }
 
 }  // namespace
