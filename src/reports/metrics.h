@@ -85,12 +85,12 @@ inline std::vector<analysis::StreamRow> collect_stream_rows(
 /// The single-stream cell the scale and buffer sweeps share: builds
 /// `cell`'s protocol with a 20 s join window and the protocol's pinned
 /// stabilization, bootstraps it (then releases bootstrap's pending-event
-/// slack when `shrink`), and streams `messages` with the protocol's pinned
-/// grace — under a mild fault plan when `faulted`: 5% uniform loss over
+/// slack), and streams `messages` with the protocol's pinned grace —
+/// under a mild fault plan when `faulted`: 5% uniform loss over
 /// the first 15 s of the stream plus a crash burst of 1% of the nodes
 /// (min 3) recovering after 10 s. `cell.nodes` must be set.
 inline std::unique_ptr<workload::SystemBase> run_mild_fault_cell(
-    workload::Scenario cell, bool faulted, bool shrink, std::size_t messages,
+    workload::Scenario cell, bool faulted, std::size_t messages,
     double rate_per_s, std::size_t payload_bytes) {
   struct Timing {
     const char* protocol;
@@ -112,7 +112,7 @@ inline std::unique_ptr<workload::SystemBase> run_mild_fault_cell(
   system->bootstrap();
   // Bootstrap churns far more pending events than steady state (joins,
   // per-host arming).
-  if (shrink) system->simulator().shrink();
+  system->simulator().shrink();
   const std::size_t crash = std::max<std::size_t>(3, *cell.nodes / 100);
   workload::ChurnDriver driver(
       system->simulator(),

@@ -58,7 +58,7 @@ int scale_sweep_run(const workload::Scenario& scenario) {
 
   const auto wall_start = std::chrono::steady_clock::now();
   const std::unique_ptr<workload::SystemBase> system = run_mild_fault_cell(
-      cell, faulted, /*shrink=*/true, messages, scenario.rate_or(5.0),
+      cell, faulted, messages, scenario.rate_or(5.0),
       scenario.payload_or(256));
   const analysis::StreamRow row = measure_stream(
       *system, net::kDefaultStream, system->messages_sent());

@@ -100,15 +100,14 @@ std::vector<Report> build_registry() {
        scale_sweep_run,
        scale_sweep_check},
       {"buffer_tradeoff",
-       "Buffer tradeoff: reliability vs bounded store size per protocol",
-       {"scenario.nodes", "scenario.seed", "streams.messages",
-        "streams.rate-per-s", "streams.payload", "params.entries",
-        "params.store-bytes", "params.protocols", "params.policies",
-        "params.bloom", "params.rate-control", "params.faults",
-        "params.quick"},
+       "Buffer tradeoff: reliability of one protocol under one store bound "
+       "and eviction policy",
+       {"scenario.nodes", "scenario.seed", "scenario.protocol",
+        "streams.messages", "streams.rate-per-s", "streams.payload",
+        "limits.store-entries", "limits.store-bytes", "limits.eviction",
+        "limits.bloom-digests", "limits.rate-control"},
        buffer_tradeoff_defaults,
-       buffer_tradeoff_run,
-       buffer_tradeoff_check},
+       buffer_tradeoff_run},
       {"run",
        "Generic declarative run: any protocol/topology/faults combination",
        {},

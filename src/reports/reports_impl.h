@@ -38,7 +38,5 @@ std::string fault_recovery_check(const std::string& key,
                                  const std::string& value);
 std::string scale_sweep_check(const std::string& key,
                               const std::string& value);
-std::string buffer_tradeoff_check(const std::string& key,
-                                  const std::string& value);
 
 }  // namespace brisa::reports::impl

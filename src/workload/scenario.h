@@ -25,8 +25,9 @@
 // Every typed field is a std::optional that remembers whether the key was
 // given: reports apply their own defaults to absent fields, and to_text()
 // round-trips exactly the keys that were set. Report-specific knobs that the
-// common schema does not type (sweep lists, quick switches, ...) ride in the
-// free-form [params] section with Flags-style typed accessors.
+// common schema does not type (per-figure lists, a sweep cell's variant,
+// ...) ride in the free-form [params] section with Flags-style typed
+// accessors.
 #pragma once
 
 #include <cstdint>

@@ -699,6 +699,17 @@ TEST(ScenarioGolden, CheckedInFilesMatchReportDefaults) {
   }
 }
 
+/// The buffer grid is rectangular: 5 entry bounds x 1 byte bound x 2
+/// policies x 4 protocols, the unbounded delivered-first cells included.
+TEST(ScenarioGolden, BufferTradeoffGridIsFortyCells) {
+  const auto [status, out] =
+      run_brisa("--check " BRISA_SOURCE_DIR "/scenarios/buffer_tradeoff.scn");
+  EXPECT_EQ(status, 0) << out;
+  EXPECT_NE(out.find("(report buffer_tradeoff, sweep 40 cells)"),
+            std::string::npos)
+      << out;
+}
+
 /// A figure report must refuse scenario keys outside its surface instead of
 /// silently running its pinned configuration.
 TEST(ScenarioGolden, FigureReportsRejectUnconsumedKeys) {
@@ -754,9 +765,11 @@ TEST(ScenarioGolden, FigureReportsRejectUnconsumedKeys) {
       {"scale_sweep", "[params]\nsizes = 1000,10000\n", "scenario line 4",
        "not consumed"},
       {"buffer_tradeoff", "[params]\nprotocols = brsia\n", "scenario line 4",
-       "got 'brsia'"},
+       "not consumed"},
       {"buffer_tradeoff", "[params]\npolicies = oldest\n", "scenario line 4",
-       "got 'oldest'"},
+       "not consumed"},
+      {"buffer_tradeoff", "[sweep]\nlimits.eviction = oldest-first, oldest\n",
+       "scenario line 3", "axis 'limits.eviction'"},
   };
   for (const BadInput& input : files) {
     const std::string path = ::testing::TempDir() + "scenario_test_bad_" +
@@ -774,9 +787,8 @@ TEST(ScenarioGolden, FigureReportsRejectUnconsumedKeys) {
     EXPECT_NE(out.find(input.what), std::string::npos) << input.body << out;
     std::remove(path.c_str());
   }
-  // The removed list params of the two sweep reports, as they used to be
-  // given on the command line, and buffer_tradeoff lists naming no known
-  // protocol / eviction policy.
+  // The removed params of the three sweep reports, as they used to be
+  // given on the command line.
   const std::string fault_recovery =
       BRISA_SOURCE_DIR "/scenarios/fault_recovery.scn";
   const std::string scale_sweep = BRISA_SOURCE_DIR "/scenarios/scale_sweep.scn";
@@ -795,7 +807,11 @@ TEST(ScenarioGolden, FigureReportsRejectUnconsumedKeys) {
         "--set params.baseline-cap=100000 " + scale_sweep,
         "--set params.protocols=brsia " + buffer_tradeoff,
         "--set params.protocols=brisa,,tag " + buffer_tradeoff,
-        "--set params.policies=oldest " + buffer_tradeoff}) {
+        "--set params.policies=oldest " + buffer_tradeoff,
+        "--set params.entries=0,8 " + buffer_tradeoff,
+        "--set params.quick=true " + buffer_tradeoff,
+        "--set params.bloom=true " + buffer_tradeoff,
+        "--set params.faults=false " + buffer_tradeoff}) {
     const auto [status, out] = run_brisa("--check " + args);
     EXPECT_NE(status, 0) << args << "\n" << out;
     EXPECT_NE(out.find("error:"), std::string::npos) << args << "\n" << out;

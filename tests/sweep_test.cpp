@@ -475,18 +475,43 @@ TEST(SweepEquivalence, ScaleSweepCellsMatchSerialRows) {
 }
 
 // Four protocols x both eviction policies x an entries and a store-bytes
-// bound, plus the unbounded controls.
+// bound, plus the unbounded controls: one row per protocol, policy "-",
+// and nothing from their delivered-first cells.
 TEST(SweepEquivalence, BufferTradeoffRowsMatchGolden) {
   const CommandResult result = run_command(
-      std::string(kRunner) + " --set scenario.nodes=128 " +
-      "--set streams.messages=20 --set params.entries=0,4 " +
-      "--set params.store-bytes=0,512 " BRISA_SOURCE_DIR
+      std::string(kRunner) + " --jobs 2 --set scenario.nodes=128 " +
+      "--set streams.messages=20 --set sweep.limits.store-entries=0,4 " +
+      "--set sweep.limits.store-bytes=0,512 " BRISA_SOURCE_DIR
       "/scenarios/buffer_tradeoff.scn 2>/dev/null");
   ASSERT_TRUE(WIFEXITED(result.status));
   EXPECT_EQ(WEXITSTATUS(result.status), 0);
   EXPECT_EQ(data_rows(result.out),
             read_file(BRISA_SOURCE_DIR
                       "/tests/data/buffer_tradeoff_128x20.jsonl"));
+}
+
+// The typed [limits] switches reach the cell's systems and its row.
+TEST(SweepEquivalence, BufferTradeoffRowsCarryTheLimitSwitches) {
+  const std::pair<std::string, std::string> switches[] = {
+      {"limits.bloom-digests", "\"bloom\":true"},
+      {"limits.rate-control", "\"rate_control\":true"}};
+  for (const auto& [key, field] : switches) {
+    const CommandResult result = run_command(
+        std::string(kRunner) + " --jobs 2 --set scenario.nodes=128 " +
+        "--set streams.messages=20 --set sweep.limits.store-entries=4 " +
+        "--set sweep.limits.eviction=oldest-first " +
+        "--set sweep.protocol=brisa,gossip --set " + key +
+        "=true " BRISA_SOURCE_DIR "/scenarios/buffer_tradeoff.scn 2>/dev/null");
+    ASSERT_TRUE(WIFEXITED(result.status)) << key;
+    EXPECT_EQ(WEXITSTATUS(result.status), 0) << key << "\n" << result.out;
+    const std::string rows = data_rows(result.out);
+    std::istringstream in(rows);
+    std::size_t count = 0;
+    for (std::string row; std::getline(in, row); ++count) {
+      EXPECT_NE(row.find(field), std::string::npos) << row;
+    }
+    EXPECT_EQ(count, 2u) << key << "\n" << rows;
+  }
 }
 
 // The generic runner over all four protocols on a flat and a generated
