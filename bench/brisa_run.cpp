@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "reports/reports.h"
-#include "util/flags.h"
 #include "util/subprocess.h"
 #include "workload/scenario.h"
 #include "workload/sweep.h"

@@ -7,14 +7,17 @@
 # covered, and the total. Headers are left out: every translation unit
 # carries its own copy of a header's lines, and gcov does not merge them.
 #
-#   scripts/coverage.sh [build-dir]
+#   scripts/coverage.sh [build-dir [PREFIX=PERCENT]...]
 #
-# Needs only gcov, which ships with GCC (no gcovr or lcov). There is no
-# threshold: the script fails only when the build or a test fails.
+# Each PREFIX=PERCENT is a floor: the script fails when a listed file whose
+# path starts with PREFIX reads below PERCENT (CI passes src/reports/=80).
+# Needs only gcov, which ships with GCC (no gcovr or lcov). Without a floor
+# the script fails only when the build or a test fails.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 build="${1:-build-coverage}"
+floors=("${@:2}")
 jobs="$(nproc)"
 
 cmake -B "$build" -S . -DCMAKE_BUILD_TYPE=Debug \
@@ -24,13 +27,13 @@ cmake --build "$build" -j "$jobs"
 find "$build" -name '*.gcda' -delete
 ctest --test-dir "$build" --no-tests=error --output-on-failure -j "$jobs"
 
-python3 - "$build/CMakeFiles/brisa.dir" "$PWD" <<'EOF'
+python3 - "$build/CMakeFiles/brisa.dir" "$PWD" "${floors[@]}" <<'EOF'
 import json
 import os
 import subprocess
 import sys
 
-objdir, root = sys.argv[1], sys.argv[2]
+objdir, root, floors = sys.argv[1], sys.argv[2], sys.argv[3:]
 rows = []
 for dirpath, _, names in os.walk(os.path.join(objdir, "src")):
     for name in sorted(names):
@@ -68,4 +71,15 @@ all_total = sum(r[2] for r in rows)
 all_run = sum(r[1] for r in rows)
 share = 100.0 * all_run / all_total if all_total else 100.0
 print(f"{'total':<{width}}  {all_total:>6}  {all_run:>6}  {share:>5.1f}%")
+
+below = []
+for floor in floors:
+    prefix, _, percent = floor.partition("=")
+    for source, executed, total in rows:
+        share = 100.0 * executed / total if total else 100.0
+        if source.startswith(prefix) and share < float(percent):
+            below.append(f"{source} {share:.1f}% < {float(percent):g}%")
+for line in below:
+    print(f"below floor: {line}")
+sys.exit(1 if below else 0)
 EOF

@@ -16,14 +16,8 @@ namespace brisa::baselines {
 // --- SimpleTree -------------------------------------------------------------
 
 /// Joiner -> coordinator: "assign me a parent" (datagram).
-class TreeJoinRequest final : public net::Message {
- public:
-  [[nodiscard]] net::MessageKind kind() const override {
-    return net::MessageKind::kTreeJoinRequest;
-  }
-  [[nodiscard]] std::size_t wire_size() const override { return 8; }
-  [[nodiscard]] const char* name() const override { return "tree-join-req"; }
-};
+class TreeJoinRequest final
+    : public net::FixedMessage<net::MessageKind::kTreeJoinRequest, 8> {};
 
 /// Coordinator -> joiner: the randomly chosen parent (datagram).
 class TreeJoinReply final : public net::Message {
@@ -35,7 +29,6 @@ class TreeJoinReply final : public net::Message {
   [[nodiscard]] std::size_t wire_size() const override {
     return 8 + net::kWireIdBytes;
   }
-  [[nodiscard]] const char* name() const override { return "tree-join-reply"; }
   [[nodiscard]] net::NodeId parent() const { return parent_; }
 
  private:
@@ -43,14 +36,8 @@ class TreeJoinReply final : public net::Message {
 };
 
 /// Joiner -> parent over the fresh connection: "I am your child now".
-class TreeAttach final : public net::Message {
- public:
-  [[nodiscard]] net::MessageKind kind() const override {
-    return net::MessageKind::kTreeAttach;
-  }
-  [[nodiscard]] std::size_t wire_size() const override { return 8; }
-  [[nodiscard]] const char* name() const override { return "tree-attach"; }
-};
+class TreeAttach final
+    : public net::FixedMessage<net::MessageKind::kTreeAttach, 8> {};
 
 /// Stream payload pushed down the tree, tagged with its stream (topic).
 class TreeData final : public net::Message {
@@ -63,7 +50,6 @@ class TreeData final : public net::Message {
   [[nodiscard]] std::size_t wire_size() const override {
     return 16 + net::kWireStreamBytes + payload_bytes_;
   }
-  [[nodiscard]] const char* name() const override { return "tree-data"; }
   [[nodiscard]] net::StreamId stream() const { return stream_; }
   [[nodiscard]] std::uint64_t seq() const { return seq_; }
   [[nodiscard]] std::size_t payload_bytes() const { return payload_bytes_; }
@@ -88,7 +74,6 @@ class GossipRumor final : public net::Message {
   [[nodiscard]] std::size_t wire_size() const override {
     return 16 + net::kWireStreamBytes + payload_bytes_;
   }
-  [[nodiscard]] const char* name() const override { return "gossip-rumor"; }
   [[nodiscard]] net::StreamId stream() const { return stream_; }
   [[nodiscard]] std::uint64_t seq() const { return seq_; }
   [[nodiscard]] std::size_t payload_bytes() const { return payload_bytes_; }
@@ -123,7 +108,6 @@ class GossipAntiEntropyRequest final : public net::Message {
     return 16 + net::kWireStreamBytes +
            (digest_ ? digest_->byte_size() : extra_known_.size() * 8);
   }
-  [[nodiscard]] const char* name() const override { return "gossip-ae-req"; }
   [[nodiscard]] net::StreamId stream() const { return stream_; }
   [[nodiscard]] std::uint64_t contiguous_upto() const {
     return contiguous_upto_;
@@ -162,7 +146,6 @@ class GossipAntiEntropyReply final : public net::Message {
     for (const auto& [seq, bytes] : updates_) total += 12 + bytes;
     return total;
   }
-  [[nodiscard]] const char* name() const override { return "gossip-ae-reply"; }
   [[nodiscard]] net::StreamId stream() const { return stream_; }
   [[nodiscard]] const std::vector<std::pair<std::uint64_t, std::size_t>>&
   updates() const {
@@ -177,14 +160,8 @@ class GossipAntiEntropyReply final : public net::Message {
 // --- TAG ---------------------------------------------------------------------
 
 /// Joiner -> head: "who is the current list tail?" (datagram).
-class TagTailQuery final : public net::Message {
- public:
-  [[nodiscard]] net::MessageKind kind() const override {
-    return net::MessageKind::kTagTailQuery;
-  }
-  [[nodiscard]] std::size_t wire_size() const override { return 8; }
-  [[nodiscard]] const char* name() const override { return "tag-tail-query"; }
-};
+class TagTailQuery final
+    : public net::FixedMessage<net::MessageKind::kTagTailQuery, 8> {};
 
 /// Head -> joiner: the current tail, plus a random sample of joined members
 /// drawn from the head's reservoir. The sample seeds the joiner's gossip
@@ -201,7 +178,6 @@ class TagTailReply final : public net::Message {
   [[nodiscard]] std::size_t wire_size() const override {
     return 8 + (1 + peer_sample_.size()) * net::kWireIdBytes;
   }
-  [[nodiscard]] const char* name() const override { return "tag-tail-reply"; }
   [[nodiscard]] net::NodeId tail() const { return tail_; }
   [[nodiscard]] const std::vector<net::NodeId>& peer_sample() const {
     return peer_sample_;
@@ -213,14 +189,8 @@ class TagTailReply final : public net::Message {
 };
 
 /// Joiner -> tail over a fresh connection: "append me to the list".
-class TagAppendRequest final : public net::Message {
- public:
-  [[nodiscard]] net::MessageKind kind() const override {
-    return net::MessageKind::kTagAppendRequest;
-  }
-  [[nodiscard]] std::size_t wire_size() const override { return 8; }
-  [[nodiscard]] const char* name() const override { return "tag-append-req"; }
-};
+class TagAppendRequest final
+    : public net::FixedMessage<net::MessageKind::kTagAppendRequest, 8> {};
 
 /// Tail -> joiner: accepted (with list context) or redirect to the real tail.
 class TagAppendReply final : public net::Message {
@@ -234,7 +204,6 @@ class TagAppendReply final : public net::Message {
   [[nodiscard]] std::size_t wire_size() const override {
     return 9 + 3 * net::kWireIdBytes;
   }
-  [[nodiscard]] const char* name() const override { return "tag-append-reply"; }
   [[nodiscard]] bool accepted() const { return accepted_; }
   [[nodiscard]] net::NodeId redirect() const { return redirect_; }
   [[nodiscard]] net::NodeId pred() const { return pred_; }
@@ -248,14 +217,8 @@ class TagAppendReply final : public net::Message {
 };
 
 /// Traversal probe: "tell me about yourself" (temporary connection).
-class TagListProbe final : public net::Message {
- public:
-  [[nodiscard]] net::MessageKind kind() const override {
-    return net::MessageKind::kTagListProbe;
-  }
-  [[nodiscard]] std::size_t wire_size() const override { return 8; }
-  [[nodiscard]] const char* name() const override { return "tag-probe"; }
-};
+class TagListProbe final
+    : public net::FixedMessage<net::MessageKind::kTagListProbe, 8> {};
 
 class TagListProbeReply final : public net::Message {
  public:
@@ -273,7 +236,6 @@ class TagListProbeReply final : public net::Message {
   [[nodiscard]] std::size_t wire_size() const override {
     return 16 + (2 + peer_sample_.size()) * net::kWireIdBytes;
   }
-  [[nodiscard]] const char* name() const override { return "tag-probe-reply"; }
   [[nodiscard]] net::NodeId pred() const { return pred_; }
   [[nodiscard]] net::NodeId pred2() const { return pred2_; }
   [[nodiscard]] std::uint32_t child_count() const { return child_count_; }
@@ -308,7 +270,6 @@ class TagListUpdate final : public net::Message {
   [[nodiscard]] std::size_t wire_size() const override {
     return 9 + net::kWireIdBytes;
   }
-  [[nodiscard]] const char* name() const override { return "tag-list-update"; }
   [[nodiscard]] Role role() const { return role_; }
   [[nodiscard]] net::NodeId subject() const { return subject_; }
 
@@ -329,7 +290,6 @@ class TagPullRequest final : public net::Message {
   [[nodiscard]] std::size_t wire_size() const override {
     return 16 + net::kWireStreamBytes;
   }
-  [[nodiscard]] const char* name() const override { return "tag-pull-req"; }
   [[nodiscard]] net::StreamId stream() const { return stream_; }
   [[nodiscard]] std::uint64_t from_seq() const { return from_seq_; }
 
@@ -352,7 +312,6 @@ class TagPullReply final : public net::Message {
     for (const auto& [seq, bytes] : updates_) total += 12 + bytes;
     return total;
   }
-  [[nodiscard]] const char* name() const override { return "tag-pull-reply"; }
   [[nodiscard]] net::StreamId stream() const { return stream_; }
   [[nodiscard]] const std::vector<std::pair<std::uint64_t, std::size_t>>&
   updates() const {

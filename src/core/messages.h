@@ -81,7 +81,6 @@ class BrisaData final : public net::Message {
     // stream + seq + flags header, then metadata, then payload.
     return 16 + sender_position_.wire_bytes(mode_) + payload_bytes_;
   }
-  [[nodiscard]] const char* name() const override { return "brisa-data"; }
 
   [[nodiscard]] std::uint32_t stream() const { return stream_; }
   [[nodiscard]] std::uint64_t seq() const { return seq_; }
@@ -118,7 +117,6 @@ class BrisaDeactivate final : public net::Message {
   [[nodiscard]] std::size_t wire_size() const override {
     return 8 + sender_position_.wire_bytes(mode_);
   }
-  [[nodiscard]] const char* name() const override { return "brisa-deactivate"; }
 
   [[nodiscard]] std::uint32_t stream() const { return stream_; }
   [[nodiscard]] const PositionInfo& sender_position() const {
@@ -142,7 +140,6 @@ class BrisaResume final : public net::Message {
     return net::MessageKind::kBrisaResume;
   }
   [[nodiscard]] std::size_t wire_size() const override { return 9; }
-  [[nodiscard]] const char* name() const override { return "brisa-resume"; }
 
   [[nodiscard]] std::uint32_t stream() const { return stream_; }
   [[nodiscard]] bool want_ack() const { return want_ack_; }
@@ -168,7 +165,6 @@ class BrisaResumeAck final : public net::Message {
   [[nodiscard]] std::size_t wire_size() const override {
     return 8 + responder_position_.wire_bytes(mode_);
   }
-  [[nodiscard]] const char* name() const override { return "brisa-resume-ack"; }
 
   [[nodiscard]] std::uint32_t stream() const { return stream_; }
   [[nodiscard]] const PositionInfo& responder_position() const {
@@ -192,9 +188,6 @@ class BrisaReactivateOrder final : public net::Message {
     return net::MessageKind::kBrisaReactivateOrder;
   }
   [[nodiscard]] std::size_t wire_size() const override { return 8; }
-  [[nodiscard]] const char* name() const override {
-    return "brisa-reactivate-order";
-  }
 
   [[nodiscard]] std::uint32_t stream() const { return stream_; }
 
@@ -224,9 +217,6 @@ class BrisaRetransmitRequest final : public net::Message {
   }
   [[nodiscard]] std::size_t wire_size() const override {
     return 16 + (held_digest_ ? held_digest_->byte_size() : 0);
-  }
-  [[nodiscard]] const char* name() const override {
-    return "brisa-retransmit-request";
   }
 
   [[nodiscard]] std::uint32_t stream() const { return stream_; }

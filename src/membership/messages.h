@@ -16,21 +16,10 @@
 
 namespace brisa::membership {
 
-/// Base for fixed-size control messages.
-template <net::MessageKind Kind, std::size_t Bytes>
-class FixedMessage : public net::Message {
- public:
-  [[nodiscard]] net::MessageKind kind() const override { return Kind; }
-  [[nodiscard]] std::size_t wire_size() const override { return Bytes; }
-};
-
 // --- HyParView ------------------------------------------------------------
 
 class HpvJoin final
-    : public FixedMessage<net::MessageKind::kHpvJoin, 8> {
- public:
-  [[nodiscard]] const char* name() const override { return "hpv-join"; }
-};
+    : public net::FixedMessage<net::MessageKind::kHpvJoin, 8> {};
 
 class HpvForwardJoin final : public net::Message {
  public:
@@ -42,7 +31,6 @@ class HpvForwardJoin final : public net::Message {
   [[nodiscard]] std::size_t wire_size() const override {
     return 8 + net::kWireIdBytes + 1;
   }
-  [[nodiscard]] const char* name() const override { return "hpv-fwd-join"; }
 
   [[nodiscard]] net::NodeId joiner() const { return joiner_; }
   [[nodiscard]] int ttl() const { return ttl_; }
@@ -60,7 +48,6 @@ class HpvNeighbor final : public net::Message {
     return net::MessageKind::kHpvNeighbor;
   }
   [[nodiscard]] std::size_t wire_size() const override { return 9; }
-  [[nodiscard]] const char* name() const override { return "hpv-neighbor"; }
 
   [[nodiscard]] bool high_priority() const { return high_priority_; }
 
@@ -76,9 +63,6 @@ class HpvNeighborReply final : public net::Message {
     return net::MessageKind::kHpvNeighborReply;
   }
   [[nodiscard]] std::size_t wire_size() const override { return 9; }
-  [[nodiscard]] const char* name() const override {
-    return "hpv-neighbor-reply";
-  }
 
   [[nodiscard]] bool accepted() const { return accepted_; }
 
@@ -87,10 +71,7 @@ class HpvNeighborReply final : public net::Message {
 };
 
 class HpvDisconnect final
-    : public FixedMessage<net::MessageKind::kHpvDisconnect, 8> {
- public:
-  [[nodiscard]] const char* name() const override { return "hpv-disconnect"; }
-};
+    : public net::FixedMessage<net::MessageKind::kHpvDisconnect, 8> {};
 
 class HpvShuffle final : public net::Message {
  public:
@@ -103,7 +84,6 @@ class HpvShuffle final : public net::Message {
   [[nodiscard]] std::size_t wire_size() const override {
     return 8 + net::kWireIdBytes + 1 + sample_.size() * net::kWireIdBytes;
   }
-  [[nodiscard]] const char* name() const override { return "hpv-shuffle"; }
 
   [[nodiscard]] net::NodeId origin() const { return origin_; }
   [[nodiscard]] int ttl() const { return ttl_; }
@@ -127,9 +107,6 @@ class HpvShuffleReply final : public net::Message {
   }
   [[nodiscard]] std::size_t wire_size() const override {
     return 8 + sample_.size() * net::kWireIdBytes;
-  }
-  [[nodiscard]] const char* name() const override {
-    return "hpv-shuffle-reply";
   }
 
   [[nodiscard]] const std::vector<net::NodeId>& sample() const {
@@ -164,7 +141,6 @@ class HpvKeepAlive final : public net::Message {
   [[nodiscard]] std::size_t wire_size() const override {
     return 16 + watermarks().size() * (net::kWireStreamBytes + 16);
   }
-  [[nodiscard]] const char* name() const override { return "hpv-keepalive"; }
 
   [[nodiscard]] std::uint64_t probe_id() const { return probe_id_; }
   [[nodiscard]] const std::vector<AppWatermark>& watermarks() const {
@@ -187,9 +163,6 @@ class HpvKeepAliveReply final : public net::Message {
   }
   [[nodiscard]] std::size_t wire_size() const override {
     return 16 + watermarks().size() * (net::kWireStreamBytes + 16);
-  }
-  [[nodiscard]] const char* name() const override {
-    return "hpv-keepalive-reply";
   }
 
   [[nodiscard]] std::uint64_t probe_id() const { return probe_id_; }
@@ -221,7 +194,6 @@ class CyclonShuffle final : public net::Message {
   [[nodiscard]] std::size_t wire_size() const override {
     return 8 + entries_.size() * (net::kWireIdBytes + 1);
   }
-  [[nodiscard]] const char* name() const override { return "cyclon-shuffle"; }
 
   [[nodiscard]] const std::vector<CyclonEntry>& entries() const {
     return entries_;
@@ -241,9 +213,6 @@ class CyclonShuffleReply final : public net::Message {
   }
   [[nodiscard]] std::size_t wire_size() const override {
     return 8 + entries_.size() * (net::kWireIdBytes + 1);
-  }
-  [[nodiscard]] const char* name() const override {
-    return "cyclon-shuffle-reply";
   }
 
   [[nodiscard]] const std::vector<CyclonEntry>& entries() const {

@@ -115,8 +115,6 @@ class Message {
   /// kFrameOverheadBytes which the network adds once per message.
   [[nodiscard]] virtual std::size_t wire_size() const = 0;
 
-  [[nodiscard]] virtual const char* name() const = 0;
-
   /// Sticky: once any simulator in the process runs multi-shard, every
   /// refcount op becomes a real atomic RMW. Called from serial setup code
   /// (before worker threads touch any message); never unset, so a later
@@ -155,6 +153,14 @@ class Message {
 
   mutable std::atomic<std::uint32_t> refs_{0};
   mutable Recycler recycler_ = nullptr;
+};
+
+/// Base for content-free control messages of a fixed wire size.
+template <MessageKind Kind, std::size_t Bytes>
+class FixedMessage : public Message {
+ public:
+  [[nodiscard]] MessageKind kind() const override { return Kind; }
+  [[nodiscard]] std::size_t wire_size() const override { return Bytes; }
 };
 
 /// Intrusive smart pointer to an immutable message. Copies share the object

@@ -126,6 +126,30 @@ inline std::unique_ptr<workload::SystemBase> run_mild_fault_cell(
   return system;
 }
 
+/// One emergent structure the Fig 6, 7, 10 and 11 reports compare.
+struct Structure {
+  const char* mode;  ///< `overlay.mode`: tree|dag
+  std::size_t parents;
+  std::size_t view;  ///< HyParView active view
+
+  /// "tree" or "DAG-<parents>"; each report adds the view in its own form.
+  [[nodiscard]] std::string name() const {
+    return parents == 1 ? "tree" : "DAG-" + std::to_string(parents);
+  }
+
+  /// `cell` with this structure's mode, parent count and active view.
+  [[nodiscard]] workload::Scenario apply(workload::Scenario cell) const {
+    cell.mode = mode;
+    cell.parents = parents;
+    cell.active_view = view;
+    return cell;
+  }
+};
+
+/// The paper's four: tree and DAG-2, each at active view 4 and 8.
+inline constexpr Structure kStructures[] = {
+    {"tree", 1, 4}, {"tree", 1, 8}, {"dag", 2, 4}, {"dag", 2, 8}};
+
 /// Structure depth of every non-source member (Fig 6).
 inline std::vector<double> collect_depths(workload::BrisaSystem& system) {
   std::vector<double> depths;

@@ -29,7 +29,6 @@ workload::Scenario ablation_defaults() {
 int ablation_run(const workload::Scenario& scenario) {
   const std::size_t nodes = scenario.nodes_or(256);
   const std::size_t messages = scenario.messages_or(80);
-  const std::uint64_t seed = scenario.seed_or(1);
 
   std::printf(
       "=== Ablation: parent-selection strategies (§II-E + §IV), %zu nodes, "
@@ -44,15 +43,13 @@ int ablation_run(const workload::Scenario& scenario) {
         core::ParentSelectionStrategy::kDelayAware,
         core::ParentSelectionStrategy::kGerontocratic,
         core::ParentSelectionStrategy::kLoadBalancing}) {
-    workload::BrisaSystem::Config config;
-    config.seed = seed;
-    config.num_nodes = nodes;
-    config.shards = scenario.shards_or(1);
-    config.hyparview.active_size = 4;
-    config.brisa.strategy = strategy;
-    config.join_spread = sim::Duration::seconds(30);
-    config.stabilization = sim::Duration::seconds(30);
-    workload::BrisaSystem system(config);
+    workload::Scenario cell = scenario;
+    cell.nodes = nodes;
+    cell.active_view = 4;
+    cell.strategy = core::to_string(strategy);
+    cell.join_spread_s = 30;
+    cell.stabilization_s = 30;
+    workload::BrisaSystem system(workload::scenario_brisa_config(cell));
     system.bootstrap();
     system.run_stream(messages, 5.0, 1024, sim::Duration::seconds(20));
 

@@ -35,39 +35,22 @@ int run_bandwidth_report(const workload::Scenario& scenario,
   const std::size_t messages = scenario.messages_or(100);
   const auto payloads =
       scenario.param_int_list("payloads", {1024, 10240, 51200, 102400});
-  const std::uint64_t seed = scenario.seed_or(1);
 
   const bool down = direction == BandwidthDirection::kDownload;
   std::printf(
       "=== Fig %s: %s bandwidth (KB/s per node), %zu nodes, 5 msg/s ===\n",
       down ? "10" : "11", down ? "download" : "upload", nodes);
 
-  struct StructureConfig {
-    const char* label;
-    core::StructureMode mode;
-    std::size_t parents;
-    std::size_t view;
-  };
-  const StructureConfig structures[] = {
-      {"tree/view4", core::StructureMode::kTree, 1, 4},
-      {"tree/view8", core::StructureMode::kTree, 1, 8},
-      {"DAG2/view4", core::StructureMode::kDag, 2, 4},
-      {"DAG2/view8", core::StructureMode::kDag, 2, 8},
-  };
-
   analysis::Table table(
       {"structure + payload", "p5", "p25", "p50", "p75", "p90"});
-  for (const StructureConfig& structure : structures) {
+  for (const Structure& structure : kStructures) {
+    const std::string name = structure.parents == 1
+                                 ? std::string("tree")
+                                 : "DAG" + std::to_string(structure.parents);
+    workload::Scenario cell = structure.apply(scenario);
+    cell.nodes = nodes;
     for (const std::int64_t payload : payloads) {
-      workload::BrisaSystem::Config config;
-      config.seed = seed;
-      config.num_nodes = nodes;
-      config.shards = scenario.shards_or(1);
-      config.hyparview.active_size = structure.view;
-      config.hyparview.passive_size = structure.view * 6;
-      config.brisa.mode = structure.mode;
-      config.brisa.num_parents = structure.parents;
-      workload::BrisaSystem system(config);
+      workload::BrisaSystem system(workload::scenario_brisa_config(cell));
       system.bootstrap();
       // Emerge the structure, then measure a clean window.
       system.run_stream(30, 5.0, static_cast<std::size_t>(payload));
@@ -79,7 +62,8 @@ int run_bandwidth_report(const workload::Scenario& scenario,
 
       const BandwidthSample sample = collect_bandwidth_kbs(
           system.network(), system.member_ids(), window);
-      const std::string label = std::string(structure.label) + " " +
+      const std::string label = name + "/view" +
+                                std::to_string(structure.view) + " " +
                                 std::to_string(payload / 1024) + "KB";
       table.add_row(percentile_row(
           label, down ? sample.download_kbs : sample.upload_kbs));

@@ -50,7 +50,6 @@ int fig02_run(const workload::Scenario& scenario) {
   const std::size_t messages = scenario.messages_or(500);
   const std::size_t payload = scenario.payload_or(1024);
   const auto views = scenario.param_int_list("views", {4, 6, 8, 10});
-  const std::uint64_t seed = scenario.seed_or(1);
 
   std::printf(
       "=== Fig 2: duplicates per message per node, HyParView flooding, "
@@ -60,16 +59,11 @@ int fig02_run(const workload::Scenario& scenario) {
   analysis::Table table({"view", "p25", "p50", "p75", "p90", "p99", "max",
                          "mean", "complete"});
   for (const std::int64_t view : views) {
-    workload::BrisaSystem::Config config;
-    config.seed = seed;
-    config.num_nodes = nodes;
-    config.testbed = workload::scenario_testbed(scenario);
-    config.topology = workload::scenario_topology(scenario);
-    config.shards = scenario.shards_or(1);
-    config.hyparview.active_size = static_cast<std::size_t>(view);
-    config.hyparview.passive_size = static_cast<std::size_t>(view) * 6;
-    config.brisa.prune = false;  // pure flooding
-    workload::BrisaSystem system(config);
+    workload::Scenario cell = scenario;
+    cell.nodes = nodes;
+    cell.active_view = static_cast<std::size_t>(view);
+    cell.prune = false;  // pure flooding
+    workload::BrisaSystem system(workload::scenario_brisa_config(cell));
     system.bootstrap();
     system.run_stream(messages, 5.0, payload);
 

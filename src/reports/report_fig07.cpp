@@ -25,36 +25,18 @@ workload::Scenario fig07_defaults() {
 int fig07_run(const workload::Scenario& scenario) {
   const std::size_t nodes = scenario.nodes_or(512);
   const std::size_t messages = scenario.messages_or(60);
-  const std::uint64_t seed = scenario.seed_or(1);
 
   std::printf("=== Fig 7: degree distribution, %zu nodes, first-come ===\n",
               nodes);
 
-  struct Config {
-    const char* label;
-    core::StructureMode mode;
-    std::size_t parents;
-    std::size_t view;
-  };
-  const Config configs[] = {
-      {"tree, view=4", core::StructureMode::kTree, 1, 4},
-      {"tree, view=8", core::StructureMode::kTree, 1, 8},
-      {"DAG-2, view=4", core::StructureMode::kDag, 2, 4},
-      {"DAG-2, view=8", core::StructureMode::kDag, 2, 8},
-  };
-
   analysis::Table table(
       {"config", "leaves%", "p50", "p90", "max", "target-parents%"});
-  for (const Config& cfg : configs) {
-    workload::BrisaSystem::Config system_config;
-    system_config.seed = seed;
-    system_config.num_nodes = nodes;
-    system_config.shards = scenario.shards_or(1);
-    system_config.hyparview.active_size = cfg.view;
-    system_config.hyparview.passive_size = cfg.view * 6;
-    system_config.brisa.mode = cfg.mode;
-    system_config.brisa.num_parents = cfg.parents;
-    workload::BrisaSystem system(system_config);
+  for (const Structure& structure : kStructures) {
+    const std::string label =
+        structure.name() + ", view=" + std::to_string(structure.view);
+    workload::Scenario cell = structure.apply(scenario);
+    cell.nodes = nodes;
+    workload::BrisaSystem system(workload::scenario_brisa_config(cell));
     system.bootstrap();
     system.run_stream(messages, 5.0, 1024);
 
@@ -67,12 +49,11 @@ int fig07_run(const workload::Scenario& scenario) {
     for (const net::NodeId id : system.member_ids()) {
       if (id == system.source_id()) continue;
       ++considered;
-      if (system.brisa(id).parents().size() == cfg.parents) ++at_target;
+      if (system.brisa(id).parents().size() == structure.parents) ++at_target;
     }
-    print_cdf(std::string(cfg.label) + " degree CDF (degree percent)",
-              degrees);
+    print_cdf(label + " degree CDF (degree percent)", degrees);
     table.add_row(
-        {cfg.label,
+        {label,
          analysis::Table::num(100.0 * static_cast<double>(leaves) /
                                   static_cast<double>(degrees.size()),
                               1),

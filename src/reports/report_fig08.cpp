@@ -26,7 +26,6 @@ workload::Scenario fig08_defaults() {
 
 int fig08_run(const workload::Scenario& scenario) {
   const std::size_t nodes = scenario.nodes_or(100);
-  const std::uint64_t seed = scenario.seed_or(1);
   const std::string dot_prefix = scenario.param_string("dot-prefix", "");
 
   std::printf(
@@ -34,14 +33,11 @@ int fig08_run(const workload::Scenario& scenario) {
       nodes);
 
   for (const std::size_t view : {std::size_t{4}, std::size_t{8}}) {
-    workload::BrisaSystem::Config config;
-    config.shards = scenario.shards_or(1);
-    config.seed = seed;
-    config.num_nodes = nodes;
-    config.hyparview.active_size = view;
-    config.hyparview.passive_size = view * 6;
-    config.hyparview.expansion_factor = 1.0;  // as in the figure caption
-    workload::BrisaSystem system(config);
+    workload::Scenario cell = scenario;
+    cell.nodes = nodes;
+    cell.active_view = view;
+    cell.expansion_factor = 1.0;  // as in the figure caption
+    workload::BrisaSystem system(workload::scenario_brisa_config(cell));
     system.bootstrap();
     system.run_stream(40, 5.0, 1024);
 

@@ -28,24 +28,15 @@ struct VariantResult {
   std::vector<double> delivery_ms;  ///< true one-way delays (bonus)
 };
 
-VariantResult run_variant(std::uint64_t seed, std::size_t nodes,
-                          std::size_t messages,
-                          core::ParentSelectionStrategy strategy,
-                          bool prune, std::uint32_t shards) {
-  workload::BrisaSystem::Config config;
-  config.seed = seed;
-  config.num_nodes = nodes;
-  config.shards = shards;
-  config.testbed = workload::TestbedKind::kPlanetLab;
-  config.hyparview.active_size = 4;
-  config.brisa.strategy = strategy;
-  config.brisa.prune = prune;
-  config.stabilization = sim::Duration::seconds(40);
-  workload::BrisaSystem system(config);
+/// One series over `cell`, which pins its nodes, messages and prune flag.
+VariantResult run_variant(const workload::Scenario& cell) {
+  const std::size_t nodes = *cell.nodes;
+  const bool prune = *cell.prune;
+  workload::BrisaSystem system(workload::scenario_brisa_config(cell));
   system.bootstrap();
   system.run_stream(40, 5.0, 1024);  // structure emergence warm-up
   const std::uint64_t warmup = system.messages_sent();
-  system.run_stream(messages, 5.0, 1024, sim::Duration::seconds(30));
+  system.run_stream(*cell.messages, 5.0, 1024, sim::Duration::seconds(30));
 
   VariantResult result;
   const auto& source_times =
@@ -104,7 +95,6 @@ workload::Scenario fig09_defaults() {
 int fig09_run(const workload::Scenario& scenario) {
   const std::size_t nodes = scenario.nodes_or(150);
   const std::size_t messages = scenario.messages_or(200);
-  const std::uint64_t seed = scenario.seed_or(1);
 
   std::printf(
       "=== Fig 9: routing delays (cumulative per-hop RTT), PlanetLab model, "
@@ -121,16 +111,25 @@ int fig09_run(const workload::Scenario& scenario) {
     }
   }
 
-  const std::uint32_t shards = scenario.shards_or(1);
+  workload::Scenario cell = scenario;
+  cell.nodes = nodes;
+  cell.messages = messages;
+  cell.topology_model = "planetlab";
+  cell.active_view = 4;
+  cell.stabilization_s = 40;
+  const auto series = [&cell](core::ParentSelectionStrategy strategy,
+                              bool prune) {
+    workload::Scenario variant = cell;
+    variant.strategy = core::to_string(strategy);
+    variant.prune = prune;
+    return run_variant(variant);
+  };
   const VariantResult delay_aware =
-      run_variant(seed, nodes, messages,
-                  core::ParentSelectionStrategy::kDelayAware, true, shards);
-  const VariantResult first_pick = run_variant(
-      seed, nodes, messages,
-      core::ParentSelectionStrategy::kFirstComeFirstPicked, true, shards);
-  const VariantResult flood = run_variant(
-      seed, nodes, messages,
-      core::ParentSelectionStrategy::kFirstComeFirstPicked, false, shards);
+      series(core::ParentSelectionStrategy::kDelayAware, true);
+  const VariantResult first_pick =
+      series(core::ParentSelectionStrategy::kFirstComeFirstPicked, true);
+  const VariantResult flood =
+      series(core::ParentSelectionStrategy::kFirstComeFirstPicked, false);
 
   print_cdf("point-to-point (ms percent)", p2p_ms);
   print_cdf("delay-aware (ms percent)", delay_aware.cum_rtt_ms);

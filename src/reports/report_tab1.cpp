@@ -28,20 +28,11 @@ struct ChurnResult {
   bool complete;
 };
 
-ChurnResult run_churn(std::uint64_t seed, std::size_t nodes,
-                      double churn_percent, core::StructureMode mode,
-                      std::size_t parents, std::int64_t churn_seconds,
-                      std::uint32_t shards) {
-  workload::BrisaSystem::Config config;
-  config.seed = seed;
-  config.num_nodes = nodes;
-  config.shards = shards;
-  config.hyparview.active_size = 4;
-  config.brisa.mode = mode;
-  config.brisa.num_parents = parents;
-  config.join_spread = sim::Duration::seconds(60);
-  config.stabilization = sim::Duration::seconds(60);
-  workload::BrisaSystem system(config);
+/// One row over `cell`, which pins its nodes and structure, under
+/// `churn_percent` per minute for `churn_seconds`.
+ChurnResult run_churn(const workload::Scenario& cell, double churn_percent,
+                      std::int64_t churn_seconds) {
+  workload::BrisaSystem system(workload::scenario_brisa_config(cell));
   system.bootstrap();
   // Emerge the structure before churn starts, as the paper does.
   system.run_stream(30, 5.0, 1024);
@@ -112,7 +103,6 @@ workload::Scenario tab1_defaults() {
 int tab1_run(const workload::Scenario& scenario) {
   const auto sizes = scenario.param_int_list("sizes", {128, 512});
   const std::int64_t churn_seconds = scenario.param_int("churn-seconds", 240);
-  const std::uint64_t seed = scenario.seed_or(1);
 
   std::printf(
       "=== Table I: churn impact, view 4, %llds churn window (paper: 600s) "
@@ -124,10 +114,14 @@ int tab1_run(const workload::Scenario& scenario) {
   for (const std::int64_t nodes : sizes) {
     for (const double churn : {3.0, 5.0}) {
       for (const bool dag : {false, true}) {
-        const ChurnResult result = run_churn(
-            seed, static_cast<std::size_t>(nodes), churn,
-            dag ? core::StructureMode::kDag : core::StructureMode::kTree,
-            dag ? 2 : 1, churn_seconds, scenario.shards_or(1));
+        workload::Scenario cell = scenario;
+        cell.nodes = static_cast<std::size_t>(nodes);
+        cell.active_view = 4;
+        cell.mode = dag ? "dag" : "tree";
+        cell.parents = dag ? 2 : 1;
+        cell.join_spread_s = 60;
+        cell.stabilization_s = 60;
+        const ChurnResult result = run_churn(cell, churn, churn_seconds);
         table.add_row({std::to_string(nodes),
                        analysis::Table::num(churn, 0) + "%",
                        dag ? "DAG-2" : "tree",

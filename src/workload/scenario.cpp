@@ -310,8 +310,6 @@ constexpr ScenarioKey kKeys[] = {
      kNonNegative, "settling time after the last join"},
     {"run", "grace-s", field<&Scenario::grace_s>, kDouble, kNonNegative,
      "generic runner: time kept running after the last injection"},
-    {"run", "warmup-messages", field<&Scenario::warmup_messages>, kSize, {},
-     "messages streamed and discounted before measurement"},
     {"run", "shards", field<&Scenario::shards>, kU32, {1, 63},
      "event-lane shards; results are identical for every value"},
 
@@ -375,23 +373,28 @@ std::string key_error(const Scenario& s, const ScenarioKey& row) {
   return ok ? "" : must_be(row, row.rule, *text);
 }
 
+/// Where `dotted_key` came from ("" when `origins` records nothing).
+std::string origin_of(const Scenario::KeyOrigins* origins,
+                      const std::string& dotted_key) {
+  if (origins == nullptr) return "";
+  const auto it = origins->find(dotted_key);
+  return it == origins->end() ? "" : it->second;
+}
+
 /// The per-key checks, in table order. A failure is anchored at the key's
 /// origin when `origins` records one.
 void check_keys(const Scenario& s, const Scenario::KeyOrigins* origins) {
   for (const ScenarioKey& row : kKeys) {
     const std::string error = key_error(s, row);
     if (error.empty()) continue;
-    std::string context;
-    if (origins != nullptr) {
-      const auto it = origins->find(dotted(row));
-      if (it != origins->end()) context = it->second;
-    }
-    fail(context, error);
+    fail(origin_of(origins, dotted(row)), error);
   }
 }
 
-/// The rules that span keys or sections; none has a single line.
-void check_rules(const Scenario& s) {
+/// The rules that span keys or sections. A [sweep] entry at fault is
+/// anchored at its origin when `origins` records one; the other rules have
+/// no single line.
+void check_rules(const Scenario& s, const Scenario::KeyOrigins* origins) {
   if (s.inter_rtt_min_ms && s.inter_rtt_max_ms &&
       *s.inter_rtt_min_ms > *s.inter_rtt_max_ms) {
     fail("", "topology inter-rtt-min-ms exceeds inter-rtt-max-ms");
@@ -411,8 +414,11 @@ void check_rules(const Scenario& s) {
     }
   }
   if (s.has_sweep()) {
-    const std::string diagnostic = sweep_error(s);
-    if (!diagnostic.empty()) fail("", "sweep: " + diagnostic);
+    std::string key;
+    const std::string diagnostic = sweep_error(s, &key);
+    if (!diagnostic.empty()) {
+      fail(origin_of(origins, "sweep." + key), "sweep: " + diagnostic);
+    }
   }
 }
 
@@ -592,11 +598,11 @@ Scenario Scenario::parse(const std::string& text, KeyOrigins* origins) {
   }
   check_keys(s, &where);
   try {
-    check_rules(s);
+    check_rules(s, &where);
   } catch (const std::invalid_argument& e) {
-    // Re-anchor churn and sweep diagnostics at their section header so the
-    // reader knows where to look; the other cross-key rules have no single
-    // line.
+    // Anchor the churn and section-wide sweep diagnostics at their section
+    // header so the reader knows where to look; the other cross-key rules
+    // have no single line.
     const std::string what = e.what();
     const int header = what.rfind("churn", 0) == 0   ? churn_section_line
                        : what.rfind("sweep", 0) == 0 ? sweep_section_line
@@ -636,7 +642,7 @@ Scenario Scenario::load(const std::string& path, KeyOrigins* origins) {
 
 void Scenario::validate(const KeyOrigins* origins) const {
   check_keys(*this, origins);
-  check_rules(*this);
+  check_rules(*this, origins);
 }
 
 // --- Serialization ----------------------------------------------------------

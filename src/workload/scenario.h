@@ -109,8 +109,6 @@ class Scenario {
   std::optional<double> join_spread_s;
   std::optional<double> stabilization_s;
   std::optional<double> grace_s;
-  /// Messages streamed (and discounted) before measurement starts.
-  std::optional<std::size_t> warmup_messages;
   /// Event-lane shards for the simulator (1 = classic serial loop); results
   /// are byte-identical for every value, so this is purely an executor knob.
   std::optional<std::uint32_t> shards;
@@ -323,10 +321,9 @@ struct ScenarioKey {
                                           const std::string& value);
 
 // --- Materialization into system harness configs ---------------------------
-// Used by the generic runner and by the protocol line-ups (fig12-14, tab2):
-// a report that pins per-cell values writes them into its own copy of the
-// scenario first. The BRISA-only figures still build their Config directly
-// from the scenario's fields.
+// The one scenario -> config mapping every report builds its systems
+// through: a report that pins per-cell values (view, structure, strategy,
+// timing) writes them into its own copy of the scenario first.
 
 /// Canonical (hyphenated) spelling of a topology model name: underscores
 /// become hyphens, so `barabasi_albert` and `barabasi-albert` are the same.

@@ -172,62 +172,72 @@ std::string check_values(Axis& axis) {
   return "";
 }
 
-/// Parses the [sweep] section into ordered axes. Returns a diagnostic
-/// ("" = ok).
-std::string parse_axes(const Scenario& s, std::vector<Axis>* axes) {
-  for (const auto& [key, raw] : s.sweep) {
-    if (key == "cell-timeout-s") {
+/// Parses one [sweep] entry, appending it to `axes` when it is an axis.
+/// Returns a diagnostic ("" = ok).
+std::string parse_entry(const Scenario& s, const std::string& key,
+                        const std::string& raw, std::vector<Axis>* axes) {
+  if (key == "cell-timeout-s") {
+    try {
+      std::size_t used = 0;
+      const double parsed = std::stod(raw, &used);
+      if (used != raw.size() || parsed < 0.0) throw std::exception();
+    } catch (const std::exception&) {
+      return "cell-timeout-s expects a non-negative number, got '" + raw + "'";
+    }
+    return "";
+  }
+  if (key == "jobs") {
+    if (raw != "auto") {
       try {
         std::size_t used = 0;
-        const double parsed = std::stod(raw, &used);
-        if (used != raw.size() || parsed < 0.0) throw std::exception();
+        const long parsed = std::stol(raw, &used);
+        if (used != raw.size() || parsed < 1) throw std::exception();
       } catch (const std::exception&) {
-        return "cell-timeout-s expects a non-negative number, got '" + raw +
-               "'";
+        return "jobs expects a positive integer or 'auto', got '" + raw + "'";
       }
-      continue;
     }
-    if (key == "jobs") {
-      if (raw != "auto") {
-        try {
-          std::size_t used = 0;
-          const long parsed = std::stol(raw, &used);
-          if (used != raw.size() || parsed < 1) throw std::exception();
-        } catch (const std::exception&) {
-          return "jobs expects a positive integer or 'auto', got '" + raw +
-                 "'";
-        }
-      }
-      continue;
+    return "";
+  }
+  Axis axis{key, key, "", nullptr, {}};
+  if (key == "faulted") {
+    axis.path = "churn.dsl";
+  } else if (key.rfind("param.", 0) == 0) {
+    axis.label = key.substr(6);
+    axis.path = "params." + axis.label;
+  } else {
+    axis.row = axis_row(key, &axis.label, &axis.path);
+    if (axis.row == nullptr) return sweep_key_error(key);
+  }
+  const bool integers = axis.row != nullptr && integral(axis.row->type);
+  if (std::string e = split_values(key, raw, integers, &axis.values);
+      !e.empty()) {
+    return e;
+  }
+  if (std::string e = check_values(axis); !e.empty()) return e;
+  if (key == "faulted" && s.churn_dsl.empty() &&
+      std::count(axis.values.begin(), axis.values.end(), "true") > 0) {
+    return "axis 'faulted' includes true but the scenario has no [churn] "
+           "trace to keep";
+  }
+  for (const Axis& earlier : *axes) {
+    if (earlier.path == axis.path) {
+      return "axes '" + earlier.key + "' and '" + key + "' both set " +
+             axis.path;
     }
-    Axis axis{key, key, "", nullptr, {}};
-    if (key == "faulted") {
-      axis.path = "churn.dsl";
-    } else if (key.rfind("param.", 0) == 0) {
-      axis.label = key.substr(6);
-      axis.path = "params." + axis.label;
-    } else {
-      axis.row = axis_row(key, &axis.label, &axis.path);
-      if (axis.row == nullptr) return sweep_key_error(key);
-    }
-    const bool integers = axis.row != nullptr && integral(axis.row->type);
-    if (std::string e = split_values(key, raw, integers, &axis.values);
-        !e.empty()) {
+  }
+  axes->push_back(std::move(axis));
+  return "";
+}
+
+/// Parses the [sweep] section into ordered axes. Returns a diagnostic
+/// ("" = ok); when one entry is at fault, its key goes to `*failed_key`.
+std::string parse_axes(const Scenario& s, std::vector<Axis>* axes,
+                       std::string* failed_key = nullptr) {
+  for (const auto& [key, raw] : s.sweep) {
+    if (std::string e = parse_entry(s, key, raw, axes); !e.empty()) {
+      if (failed_key != nullptr) *failed_key = key;
       return e;
     }
-    if (std::string e = check_values(axis); !e.empty()) return e;
-    if (key == "faulted" && s.churn_dsl.empty() &&
-        std::count(axis.values.begin(), axis.values.end(), "true") > 0) {
-      return "axis 'faulted' includes true but the scenario has no [churn] "
-             "trace to keep";
-    }
-    for (const Axis& earlier : *axes) {
-      if (earlier.path == axis.path) {
-        return "axes '" + earlier.key + "' and '" + key + "' both set " +
-               axis.path;
-      }
-    }
-    axes->push_back(std::move(axis));
   }
   if (axes->empty()) {
     return std::string("a [sweep] section needs at least one axis (") +
@@ -265,9 +275,9 @@ std::string sweep_key_error(const std::string& key) {
          "; knobs: cell-timeout-s, jobs)";
 }
 
-std::string sweep_error(const Scenario& s) {
+std::string sweep_error(const Scenario& s, std::string* failed_key) {
   std::vector<Axis> axes;
-  return parse_axes(s, &axes);
+  return parse_axes(s, &axes, failed_key);
 }
 
 std::vector<SweepAxis> sweep_axes(const Scenario& s) {

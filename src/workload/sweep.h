@@ -74,8 +74,10 @@ struct SweepAxis {
 /// Scenario::validate(). Catches values their key's row refuses,
 /// malformed value lists and ranges, empty axes, two axes that assign one
 /// key, a `faulted` axis without a [churn] trace, and a section with knobs
-/// but no axis.
-[[nodiscard]] std::string sweep_error(const Scenario& s);
+/// but no axis. When one entry is at fault, its key goes to `*failed_key`
+/// (when non-null), so a caller can point at that entry's line.
+[[nodiscard]] std::string sweep_error(const Scenario& s,
+                                      std::string* failed_key = nullptr);
 
 /// Expands the grid (row-major, declaration order). Throws
 /// std::invalid_argument with the sweep_error() diagnostic on malformed

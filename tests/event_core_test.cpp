@@ -310,7 +310,6 @@ class PoolProbe final : public Message {
     return MessageKind::kTestPing;
   }
   [[nodiscard]] std::size_t wire_size() const override { return 8; }
-  [[nodiscard]] const char* name() const override { return "pool-probe"; }
   [[nodiscard]] int value() const { return value_; }
 
  private:

@@ -37,7 +37,6 @@ class TestPayload final : public net::Message {
     return net::MessageKind::kTestPayload;
   }
   [[nodiscard]] std::size_t wire_size() const override { return bytes_; }
-  [[nodiscard]] const char* name() const override { return "test-payload"; }
 
  private:
   std::size_t bytes_;

@@ -25,7 +25,6 @@ class TestPing final : public net::Message {
     return net::MessageKind::kTestPing;
   }
   [[nodiscard]] std::size_t wire_size() const override { return 8; }
-  [[nodiscard]] const char* name() const override { return "test-ping"; }
   [[nodiscard]] int tag() const { return tag_; }
 
  private:

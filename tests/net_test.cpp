@@ -28,7 +28,6 @@ class TestPayload final : public Message {
     return MessageKind::kTestPayload;
   }
   [[nodiscard]] std::size_t wire_size() const override { return bytes_; }
-  [[nodiscard]] const char* name() const override { return "test-payload"; }
   [[nodiscard]] int tag() const { return tag_; }
 
  private:

@@ -1,8 +1,10 @@
 // Scenario-engine coverage: grammar round-trips, defaulting, line-numbered
 // diagnostics on malformed files, materialization into system configs, the
-// two scenario-selectable topology models, and the fig02 golden — the
-// checked-in scenario file must describe exactly the registry's default run,
-// reproduce its output byte-identically, and match the recorded output.
+// two scenario-selectable topology models, and the report goldens — the
+// checked-in fig02 scenario file must describe exactly the registry's
+// default run, reproduce its output byte-identically, and match the recorded
+// output, and eight more figure reports must print their recorded output at
+// reduced shapes.
 #include "workload/scenario.h"
 
 #include <gtest/gtest.h>
@@ -257,6 +259,18 @@ TEST(Scenario, RemovedQueueKeyIsRejectedNotIgnored) {
   EXPECT_EQ(s.to_text().find("queue"), std::string::npos);
 }
 
+TEST(Scenario, WarmupMessagesIsRefusedAtItsLine) {
+  // No report ever read [run] warmup-messages; a scenario setting it would
+  // pass --check and run as if the value had been honored.
+  const std::string diagnostic =
+      diagnostic_of("[scenario]\nname = old\n[run]\nwarmup-messages = 5\n");
+  EXPECT_NE(diagnostic.find("scenario line 4"), std::string::npos)
+      << diagnostic;
+  EXPECT_NE(diagnostic.find("unknown key 'warmup-messages'"),
+            std::string::npos)
+      << diagnostic;
+}
+
 /// Runs `brisa_run <args>` and returns {exit status, stdout + stderr}.
 std::pair<int, std::string> run_brisa(const std::string& args) {
   const std::string command =
@@ -312,6 +326,17 @@ TEST(Scenario, ValidateFailuresNameTheSetOverride) {
     EXPECT_NE(status, 0) << out;
     EXPECT_NE(out.find("error: --set scenario.protocol=brsia: scenario "
                        "protocol must be"),
+              std::string::npos)
+        << out;
+  }
+  {
+    // A [sweep] axis value is named by its override too.
+    const auto [status, out] =
+        run_brisa("--check --set sweep.limits.eviction=oldest " BRISA_SOURCE_DIR
+                  "/scenarios/buffer_tradeoff.scn");
+    EXPECT_NE(status, 0) << out;
+    EXPECT_NE(out.find("error: --set sweep.limits.eviction=oldest: sweep: "
+                       "axis 'limits.eviction'"),
               std::string::npos)
         << out;
   }
@@ -378,8 +403,8 @@ TEST(Scenario, SweepJobsKnobIsCheckedNotRejected) {
           << out;
     } else {
       EXPECT_NE(status, 0) << out;
-      // Anchored at the [sweep] header, like every sweep diagnostic.
-      EXPECT_NE(out.find(path + ": scenario line 3: sweep: jobs expects a "
+      // Anchored at the knob's own line, like every sweep entry error.
+      EXPECT_NE(out.find(path + ": scenario line 4: sweep: jobs expects a "
                                 "positive integer or 'auto', got '" +
                          c.jobs + "'"),
                 std::string::npos)
@@ -557,7 +582,7 @@ TEST(ScenarioKeys, EveryRowRoundTripsAndRejectsValuesOutsideItsBounds) {
           << diagnostic;
     }
   }
-  EXPECT_EQ(workload::scenario_keys().size(), 55u);
+  EXPECT_EQ(workload::scenario_keys().size(), 54u);
   EXPECT_GT(bounded, 30u);
 }
 
@@ -768,8 +793,9 @@ TEST(ScenarioGolden, FigureReportsRejectUnconsumedKeys) {
        "not consumed"},
       {"buffer_tradeoff", "[params]\npolicies = oldest\n", "scenario line 4",
        "not consumed"},
-      {"buffer_tradeoff", "[sweep]\nlimits.eviction = oldest-first, oldest\n",
-       "scenario line 3", "axis 'limits.eviction'"},
+      {"buffer_tradeoff",
+       "[sweep]\nprotocol = brisa\nlimits.eviction = oldest-first, oldest\n",
+       "scenario line 5", "axis 'limits.eviction'"},
   };
   for (const BadInput& input : files) {
     const std::string path = ::testing::TempDir() + "scenario_test_bad_" +
@@ -855,6 +881,76 @@ TEST(ScenarioGolden, Fig02ScenarioFileReproducesReportOutput) {
   expected << golden.rdbuf();
   EXPECT_EQ(file_output, expected.str());
 }
+
+/// A checked-in figure scenario at a reduced shape (the `--set` overrides
+/// of CI's report smoke runs) and the output it must print.
+struct ReportGolden {
+  std::string scenario;  ///< scenarios/<scenario>.scn
+  std::vector<std::pair<std::string, std::string>> overrides;
+  std::string golden;  ///< tests/data/<golden>.txt
+};
+
+class ScenarioGolden : public testing::TestWithParam<ReportGolden> {};
+
+/// Each figure report prints exactly its recorded output at the reduced
+/// shape, so a change to how a report builds or measures its systems
+/// shows up here as a diff.
+TEST_P(ScenarioGolden, ReducedShapeMatchesRecordedOutput) {
+  const ReportGolden& param = GetParam();
+  Scenario scenario = Scenario::load(std::string(BRISA_SOURCE_DIR) +
+                                     "/scenarios/" + param.scenario + ".scn");
+  for (const auto& [path, value] : param.overrides) {
+    scenario.set_path(path, value);
+  }
+  const reports::Report* report = reports::find(scenario.report_or(""));
+  ASSERT_NE(report, nullptr) << param.scenario;
+  ASSERT_EQ(reports::scenario_key_error(scenario, *report), "");
+  testing::internal::CaptureStdout();
+  ASSERT_EQ(report->run(scenario), 0);
+  const std::string output = testing::internal::GetCapturedStdout();
+
+  std::ifstream golden(std::string(BRISA_SOURCE_DIR) + "/tests/data/" +
+                       param.golden + ".txt");
+  ASSERT_TRUE(golden) << param.golden;
+  std::stringstream expected;
+  expected << golden.rdbuf();
+  EXPECT_EQ(output, expected.str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Reports, ScenarioGolden,
+    testing::Values(
+        ReportGolden{"ablation_strategies",
+                     {{"scenario.nodes", "64"}, {"streams.messages", "20"}},
+                     "ablation_64x20"},
+        ReportGolden{"fig07_degree",
+                     {{"scenario.nodes", "64"}, {"streams.messages", "20"}},
+                     "fig07_64x20"},
+        ReportGolden{"fig08_tree_shape", {{"scenario.nodes", "48"}},
+                     "fig08_48"},
+        ReportGolden{"fig09_routing_delay",
+                     {{"scenario.nodes", "48"}, {"streams.messages", "30"}},
+                     "fig09_48x30"},
+        ReportGolden{"fig10_bandwidth_down",
+                     {{"scenario.nodes", "64"},
+                      {"streams.messages", "20"},
+                      {"params.payloads", "1024"}},
+                     "fig10_64x20"},
+        ReportGolden{"fig11_bandwidth_up",
+                     {{"scenario.nodes", "64"},
+                      {"streams.messages", "20"},
+                      {"params.payloads", "1024"}},
+                     "fig11_64x20"},
+        ReportGolden{"fig13_construction_time",
+                     {{"params.cluster-nodes", "64"},
+                      {"params.planetlab-nodes", "48"}},
+                     "fig13_64_48"},
+        ReportGolden{"tab1_churn",
+                     {{"params.sizes", "48"}, {"params.churn-seconds", "60"}},
+                     "tab1_48_churn60"}),
+    [](const testing::TestParamInfo<ReportGolden>& info) {
+      return info.param.golden;
+    });
 
 }  // namespace
 }  // namespace brisa

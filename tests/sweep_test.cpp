@@ -118,9 +118,9 @@ TEST(SweepGrammar, ValidateRejectsMalformedAxes) {
   EXPECT_NE(diagnostic("protocol = brisa, smtp\n")
                 .find("unknown protocol 'smtp'"),
             std::string::npos);
-  // Axis diagnostics point at the [sweep] header (line 3 here).
+  // Axis diagnostics point at the axis's own line (line 4 here).
   const std::string misspelt = diagnostic("protocol = brsia\n");
-  EXPECT_NE(misspelt.find("scenario line 3: sweep: axis 'protocol'"),
+  EXPECT_NE(misspelt.find("scenario line 4: sweep: axis 'protocol'"),
             std::string::npos)
       << misspelt;
   EXPECT_NE(diagnostic("seeds = 1, 2, 1\n").find("repeats value '1'"),
@@ -152,7 +152,7 @@ TEST(SweepGrammar, RangeEdgesAreReadInTheRowsType) {
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(
-                  "scenario line 3: sweep: axis 'nodes': malformed range"),
+                  "scenario line 4: sweep: axis 'nodes': malformed range"),
               std::string::npos)
         << e.what();
   }
@@ -189,7 +189,8 @@ TEST(SweepGrammar, RejectsTwoAxesAssigningOneKey) {
       (void)Scenario::parse("[scenario]\nnodes = 10\n[sweep]\n" + body);
       FAIL() << "expected std::invalid_argument for " << body;
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("scenario line 3: sweep: " + what),
+      // The second axis, on line 5, is the one at fault.
+      EXPECT_NE(std::string(e.what()).find("scenario line 5: sweep: " + what),
                 std::string::npos)
           << e.what();
     }
@@ -295,7 +296,7 @@ TEST(SweepExpansion, RowAxesFollowTheirRow) {
     }
   };
   EXPECT_NE(diagnostic("limits.eviction = oldest-first, lifo\n")
-                .find("scenario line 3: sweep: axis 'limits.eviction': "
+                .find("scenario line 4: sweep: axis 'limits.eviction': "
                       "unknown eviction 'lifo' (limits eviction must be "
                       "oldest-first|delivered-first"),
             std::string::npos)
